@@ -4,8 +4,8 @@
 //! fleet power budget and node-level fault domains on top of the
 //! device-level [`FaultPlan`] machinery.
 //!
-//! Determinism contract: given the same trace, seed, config, and fault
-//! plan, `run_trace` produces bit-identical reports *for every job
+//! Determinism contract: given the same [`ClusterRunSpec`] inputs and
+//! config, [`Cluster::run`] produces bit-identical reports *for every job
 //! count*. Each node's event loop is sequential and private; interval
 //! boundaries are conservative synchronization barriers, so with
 //! [`set_jobs`](Cluster::set_jobs) the N node simulations of one
@@ -187,36 +187,14 @@ impl ClusterConfig {
     }
 }
 
-/// Options for the elastic / multi-tenant run loop
-/// ([`Cluster::run_trace_flex`]).
-#[derive(Debug, Clone)]
-pub struct FlexConfig {
-    /// Elastic fleet sizing; `None` keeps the provisioned fleet fixed
-    /// (spot revocations are still honored).
-    pub autoscale: Option<crate::AutoscaleConfig>,
-    /// Per-class share of the offered load, one entry per tenant
-    /// (normalized over its sum).
-    pub traffic_mix: Vec<f64>,
-    /// Static platform draw of a powered-on node in watts (fans, DRAM
-    /// refresh, VRM losses — everything the kernel-level simulation's
-    /// dynamic execution energy does not see). Charged per active node
-    /// per interval into the reported power/energy, so scaling a node
-    /// down to zero actually saves its idle draw; routing and plan
-    /// selection still see dynamic power only. 0.0 reproduces the bare
-    /// dynamic accounting.
-    pub node_static_w: f64,
-}
-
 /// Everything one cluster replay needs, as a builder mirroring the
 /// single-node `RunSpec`: trace, pacing, and the optional layers (fault
-/// plan, autoscaling, traffic mix, telemetry, worker threads) that the
-/// old `run_trace` / `run_trace_flex` entry points took positionally.
+/// plan, autoscaling, traffic mix, static node draw, telemetry, worker
+/// threads).
 ///
-/// [`Cluster::run`] picks the replay loop from the spec: any elastic /
-/// multi-tenant knob (autoscale, an explicit traffic mix, static node
-/// draw, or more than one tenant class) routes through the flex loop;
-/// otherwise the plain single-class loop runs — byte-identical to the
-/// former `run_trace` for identical inputs.
+/// Every spec runs through the one replay loop of [`Cluster::run`]; a
+/// single-class fleet is its degenerate case, with one class and the
+/// whole load on it.
 ///
 /// ```no_run
 /// # use poly_cluster::{Cluster, ClusterRunSpec};
@@ -273,7 +251,8 @@ impl<'a> ClusterRunSpec<'a> {
         self
     }
 
-    /// Elastic fleet sizing; routes the replay through the flex loop.
+    /// Elastic fleet sizing (default: the provisioned fleet stays fixed;
+    /// spot revocations are still honored).
     #[must_use]
     pub fn autoscale(mut self, autoscale: crate::AutoscaleConfig) -> Self {
         self.autoscale = Some(autoscale);
@@ -281,17 +260,20 @@ impl<'a> ClusterRunSpec<'a> {
     }
 
     /// Per-class share of the offered load, one entry per tenant class
-    /// (normalized over its sum). Multi-tenant clusters default to an
-    /// equal split when this is not given.
+    /// (normalized over its sum). Defaults to an equal split.
     #[must_use]
     pub fn traffic_mix(mut self, mix: Vec<f64>) -> Self {
         self.traffic_mix = Some(mix);
         self
     }
 
-    /// Static platform draw per powered-on node in watts (see
-    /// [`FlexConfig::node_static_w`]); non-zero routes through the flex
-    /// loop so consolidation is actually charged.
+    /// Static platform draw of a powered-on node in watts (fans, DRAM
+    /// refresh, VRM losses — everything the kernel-level simulation's
+    /// dynamic execution energy does not see). Charged per active node
+    /// per interval into the reported power/energy, so scaling a node
+    /// down to zero actually saves its idle draw; routing and plan
+    /// selection still see dynamic power only. The default 0.0 reports
+    /// the bare dynamic accounting.
     #[must_use]
     pub fn node_static_w(mut self, static_w: f64) -> Self {
         self.node_static_w = static_w;
@@ -435,6 +417,16 @@ fn completion_skew(per_node_completed: &[usize]) -> f64 {
     }
 }
 
+/// Add `node`'s last drain, per class, to the work re-entering routing.
+fn add_drained(redistributed_class: &mut [usize], node: &ClusterNode) {
+    for (r, &d) in redistributed_class
+        .iter_mut()
+        .zip(node.last_drained_per_class())
+    {
+        *r += d;
+    }
+}
+
 /// N leaf nodes behind a front-end router with a shared power budget.
 #[derive(Debug)]
 pub struct Cluster {
@@ -490,10 +482,10 @@ impl Cluster {
             s
         };
         let ctx = AppContext::new(graph.clone(), spaces.to_vec(), first, config.bound_ms);
-        let mut nodes = vec![ClusterNode::new(ctx.clone())];
+        let mut nodes = vec![ClusterNode::new_multi(vec![ctx.clone()])];
         nodes.extend(setups.into_iter().map(|mut s| {
             s.sim_config.lifecycle = config.lifecycle.clone();
-            ClusterNode::new(ctx.with_setup(s))
+            ClusterNode::new_multi(vec![ctx.with_setup(s)])
         }));
         Self::from_nodes(nodes, config)
     }
@@ -597,86 +589,139 @@ impl Cluster {
         self.nodes.is_empty()
     }
 
-    /// Run one replay described by a [`ClusterRunSpec`]: applies the
-    /// spec's `jobs`/`recorder` settings, validates the parameters, and
-    /// picks the replay loop — the plain single-class loop unless an
-    /// elastic or multi-tenant knob (autoscale, traffic mix, static node
-    /// draw, several tenant classes) routes it through the flex loop.
-    /// Deterministic in all spec inputs for every job count.
+    /// Run one replay described by a [`ClusterRunSpec`]: validates the
+    /// parameters, applies the spec's `jobs`/`recorder` settings, and
+    /// replays the trace. An invalid spec changes nothing.
+    ///
+    /// The replay is one loop for every fleet, with three robustness
+    /// layers on top of routing, power governance and node fault
+    /// domains:
+    ///
+    /// - **QoS classes** — the offered load is split across the nodes'
+    ///   tenants by the spec's traffic mix, each class drawing its own
+    ///   deterministic Poisson stream; the router admits per class
+    ///   ([`Router::route_classes`]), so a lenient tenant cannot starve a
+    ///   strict one. A single-class fleet is the case of one class that
+    ///   takes the whole load.
+    /// - **Elastic autoscaling** — with an autoscale config, a
+    ///   deterministic [`Autoscaler`] activates nodes (which warm up
+    ///   advertising zero capacity) and drains them through the same
+    ///   cancel-and-redistribute path a node death uses. Inactive nodes
+    ///   are modeled powered off: they contribute neither power/energy
+    ///   nor node-hours, while powered-on nodes are charged the spec's
+    ///   static node draw on top of their dynamic execution power — the
+    ///   term a scale-down actually saves.
+    /// - **Spot revocations** — [`FaultKind::Revoke`] events in the
+    ///   node-level fault plan announce a fail-stop `notice_ms` ahead.
+    ///   The driver drains the node at the first boundary inside the
+    ///   notice window, so its in-flight work is redistributed *before*
+    ///   the capacity disappears and the node's breaker never trips.
+    ///   Revocations whose notice is shorter than an interval behave like
+    ///   surprise fail-stops.
+    ///
+    /// The fault plan is node-level: `FaultEvent::device` indexes a
+    /// **node**, and each event is expanded to every device of that node
+    /// (see [`node_fault_plan`]). Deterministic in all spec inputs for
+    /// every job count.
     ///
     /// # Errors
     /// The first invalid run parameter, as a typed [`ClusterError`].
-    pub fn run(&mut self, spec: ClusterRunSpec<'_>) -> Result<ClusterReport, ClusterError> {
+    pub fn run(&mut self, mut spec: ClusterRunSpec<'_>) -> Result<ClusterReport, ClusterError> {
+        if !spec.interval_ms.is_finite() || spec.interval_ms <= 0.0 {
+            return Err(ClusterError::NonPositiveInterval {
+                interval_ms: spec.interval_ms,
+            });
+        }
+        if spec.trace.is_empty() {
+            return Err(ClusterError::EmptyTrace);
+        }
+        spec.faults.validate_for(self.nodes.len())?;
+        let classes = self.nodes[0].tenant_count();
+        let mix = spec
+            .traffic_mix
+            .take()
+            .unwrap_or_else(|| vec![1.0; classes]);
+        if mix.len() != classes
+            || mix.iter().any(|m| !m.is_finite() || *m < 0.0)
+            || mix.iter().sum::<f64>() <= 0.0
+        {
+            return Err(ClusterError::InvalidTrafficMix);
+        }
+        if !spec.node_static_w.is_finite() || spec.node_static_w < 0.0 {
+            return Err(ClusterError::InvalidStaticDraw {
+                static_w: spec.node_static_w,
+            });
+        }
+        let mix_sum: f64 = mix.iter().sum();
+        let mix: Vec<f64> = mix.iter().map(|m| m / mix_sum).collect();
+        if let Some(jobs) = spec.jobs {
+            self.set_jobs(jobs);
+        }
+        if let Some(rec) = spec.recorder.take() {
+            self.set_recorder(Some(rec));
+        }
+        Ok(self.replay(&spec, &mix))
+    }
+
+    /// The replay loop of [`run`](Self::run), on validated parameters
+    /// and the normalized traffic `mix`.
+    #[allow(clippy::too_many_lines)]
+    fn replay(&mut self, spec: &ClusterRunSpec<'_>, mix: &[f64]) -> ClusterReport {
         let ClusterRunSpec {
             trace,
             interval_ms,
             max_rps,
             seed,
-            faults,
-            autoscale,
-            traffic_mix,
+            faults: ref node_faults,
+            ref autoscale,
             node_static_w,
-            jobs,
-            recorder,
-        } = spec;
-        if let Some(jobs) = jobs {
-            self.set_jobs(jobs);
-        }
-        if let Some(rec) = recorder {
-            self.set_recorder(Some(rec));
-        }
-        self.validate_run(trace, interval_ms, &faults)?;
-        let classes = self.nodes[0].tenant_count();
-        let wants_flex =
-            autoscale.is_some() || traffic_mix.is_some() || node_static_w != 0.0 || classes > 1;
-        if wants_flex {
-            let flex = FlexConfig {
-                autoscale,
-                traffic_mix: traffic_mix.unwrap_or_else(|| vec![1.0; classes]),
-                node_static_w,
-            };
-            self.run_flex_inner(trace, interval_ms, max_rps, seed, &faults, &flex)
-        } else {
-            Ok(self.run_trace_inner(trace, interval_ms, max_rps, seed, &faults))
-        }
-    }
-
-    /// Replay a utilization trace at `max_rps` *cluster-wide* scaling.
-    /// `node_faults` is a node-level plan: `FaultEvent::device` indexes a
-    /// **node**, and each event is expanded to every device of that node
-    /// (see [`node_fault_plan`]). Deterministic in all inputs.
-    #[deprecated(note = "use `Cluster::run` with a `ClusterRunSpec`")]
-    #[must_use]
-    pub fn run_trace(
-        &mut self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        max_rps: f64,
-        seed: u64,
-        node_faults: &FaultPlan,
-    ) -> ClusterReport {
-        self.run_trace_inner(trace, interval_ms, max_rps, seed, node_faults)
-    }
-
-    /// The plain single-class replay loop (no validation — [`run`]
-    /// validates, the deprecated `run_trace` never did).
-    fn run_trace_inner(
-        &mut self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        max_rps: f64,
-        seed: u64,
-        node_faults: &FaultPlan,
-    ) -> ClusterReport {
+            ..
+        } = *spec;
         let n = self.nodes.len();
+        let classes = mix.len();
+        let weights: Vec<f64> = (0..classes)
+            .map(|c| self.nodes[0].tenant_weight(c))
+            .collect();
         let recording = self.recording();
         self.router.reset();
         self.governor.reset();
+        let mut autoscaler = autoscale.clone().map(Autoscaler::new);
+
         let first_rps = trace.first().map_or(0.0, |p| p.utilization * max_rps);
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let plan = node_fault_plan(node_faults, i, node.setup().pool.len());
-            node.begin_replay(first_rps / n as f64, &plan);
+        for (j, node) in self.nodes.iter_mut().enumerate() {
+            let plan = node_fault_plan(node_faults, j, node.setup().pool.len());
+            let shares: Vec<f64> = mix.iter().map(|m| first_rps * m / n as f64).collect();
+            node.begin_replay_multi(&shares, &plan);
         }
+
+        // Spot revocations scripted against nodes: drained proactively at
+        // the first boundary inside `[at_ms, deadline)`. The device-level
+        // fail-stop at the deadline is already lowered into each node's
+        // fault plan by the engine.
+        struct Revocation {
+            at_ms: f64,
+            node: usize,
+            deadline_ms: f64,
+            consumed: bool,
+        }
+        let mut revocations: Vec<Revocation> = node_faults
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                FaultKind::Revoke { notice_ms } => Some(Revocation {
+                    at_ms: e.at_ms,
+                    node: e.device,
+                    deadline_ms: e.at_ms + notice_ms.max(0.0),
+                    consumed: false,
+                }),
+                _ => None,
+            })
+            .collect();
+        revocations.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms).then(a.node.cmp(&b.node)));
+        // `Some(deadline)` while node j is drained ahead of a pending
+        // revocation — its outage is *expected*, so breakers see it as a
+        // quiet healthy node instead of tripping.
+        let mut pending_revoke: Vec<Option<f64>> = vec![None; n];
 
         // Telemetry must stay serial: recorder sequence numbers are
         // allocated in emission order across the whole buffer.
@@ -695,6 +740,9 @@ impl Cluster {
         let mut total_breaker_trips = 0usize;
         let mut node_hours = 0.0;
         let mut skew_sum = 0.0;
+        let mut class_completed = vec![0usize; classes];
+        let mut class_violations = vec![0usize; classes];
+        let mut class_shed = vec![0usize; classes];
         // Per-node power and assigned load from the previous interval —
         // the stale-snapshot signals the router and governor act on.
         let mut last_power_w = vec![0.0; n];
@@ -704,25 +752,136 @@ impl Cluster {
             let start = point.start_ms;
             let end = start + interval_ms;
             let offered_rps = point.utilization * max_rps;
+            // Per-class drained work re-entering the router at this
+            // boundary (node deaths, revocation drains, scale-downs).
+            let mut redistributed_class = vec![0usize; classes];
 
             // 1. Boundary health check: drain nodes that died during the
-            //    previous interval; their abandoned requests re-enter the
-            //    router at the interval start.
-            let mut redistributed = 0usize;
-            for node in &mut self.nodes {
-                if let NodeTransition::WentDown(cancelled) = node.maintain() {
-                    redistributed += cancelled;
+            //    previous interval. A hardware recovery on a node that
+            //    was administratively drained (revocation, scale down)
+            //    does not resume serving by itself: the autoscaler
+            //    re-adds it when load wants it, or — without an
+            //    autoscaler — it rejoins with one interval of warm-up.
+            for (j, pending) in pending_revoke.iter_mut().enumerate() {
+                match self.nodes[j].maintain_at(start) {
+                    NodeTransition::WentDown(d) => {
+                        total_redistributed += d;
+                        add_drained(&mut redistributed_class, &self.nodes[j]);
+                    }
+                    NodeTransition::CameBack => {
+                        *pending = None;
+                        if !self.nodes[j].is_active() && autoscaler.is_none() {
+                            let ready = start + interval_ms;
+                            self.nodes[j].activate(Some(ready));
+                            self.obs(
+                                start,
+                                ObsEvent::ScaleUp {
+                                    node: j,
+                                    ready_ms: ready,
+                                },
+                            );
+                        }
+                    }
+                    NodeTransition::Steady => {}
                 }
             }
-            total_redistributed += redistributed;
-            let up: Vec<bool> = self.nodes.iter().map(|nd| !nd.is_down()).collect();
-            let n_up = up.iter().filter(|&&u| u).count();
 
-            // 2. Governor: re-split the fleet budget from the previous
+            // 2. Act on revocation notices whose window covers this
+            //    boundary: drain the node now, redistribute its work, and
+            //    flag the coming outage as expected.
+            for r in &mut revocations {
+                if r.consumed || r.at_ms > start {
+                    continue;
+                }
+                r.consumed = true;
+                if start >= r.deadline_ms || self.nodes[r.node].is_down() {
+                    // Notice shorter than an interval (or the node is
+                    // already dead): nothing to save — surprise path.
+                    continue;
+                }
+                let drained = if self.nodes[r.node].is_active() {
+                    let d = self.nodes[r.node].drain();
+                    add_drained(&mut redistributed_class, &self.nodes[r.node]);
+                    total_redistributed += d;
+                    d
+                } else {
+                    0
+                };
+                pending_revoke[r.node] = Some(r.deadline_ms);
+                if let Some(rec) = self.recorder.as_mut() {
+                    rec.record(
+                        start,
+                        ObsEvent::SpotRevoke {
+                            node: r.node,
+                            deadline_ms: r.deadline_ms,
+                            drained,
+                        },
+                    );
+                }
+            }
+
+            // 3. Elastic fleet sizing off the governor's smoothed load
+            //    estimates (no estimate yet at the first boundary).
+            if i > 0 {
+                if let Some(scaler) = autoscaler.as_mut() {
+                    let eligible: Vec<bool> =
+                        self.nodes.iter().map(ClusterNode::is_routable).collect();
+                    let blocked: Vec<bool> = self
+                        .nodes
+                        .iter()
+                        .enumerate()
+                        .map(|(j, nd)| {
+                            nd.is_down() || nd.is_warming() || pending_revoke[j].is_some()
+                        })
+                        .collect();
+                    let load: f64 = (0..n)
+                        .map(|j| self.governor.load_estimate(j).unwrap_or(0.0))
+                        .sum();
+                    match scaler.decide(load, &eligible, &blocked) {
+                        ScaleAction::Up(j) => {
+                            let ready = start + scaler.config().warmup_ms;
+                            self.nodes[j].activate(Some(ready));
+                            self.obs(
+                                start,
+                                ObsEvent::ScaleUp {
+                                    node: j,
+                                    ready_ms: ready,
+                                },
+                            );
+                        }
+                        ScaleAction::Down(j) => {
+                            let drained = self.nodes[j].drain();
+                            add_drained(&mut redistributed_class, &self.nodes[j]);
+                            total_redistributed += drained;
+                            self.obs(start, ObsEvent::ScaleDown { node: j, drained });
+                        }
+                        ScaleAction::Hold => {}
+                    }
+                }
+            }
+
+            // 4. Governor: re-split the fleet budget from the previous
             //    interval's observed per-node load (skip the first
             //    interval — nothing observed yet, caps stay provisioned).
+            //    Off nodes draw nothing, warming nodes are pinned at the
+            //    floor, serving nodes share by load.
             if i > 0 {
-                let caps = self.governor.observe_and_split(&last_assigned_rps, &up);
+                let states: Vec<NodeShare> = self
+                    .nodes
+                    .iter()
+                    .map(|nd| {
+                        if nd.is_down() || !nd.is_active() {
+                            NodeShare::Off
+                        } else if nd.is_warming() {
+                            NodeShare::Warming
+                        } else {
+                            NodeShare::Active { weight: 1.0 }
+                        }
+                    })
+                    .collect();
+                let caps = self
+                    .governor
+                    .observe_and_split_states(&last_assigned_rps, &states);
                 for (node, cap) in self.nodes.iter_mut().zip(&caps) {
                     node.set_power_cap(*cap);
                 }
@@ -739,11 +898,12 @@ impl Cluster {
                 }
             }
 
-            // 3. Per-node re-planning from each node's own monitor (the
-            //    first interval was planned by `begin_replay`).
+            // 5. Per-node re-planning from each node's own monitor (the
+            //    first interval was planned by `begin_replay_multi`).
             if i > 0 {
-                let floor_est = if n_up > 0 {
-                    offered_rps / n_up as f64 * 0.1
+                let n_rt = self.nodes.iter().filter(|nd| nd.is_routable()).count();
+                let floor_est = if n_rt > 0 {
+                    offered_rps / n_rt as f64 * 0.1
                 } else {
                     0.0
                 };
@@ -753,40 +913,71 @@ impl Cluster {
                 }
             }
 
-            // 4. Route this interval's arrivals: drained-node traffic
-            //    (re-timed to the boundary) ahead of fresh Poisson
-            //    arrivals, all against start-of-interval node views.
-            let mut arrivals: Vec<f64> = std::iter::repeat_n(start, redistributed)
-                .chain(
-                    poisson(offered_rps, interval_ms, seed.wrapping_add(i as u64))
-                        .into_iter()
-                        .map(|t| start + t),
-                )
+            // 6. Per-class arrivals: redistributed work (re-timed to the
+            //    boundary) ahead of each class's own Poisson stream.
+            //    Class 0 keeps the single-class stream seed; further
+            //    classes draw independent streams.
+            let class_arrivals: Vec<Vec<f64>> = (0..classes)
+                .map(|c| {
+                    let class_seed = if c == 0 {
+                        seed.wrapping_add(i as u64)
+                    } else {
+                        (seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                            .wrapping_add(i as u64)
+                    };
+                    let mut a: Vec<f64> = std::iter::repeat_n(start, redistributed_class[c])
+                        .chain(
+                            poisson(offered_rps * mix[c], interval_ms, class_seed)
+                                .into_iter()
+                                .map(|t| start + t),
+                        )
+                        .collect();
+                    a.sort_by(f64::total_cmp);
+                    a
+                })
                 .collect();
-            arrivals.sort_by(f64::total_cmp);
+            let redistributed: usize = redistributed_class.iter().sum();
+
+            // 7. Route: per-class admission against start-of-interval
+            //    node and per-tenant views.
             let views: Vec<NodeView> = self
                 .nodes
                 .iter()
                 .enumerate()
                 .map(|(j, node)| NodeView {
-                    up: !node.is_down(),
+                    up: node.is_routable(),
                     queued: node.queued(),
                     power_w: last_power_w[j],
                     power_cap_w: node.power_cap_w(),
                     capacity_rps: node.capacity_rps(),
                 })
                 .collect();
-            let outcome = self
-                .router
-                .route_interval(&views, &arrivals, start, interval_ms);
+            let class_views: Vec<Vec<ClassNodeView>> = self
+                .nodes
+                .iter()
+                .map(|nd| {
+                    (0..classes)
+                        .map(|c| ClassNodeView {
+                            queued: nd.queued_of(c),
+                            capacity_rps: nd.capacity_rps_of(c),
+                        })
+                        .collect()
+                })
+                .collect();
+            let arr_slices: Vec<&[f64]> = class_arrivals.iter().map(Vec::as_slice).collect();
+            let outcome = self.router.route_classes(
+                &views,
+                &class_views,
+                &arr_slices,
+                &weights,
+                start,
+                interval_ms,
+            );
             total_shed += outcome.shed;
             if recording {
-                for (j, assigned) in outcome.per_node.iter().enumerate() {
-                    let event = ObsEvent::Route {
-                        node: j,
-                        assigned: assigned.len(),
-                    };
-                    self.obs(start, event);
+                for j in 0..n {
+                    let assigned: usize = outcome.per_node[j].iter().map(Vec::len).sum();
+                    self.obs(start, ObsEvent::Route { node: j, assigned });
                 }
                 if outcome.shed > 0 {
                     self.obs(
@@ -796,17 +987,36 @@ impl Cluster {
                         },
                     );
                 }
+                if classes > 1 {
+                    for (c, &(admitted, deferred, shed)) in outcome.per_class.iter().enumerate() {
+                        self.obs(
+                            start,
+                            ObsEvent::ClassAdmission {
+                                class: c,
+                                admitted,
+                                deferred,
+                                shed,
+                            },
+                        );
+                    }
+                }
             }
 
-            // 5. Advance every node's simulation to the interval end.
+            // 8. Advance every node's simulation to the interval end.
             //    The interval boundary is a conservative synchronization
             //    barrier: no event crosses nodes mid-interval, so the N
             //    private event loops fan out across `step_jobs` workers
             //    and their stats merge below in node-index order —
             //    byte-identical to the serial schedule.
             let per_node_stats = par_map_mut(step_jobs, &mut self.nodes, |j, node| {
-                node.run_to(&outcome.per_node[j], end)
+                let slices: Vec<&[f64]> = outcome.per_node[j].iter().map(Vec::as_slice).collect();
+                node.run_to_classes(&slices, end)
             });
+
+            // 9. Aggregate. Inactive nodes are modeled powered off: their
+            //    (idle) power and energy stay out of the report, and
+            //    their expected outages are fed to the breakers as quiet
+            //    healthy intervals.
             interval_samples.clear();
             let mut completed = 0usize;
             let mut violations = 0usize;
@@ -816,19 +1026,37 @@ impl Cluster {
             let mut per_node_completed: Vec<usize> = Vec::with_capacity(n);
             let mut health: Vec<(usize, usize, bool)> = Vec::with_capacity(n);
             for (j, stats) in per_node_stats.iter().enumerate() {
-                last_power_w[j] = stats.avg_power_w;
-                last_assigned_rps[j] = outcome.per_node[j].len() as f64 * 1000.0 / interval_ms;
+                let active = self.nodes[j].is_active();
+                last_power_w[j] = if active { stats.avg_power_w } else { 0.0 };
+                let assigned: usize = outcome.per_node[j].iter().map(Vec::len).sum();
+                last_assigned_rps[j] = assigned as f64 * 1000.0 / interval_ms;
                 completed += stats.completed;
                 violations += stats.violations;
                 timed_out += stats.timed_out;
-                power_w += stats.avg_power_w;
-                energy_j += stats.energy_j;
+                if active {
+                    power_w += stats.avg_power_w + node_static_w;
+                    energy_j += stats.energy_j + node_static_w * interval_ms / 1000.0;
+                }
                 if stats.healthy_devices > 0 {
                     nodes_up += 1;
-                    per_node_completed.push(stats.completed);
+                    if active {
+                        per_node_completed.push(stats.completed);
+                    }
                 }
-                health.push((stats.completed, stats.violations, stats.healthy_devices > 0));
+                let expected_down = pending_revoke[j].is_some() || !active;
+                health.push(if expected_down {
+                    (0, 0, true)
+                } else {
+                    (stats.completed, stats.violations, stats.healthy_devices > 0)
+                });
+                for (c, &(cc, cv)) in stats.per_class.iter().enumerate() {
+                    class_completed[c] += cc;
+                    class_violations[c] += cv;
+                }
                 interval_samples.extend_from_slice(self.nodes[j].segment_samples());
+            }
+            for (c, &(_, _, s)) in outcome.per_class.iter().enumerate() {
+                class_shed[c] += s;
             }
             // Feed the router's circuit breakers (no-op when disabled).
             total_breaker_trips += self.observe_breakers(&health, end, recording);
@@ -836,8 +1064,8 @@ impl Cluster {
             total_violations += violations;
             total_timed_out += timed_out;
 
-            // 6. Aggregate: fleet p99 from merged samples, load-balance
-            //    skew across the up nodes.
+            // Fleet p99 from merged samples, load-balance skew across the
+            // serving nodes that are up at the interval end.
             let util_skew = completion_skew(&per_node_completed);
             skew_sum += util_skew;
             let nodes_active = self.nodes.iter().filter(|nd| nd.is_active()).count();
@@ -893,7 +1121,9 @@ impl Cluster {
             },
             node_hours,
             breaker_trips: total_breaker_trips,
-            per_class: vec![(total_completed, total_violations, total_shed)],
+            per_class: (0..classes)
+                .map(|c| (class_completed[c], class_violations[c], class_shed[c]))
+                .collect(),
             intervals,
         }
     }
@@ -934,549 +1164,6 @@ impl Cluster {
             }
         }
         trips
-    }
-
-    /// Shared parameter validation for the run entry points.
-    fn validate_run(
-        &self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        node_faults: &FaultPlan,
-    ) -> Result<(), ClusterError> {
-        if !interval_ms.is_finite() || interval_ms <= 0.0 {
-            return Err(ClusterError::NonPositiveInterval { interval_ms });
-        }
-        if trace.is_empty() {
-            return Err(ClusterError::EmptyTrace);
-        }
-        node_faults.validate_for(self.nodes.len())?;
-        Ok(())
-    }
-
-    /// Validated plain replay: invalid run parameters — a non-positive
-    /// interval, an empty trace, a fault plan that indexes a node the
-    /// cluster does not have or overlaps revocations — fail with a typed
-    /// error before anything runs.
-    ///
-    /// # Errors
-    /// The first offence, as a typed [`ClusterError`].
-    #[deprecated(note = "use `Cluster::run` with a `ClusterRunSpec`")]
-    pub fn try_run_trace(
-        &mut self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        max_rps: f64,
-        seed: u64,
-        node_faults: &FaultPlan,
-    ) -> Result<ClusterReport, ClusterError> {
-        self.validate_run(trace, interval_ms, node_faults)?;
-        Ok(self.run_trace_inner(trace, interval_ms, max_rps, seed, node_faults))
-    }
-
-    /// The elastic / multi-tenant run loop: [`run_trace`](Self::run_trace)
-    /// plus three robustness layers.
-    ///
-    /// - **QoS classes** — the offered load is split across the nodes'
-    ///   tenants by `flex.traffic_mix`, each class drawing its own
-    ///   deterministic Poisson stream; the router admits per class
-    ///   ([`Router::route_classes`]), so a lenient tenant cannot starve a
-    ///   strict one.
-    /// - **Elastic autoscaling** — with `flex.autoscale` set, a
-    ///   deterministic [`Autoscaler`] activates nodes (which warm up
-    ///   advertising zero capacity) and drains them through the same
-    ///   cancel-and-redistribute path a node death uses. Inactive nodes
-    ///   are modeled powered off: they contribute neither power/energy
-    ///   nor node-hours, while powered-on nodes are charged
-    ///   `flex.node_static_w` of idle platform draw on top of their
-    ///   dynamic execution power — the term a scale-down actually saves.
-    /// - **Spot revocations** — [`FaultKind::Revoke`] events in
-    ///   `node_faults` (node-indexed, like all node fault plans) announce
-    ///   a fail-stop `notice_ms` ahead. The driver drains the node at the
-    ///   first boundary inside the notice window, so its in-flight work is
-    ///   redistributed *before* the capacity disappears and the node's
-    ///   breaker never trips. Revocations whose notice is shorter than an
-    ///   interval behave like surprise fail-stops.
-    ///
-    /// Deterministic in all inputs for every
-    /// [`set_jobs`](Self::set_jobs) count, like `run_trace`.
-    ///
-    /// # Errors
-    /// The first invalid run parameter, as a typed [`ClusterError`].
-    #[deprecated(note = "use `Cluster::run` with a `ClusterRunSpec`")]
-    pub fn run_trace_flex(
-        &mut self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        max_rps: f64,
-        seed: u64,
-        node_faults: &FaultPlan,
-        flex: &FlexConfig,
-    ) -> Result<ClusterReport, ClusterError> {
-        self.validate_run(trace, interval_ms, node_faults)?;
-        self.run_flex_inner(trace, interval_ms, max_rps, seed, node_faults, flex)
-    }
-
-    /// The elastic / multi-tenant replay loop (run parameters are
-    /// validated by the callers; the flex knobs are validated here).
-    fn run_flex_inner(
-        &mut self,
-        trace: &[TracePoint],
-        interval_ms: f64,
-        max_rps: f64,
-        seed: u64,
-        node_faults: &FaultPlan,
-        flex: &FlexConfig,
-    ) -> Result<ClusterReport, ClusterError> {
-        let n = self.nodes.len();
-        let classes = self.nodes[0].tenant_count();
-        if flex.traffic_mix.len() != classes
-            || flex.traffic_mix.iter().any(|m| !m.is_finite() || *m < 0.0)
-            || flex.traffic_mix.iter().sum::<f64>() <= 0.0
-        {
-            return Err(ClusterError::InvalidTrafficMix);
-        }
-        if !flex.node_static_w.is_finite() || flex.node_static_w < 0.0 {
-            return Err(ClusterError::InvalidStaticDraw {
-                static_w: flex.node_static_w,
-            });
-        }
-        let mix_sum: f64 = flex.traffic_mix.iter().sum();
-        let mix: Vec<f64> = flex.traffic_mix.iter().map(|m| m / mix_sum).collect();
-        let weights: Vec<f64> = (0..classes)
-            .map(|c| self.nodes[0].tenant_weight(c))
-            .collect();
-        let recording = self.recording();
-        self.router.reset();
-        self.governor.reset();
-        let mut autoscaler = flex.autoscale.clone().map(Autoscaler::new);
-
-        let first_rps = trace.first().map_or(0.0, |p| p.utilization * max_rps);
-        for (j, node) in self.nodes.iter_mut().enumerate() {
-            let plan = node_fault_plan(node_faults, j, node.setup().pool.len());
-            let shares: Vec<f64> = mix.iter().map(|m| first_rps * m / n as f64).collect();
-            node.begin_replay_multi(&shares, &plan);
-        }
-
-        // Spot revocations scripted against nodes: drained proactively at
-        // the first boundary inside `[at_ms, deadline)`. The device-level
-        // fail-stop at the deadline is already lowered into each node's
-        // fault plan by the engine.
-        struct Revocation {
-            at_ms: f64,
-            node: usize,
-            deadline_ms: f64,
-            consumed: bool,
-        }
-        let mut revocations: Vec<Revocation> = node_faults
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::Revoke { notice_ms } => Some(Revocation {
-                    at_ms: e.at_ms,
-                    node: e.device,
-                    deadline_ms: e.at_ms + notice_ms.max(0.0),
-                    consumed: false,
-                }),
-                _ => None,
-            })
-            .collect();
-        revocations.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms).then(a.node.cmp(&b.node)));
-        // `Some(deadline)` while node j is drained ahead of a pending
-        // revocation — its outage is *expected*, so breakers see it as a
-        // quiet healthy node instead of tripping.
-        let mut pending_revoke: Vec<Option<f64>> = vec![None; n];
-
-        let step_jobs = if recording { 1 } else { self.jobs };
-        let mut intervals = Vec::with_capacity(trace.len());
-        let mut all_samples: Vec<f64> = Vec::new();
-        let mut interval_samples: Vec<f64> = Vec::new();
-        let mut q_scratch: Vec<f64> = Vec::new();
-        let mut energy_j = 0.0;
-        let mut total_completed = 0usize;
-        let mut total_violations = 0usize;
-        let mut total_shed = 0usize;
-        let mut total_redistributed = 0usize;
-        let mut total_timed_out = 0usize;
-        let mut total_breaker_trips = 0usize;
-        let mut node_hours = 0.0;
-        let mut skew_sum = 0.0;
-        let mut class_completed = vec![0usize; classes];
-        let mut class_violations = vec![0usize; classes];
-        let mut class_shed = vec![0usize; classes];
-        let mut last_power_w = vec![0.0; n];
-        let mut last_assigned_rps = vec![0.0; n];
-
-        for (i, point) in trace.iter().enumerate() {
-            let start = point.start_ms;
-            let end = start + interval_ms;
-            let offered_rps = point.utilization * max_rps;
-            // Per-class drained work re-entering the router at this
-            // boundary (node deaths, revocation drains, scale-downs).
-            let mut redistributed_class = vec![0usize; classes];
-
-            // 1. Boundary health check. A hardware recovery on a node
-            //    that was administratively drained (revocation, scale
-            //    down) does not resume serving by itself: the autoscaler
-            //    re-adds it when load wants it, or — without an
-            //    autoscaler — it rejoins with one interval of warm-up.
-            for (j, pending) in pending_revoke.iter_mut().enumerate() {
-                match self.nodes[j].maintain_at(start) {
-                    NodeTransition::WentDown(d) => {
-                        total_redistributed += d;
-                        for (c, &dc) in self.nodes[j].last_drained_per_class().iter().enumerate() {
-                            redistributed_class[c] += dc;
-                        }
-                    }
-                    NodeTransition::CameBack => {
-                        *pending = None;
-                        if !self.nodes[j].is_active() && autoscaler.is_none() {
-                            let ready = start + interval_ms;
-                            self.nodes[j].activate(Some(ready));
-                            self.obs(
-                                start,
-                                ObsEvent::ScaleUp {
-                                    node: j,
-                                    ready_ms: ready,
-                                },
-                            );
-                        }
-                    }
-                    NodeTransition::Steady => {}
-                }
-            }
-
-            // 2. Act on revocation notices whose window covers this
-            //    boundary: drain the node now, redistribute its work, and
-            //    flag the coming outage as expected.
-            for r in &mut revocations {
-                if r.consumed || r.at_ms > start {
-                    continue;
-                }
-                r.consumed = true;
-                if start >= r.deadline_ms || self.nodes[r.node].is_down() {
-                    // Notice shorter than an interval (or the node is
-                    // already dead): nothing to save — surprise path.
-                    continue;
-                }
-                let drained = if self.nodes[r.node].is_active() {
-                    let d = self.nodes[r.node].drain();
-                    for (c, &dc) in self.nodes[r.node]
-                        .last_drained_per_class()
-                        .iter()
-                        .enumerate()
-                    {
-                        redistributed_class[c] += dc;
-                    }
-                    total_redistributed += d;
-                    d
-                } else {
-                    0
-                };
-                pending_revoke[r.node] = Some(r.deadline_ms);
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.record(
-                        start,
-                        ObsEvent::SpotRevoke {
-                            node: r.node,
-                            deadline_ms: r.deadline_ms,
-                            drained,
-                        },
-                    );
-                }
-            }
-
-            // 3. Elastic fleet sizing off the governor's smoothed load
-            //    estimates (no estimate yet at the first boundary).
-            if i > 0 {
-                if let Some(scaler) = autoscaler.as_mut() {
-                    let eligible: Vec<bool> =
-                        self.nodes.iter().map(ClusterNode::is_routable).collect();
-                    let blocked: Vec<bool> = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(j, nd)| {
-                            nd.is_down() || nd.is_warming() || pending_revoke[j].is_some()
-                        })
-                        .collect();
-                    let load: f64 = (0..n)
-                        .map(|j| self.governor.load_estimate(j).unwrap_or(0.0))
-                        .sum();
-                    match scaler.decide(load, &eligible, &blocked) {
-                        ScaleAction::Up(j) => {
-                            let ready = start + scaler.config().warmup_ms;
-                            self.nodes[j].activate(Some(ready));
-                            self.obs(
-                                start,
-                                ObsEvent::ScaleUp {
-                                    node: j,
-                                    ready_ms: ready,
-                                },
-                            );
-                        }
-                        ScaleAction::Down(j) => {
-                            let drained = self.nodes[j].drain();
-                            for (c, &dc) in
-                                self.nodes[j].last_drained_per_class().iter().enumerate()
-                            {
-                                redistributed_class[c] += dc;
-                            }
-                            total_redistributed += drained;
-                            self.obs(start, ObsEvent::ScaleDown { node: j, drained });
-                        }
-                        ScaleAction::Hold => {}
-                    }
-                }
-            }
-
-            // 4. Governor re-split with scale-aware node states: off
-            //    nodes draw nothing, warming nodes are pinned at the
-            //    floor, serving nodes share by load.
-            if i > 0 {
-                let states: Vec<NodeShare> = self
-                    .nodes
-                    .iter()
-                    .map(|nd| {
-                        if nd.is_down() || !nd.is_active() {
-                            NodeShare::Off
-                        } else if nd.is_warming() {
-                            NodeShare::Warming
-                        } else {
-                            NodeShare::Active { weight: 1.0 }
-                        }
-                    })
-                    .collect();
-                let caps = self
-                    .governor
-                    .observe_and_split_states(&last_assigned_rps, &states);
-                for (node, cap) in self.nodes.iter_mut().zip(&caps) {
-                    node.set_power_cap(*cap);
-                }
-                if recording {
-                    for (j, cap) in caps.iter().enumerate() {
-                        self.obs(
-                            start,
-                            ObsEvent::GovernorSplit {
-                                node: j,
-                                cap_w: *cap,
-                            },
-                        );
-                    }
-                }
-            }
-
-            // 5. Per-node re-planning (the first interval was planned by
-            //    `begin_replay_multi`).
-            if i > 0 {
-                let n_rt = self.nodes.iter().filter(|nd| nd.is_routable()).count();
-                let floor_est = if n_rt > 0 {
-                    offered_rps / n_rt as f64 * 0.1
-                } else {
-                    0.0
-                };
-                for node in &mut self.nodes {
-                    let est = node.load_estimate_rps().max(floor_est);
-                    let _ = node.begin_interval(est);
-                }
-            }
-
-            // 6. Per-class arrivals: redistributed work (re-timed to the
-            //    boundary) ahead of each class's own Poisson stream.
-            //    Class 0 keeps the legacy stream seed; further classes
-            //    draw independent streams.
-            let class_arrivals: Vec<Vec<f64>> = (0..classes)
-                .map(|c| {
-                    let class_seed = if c == 0 {
-                        seed.wrapping_add(i as u64)
-                    } else {
-                        (seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                            .wrapping_add(i as u64)
-                    };
-                    let mut a: Vec<f64> = std::iter::repeat_n(start, redistributed_class[c])
-                        .chain(
-                            poisson(offered_rps * mix[c], interval_ms, class_seed)
-                                .into_iter()
-                                .map(|t| start + t),
-                        )
-                        .collect();
-                    a.sort_by(f64::total_cmp);
-                    a
-                })
-                .collect();
-            let redistributed: usize = redistributed_class.iter().sum();
-
-            // 7. Route: per-class admission against per-tenant views.
-            let views: Vec<NodeView> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(j, node)| NodeView {
-                    up: node.is_routable(),
-                    queued: node.queued(),
-                    power_w: last_power_w[j],
-                    power_cap_w: node.power_cap_w(),
-                    capacity_rps: node.capacity_rps(),
-                })
-                .collect();
-            let class_views: Vec<Vec<ClassNodeView>> = self
-                .nodes
-                .iter()
-                .map(|nd| {
-                    (0..classes)
-                        .map(|c| ClassNodeView {
-                            queued: nd.queued_of(c),
-                            capacity_rps: nd.capacity_rps_of(c),
-                        })
-                        .collect()
-                })
-                .collect();
-            let arr_slices: Vec<&[f64]> = class_arrivals.iter().map(Vec::as_slice).collect();
-            let outcome = self.router.route_classes(
-                &views,
-                &class_views,
-                &arr_slices,
-                &weights,
-                start,
-                interval_ms,
-            );
-            total_shed += outcome.shed;
-            if recording {
-                for j in 0..n {
-                    let assigned: usize = outcome.per_node[j].iter().map(Vec::len).sum();
-                    self.obs(start, ObsEvent::Route { node: j, assigned });
-                }
-                if outcome.shed > 0 {
-                    self.obs(
-                        start,
-                        ObsEvent::Shed {
-                            count: outcome.shed,
-                        },
-                    );
-                }
-                for (c, &(admitted, deferred, shed)) in outcome.per_class.iter().enumerate() {
-                    self.obs(
-                        start,
-                        ObsEvent::ClassAdmission {
-                            class: c,
-                            admitted,
-                            deferred,
-                            shed,
-                        },
-                    );
-                }
-            }
-
-            // 8. Step every node to the interval end (same barrier
-            //    semantics as `run_trace`).
-            let per_node_stats = par_map_mut(step_jobs, &mut self.nodes, |j, node| {
-                let slices: Vec<&[f64]> = outcome.per_node[j].iter().map(Vec::as_slice).collect();
-                node.run_to_classes(&slices, end)
-            });
-
-            // 9. Aggregate. Inactive nodes are modeled powered off: their
-            //    (idle) power and energy stay out of the report, and
-            //    their expected outages are fed to the breakers as quiet
-            //    healthy intervals.
-            interval_samples.clear();
-            let mut completed = 0usize;
-            let mut violations = 0usize;
-            let mut timed_out = 0usize;
-            let mut power_w = 0.0;
-            let mut nodes_up = 0usize;
-            let mut per_node_completed: Vec<usize> = Vec::with_capacity(n);
-            let mut health: Vec<(usize, usize, bool)> = Vec::with_capacity(n);
-            for (j, stats) in per_node_stats.iter().enumerate() {
-                let active = self.nodes[j].is_active();
-                last_power_w[j] = if active { stats.avg_power_w } else { 0.0 };
-                let assigned: usize = outcome.per_node[j].iter().map(Vec::len).sum();
-                last_assigned_rps[j] = assigned as f64 * 1000.0 / interval_ms;
-                completed += stats.completed;
-                violations += stats.violations;
-                timed_out += stats.timed_out;
-                if active {
-                    power_w += stats.avg_power_w + flex.node_static_w;
-                    energy_j += stats.energy_j + flex.node_static_w * interval_ms / 1000.0;
-                }
-                if stats.healthy_devices > 0 {
-                    nodes_up += 1;
-                }
-                if views[j].up {
-                    per_node_completed.push(stats.completed);
-                }
-                let expected_down = pending_revoke[j].is_some() || !active;
-                health.push(if expected_down {
-                    (0, 0, true)
-                } else {
-                    (stats.completed, stats.violations, stats.healthy_devices > 0)
-                });
-                for (c, &(cc, cv)) in stats.per_class.iter().enumerate() {
-                    class_completed[c] += cc;
-                    class_violations[c] += cv;
-                }
-                interval_samples.extend_from_slice(self.nodes[j].segment_samples());
-            }
-            for (c, &(_, _, s)) in outcome.per_class.iter().enumerate() {
-                class_shed[c] += s;
-            }
-            total_breaker_trips += self.observe_breakers(&health, end, recording);
-            total_completed += completed;
-            total_violations += violations;
-            total_timed_out += timed_out;
-
-            let util_skew = completion_skew(&per_node_completed);
-            skew_sum += util_skew;
-            let nodes_active = self.nodes.iter().filter(|nd| nd.is_active()).count();
-            node_hours += nodes_active as f64 * interval_ms / 3_600_000.0;
-            all_samples.extend_from_slice(&interval_samples);
-            let p99 = quantile_of(&interval_samples, 0.99, &mut q_scratch).unwrap_or(0.0);
-
-            intervals.push(ClusterIntervalRecord {
-                start_ms: start,
-                utilization: point.utilization,
-                offered_rps,
-                p99_ms: p99,
-                power_w,
-                nodes_up,
-                violations,
-                completed,
-                shed: outcome.shed,
-                redistributed,
-                timed_out,
-                util_skew,
-                nodes_active,
-            });
-        }
-
-        let p99_ms = quantile_of(&all_samples, 0.99, &mut q_scratch).unwrap_or(0.0);
-        let mut retry = RetryStats::default();
-        for node in &self.nodes {
-            retry.merge(&node.retry_stats());
-        }
-        retry.redistributed += total_redistributed;
-        Ok(ClusterReport {
-            energy_j,
-            p99_ms,
-            violation_ratio: if total_completed > 0 {
-                total_violations as f64 / total_completed as f64
-            } else {
-                0.0
-            },
-            completed: total_completed,
-            shed: total_shed,
-            retry,
-            timed_out: total_timed_out,
-            mean_util_skew: if intervals.is_empty() {
-                0.0
-            } else {
-                skew_sum / intervals.len() as f64
-            },
-            node_hours,
-            breaker_trips: total_breaker_trips,
-            per_class: (0..classes)
-                .map(|c| (class_completed[c], class_violations[c], class_shed[c]))
-                .collect(),
-            intervals,
-        })
     }
 
     /// The cluster configuration.

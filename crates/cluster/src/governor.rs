@@ -172,33 +172,13 @@ impl PowerGovernor {
     }
 
     /// Fold in one interval's observed per-node loads (RPS) and return
-    /// the next per-node caps. Down nodes get a zero cap and their share
-    /// flows to the survivors; up nodes split the budget proportionally
-    /// to smoothed load, subject to the floor. The caps of up nodes
-    /// always sum to the full budget (work-conserving split).
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ from the node count.
-    pub fn observe_and_split(&mut self, loads_rps: &[f64], up: &[bool]) -> Vec<f64> {
-        assert_eq!(up.len(), self.load_ewma.len(), "one liveness flag per node");
-        let states: Vec<NodeShare> = up
-            .iter()
-            .map(|&u| {
-                if u {
-                    NodeShare::Active { weight: 1.0 }
-                } else {
-                    NodeShare::Off
-                }
-            })
-            .collect();
-        self.observe_and_split_states(loads_rps, &states)
-    }
-
-    /// State-aware variant of [`observe_and_split`](Self::observe_and_split):
-    /// off nodes get zero, warming nodes the floor, active nodes a
-    /// weighted load-proportional share. The smoothed load keeps
-    /// updating for every node regardless of state, so a node re-enters
-    /// the split with its history intact.
+    /// the next per-node caps: off nodes get zero and their share flows
+    /// to the others, warming nodes get the floor, active nodes a
+    /// weighted load-proportional share, subject to the floor. The caps
+    /// of the nodes that are not off always sum to the full budget
+    /// (work-conserving split). The smoothed load keeps updating for
+    /// every node regardless of state, so a node re-enters the split
+    /// with its history intact.
     ///
     /// # Panics
     /// Panics if the slice lengths differ from the node count.
@@ -225,6 +205,22 @@ impl PowerGovernor {
 mod tests {
     use super::*;
 
+    /// Split with every up node active at weight 1 and every down node
+    /// off — the single-class fleet without autoscaling.
+    fn split(g: &mut PowerGovernor, loads: &[f64], up: &[bool]) -> Vec<f64> {
+        let states: Vec<NodeShare> = up
+            .iter()
+            .map(|&u| {
+                if u {
+                    NodeShare::Active { weight: 1.0 }
+                } else {
+                    NodeShare::Off
+                }
+            })
+            .collect();
+        g.observe_and_split_states(loads, &states)
+    }
+
     fn total_up(caps: &[f64], up: &[bool]) -> f64 {
         caps.iter()
             .zip(up)
@@ -236,7 +232,7 @@ mod tests {
     #[test]
     fn idle_cluster_splits_evenly() {
         let mut g = PowerGovernor::new(1000.0, 100.0, 4);
-        let caps = g.observe_and_split(&[0.0; 4], &[true; 4]);
+        let caps = split(&mut g, &[0.0; 4], &[true; 4]);
         for c in &caps {
             assert!((c - 250.0).abs() < 1e-9);
         }
@@ -245,7 +241,7 @@ mod tests {
     #[test]
     fn busy_nodes_take_the_larger_share() {
         let mut g = PowerGovernor::new(1000.0, 100.0, 2);
-        let caps = g.observe_and_split(&[30.0, 10.0], &[true, true]);
+        let caps = split(&mut g, &[30.0, 10.0], &[true, true]);
         assert!((caps[0] - 750.0).abs() < 1e-9);
         assert!((caps[1] - 250.0).abs() < 1e-9);
         assert!((total_up(&caps, &[true, true]) - 1000.0).abs() < 1e-9);
@@ -254,7 +250,7 @@ mod tests {
     #[test]
     fn floor_protects_idle_nodes_and_split_stays_work_conserving() {
         let mut g = PowerGovernor::new(1000.0, 150.0, 3);
-        let caps = g.observe_and_split(&[100.0, 0.0, 0.0], &[true; 3]);
+        let caps = split(&mut g, &[100.0, 0.0, 0.0], &[true; 3]);
         assert!((caps[1] - 150.0).abs() < 1e-9, "idle node pinned to floor");
         assert!((caps[2] - 150.0).abs() < 1e-9);
         assert!(
@@ -267,7 +263,7 @@ mod tests {
     fn down_node_releases_its_share() {
         let mut g = PowerGovernor::new(900.0, 100.0, 3);
         let up = [true, false, true];
-        let caps = g.observe_and_split(&[10.0, 10.0, 10.0], &up);
+        let caps = split(&mut g, &[10.0, 10.0, 10.0], &up);
         assert_eq!(caps[1], 0.0);
         assert!((caps[0] - 450.0).abs() < 1e-9);
         assert!((caps[2] - 450.0).abs() < 1e-9);
@@ -276,14 +272,14 @@ mod tests {
     #[test]
     fn load_signal_is_smoothed_not_instantaneous() {
         let mut g = PowerGovernor::new(1000.0, 0.0, 2);
-        let _ = g.observe_and_split(&[40.0, 0.0], &[true, true]);
+        let _ = split(&mut g, &[40.0, 0.0], &[true, true]);
         // One quiet interval halves node 0's EWMA (20 vs 20): even split
         // would need equal smoothed loads, so node 0 still leads.
-        let caps = g.observe_and_split(&[0.0, 20.0], &[true, true]);
+        let caps = split(&mut g, &[0.0, 20.0], &[true, true]);
         assert!(caps[0] > caps[1] - 1e-9);
         // After reset the history is gone and the new interval seeds.
         g.reset();
-        let caps = g.observe_and_split(&[0.0, 20.0], &[true, true]);
+        let caps = split(&mut g, &[0.0, 20.0], &[true, true]);
         assert_eq!(caps[0], 0.0);
         assert!((caps[1] - 1000.0).abs() < 1e-9);
     }
@@ -291,11 +287,11 @@ mod tests {
     #[test]
     fn all_nodes_down_yields_zero_caps() {
         let mut g = PowerGovernor::new(900.0, 100.0, 3);
-        let caps = g.observe_and_split(&[10.0, 10.0, 10.0], &[false; 3]);
+        let caps = split(&mut g, &[10.0, 10.0, 10.0], &[false; 3]);
         assert_eq!(caps, vec![0.0; 3]);
         // The EWMA still updated: once a node comes back its history is
         // intact and it immediately earns a load-proportional share.
-        let caps = g.observe_and_split(&[0.0, 0.0, 0.0], &[false, true, false]);
+        let caps = split(&mut g, &[0.0, 0.0, 0.0], &[false, true, false]);
         assert_eq!(caps[0], 0.0);
         assert_eq!(caps[2], 0.0);
         assert!((caps[1] - 900.0).abs() < 1e-9, "sole survivor takes all");
@@ -306,13 +302,13 @@ mod tests {
         // 4 × 300 W floors against a 1000 W budget: instead of
         // over-subscribing, everyone gets budget / eligible.
         let mut g = PowerGovernor::new(1000.0, 300.0, 4);
-        let caps = g.observe_and_split(&[0.0; 4], &[true; 4]);
+        let caps = split(&mut g, &[0.0; 4], &[true; 4]);
         for c in &caps {
             assert!((c - 250.0).abs() < 1e-9);
         }
         assert!((caps.iter().sum::<f64>() - 1000.0).abs() < 1e-9);
         // With one node down the floors fit again and apply unscaled.
-        let caps = g.observe_and_split(&[50.0, 0.0, 0.0, 0.0], &[true, true, true, false]);
+        let caps = split(&mut g, &[50.0, 0.0, 0.0, 0.0], &[true, true, true, false]);
         assert!((caps[1] - 300.0).abs() < 1e-9);
         assert!((caps[2] - 300.0).abs() < 1e-9);
         assert!((caps[0] - 400.0).abs() < 1e-9);
@@ -355,30 +351,5 @@ mod tests {
         );
         assert!((caps[0] - 600.0).abs() < 1e-9);
         assert!((caps[1] - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn legacy_split_matches_state_split() {
-        // The `up: &[bool]` entry point is a thin veneer over the
-        // state-aware fill — same EWMA, same caps, bit for bit.
-        let mut legacy = PowerGovernor::new(1000.0, 100.0, 3);
-        let mut states = PowerGovernor::new(1000.0, 100.0, 3);
-        let loads = [[5.0, 40.0, 0.0], [12.0, 3.0, 7.0], [0.0, 0.0, 60.0]];
-        let ups = [[true, true, true], [true, false, true], [false, true, true]];
-        for (l, u) in loads.iter().zip(&ups) {
-            let a = legacy.observe_and_split(l, u);
-            let s: Vec<NodeShare> = u
-                .iter()
-                .map(|&x| {
-                    if x {
-                        NodeShare::Active { weight: 1.0 }
-                    } else {
-                        NodeShare::Off
-                    }
-                })
-                .collect();
-            let b = states.observe_and_split_states(l, &s);
-            assert_eq!(a, b);
-        }
     }
 }

@@ -38,8 +38,8 @@ pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cluster::{
     node_fault_plan, Cluster, ClusterConfig, ClusterError, ClusterIntervalRecord, ClusterReport,
-    ClusterRunSpec, FlexConfig,
+    ClusterRunSpec,
 };
 pub use governor::{weighted_water_fill, NodeShare, PowerGovernor};
 pub use node::{ClusterNode, NodeIntervalStats, NodeTransition};
-pub use router::{ClassNodeView, ClassRouteOutcome, NodeView, RouteOutcome, Router, RoutingPolicy};
+pub use router::{ClassNodeView, ClassRouteOutcome, NodeView, Router, RoutingPolicy};

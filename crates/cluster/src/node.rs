@@ -1,13 +1,15 @@
-//! One leaf node of the cluster: per-tenant Poly stacks — monitor,
-//! model, optimizer, and discrete-event simulator — stepped interval by
-//! interval by the [`Cluster`](crate::Cluster) driver instead of owning
-//! their own trace loop. The re-planning logic (degraded-pool detection,
-//! change hysteresis, model feedback) mirrors `poly_core::PolyRuntime`
-//! exactly; what is new is the externally imposed power cap from the
-//! cluster governor, the fail-stop / drain / recover lifecycle the
-//! front-end router observes, and multi-tenancy: a node may host
-//! several [`AppContext`]s (distinct DAGs, distinct latency bounds,
-//! distinct QoS weights) sharing its hardware.
+//! One leaf node of the cluster: per-tenant Poly stacks — a
+//! [`ControlLoop`] (monitor, model, optimizer) and a discrete-event
+//! simulator — stepped interval by interval by the
+//! [`Cluster`](crate::Cluster) driver instead of owning their own trace
+//! loop. The re-planning logic (degraded-pool detection, change
+//! hysteresis, model feedback) is the same `ControlLoop`
+//! `poly_core::PolyRuntime` drives; what the node adds is the externally
+//! imposed power cap from the cluster governor (a capped loop), the
+//! fail-stop / drain / recover lifecycle the front-end router observes,
+//! and multi-tenancy: a node may host several [`AppContext`]s (distinct
+//! DAGs, distinct latency bounds, distinct QoS weights) sharing its
+//! hardware.
 //!
 //! ## Tenancy model
 //!
@@ -23,12 +25,9 @@
 //! the physical node pays it once), so a single-tenant node reports
 //! exactly what it always did.
 
-use poly_core::{
-    retime_policy, AppContext, IntervalObs, NodeSetup, Optimizer, PolicyPrediction, SystemMonitor,
-};
+use poly_core::{AppContext, ControlLoop, IntervalObs, NodeSetup};
 use poly_obs::{Event as ObsEvent, Recorder};
-use poly_sched::Pool;
-use poly_sim::{quantile_of, violations_of, FaultPlan, Policy, Simulator};
+use poly_sim::{quantile_of, violations_of, FaultPlan, Simulator};
 
 use crate::governor::{weighted_water_fill, NodeShare};
 
@@ -51,58 +50,31 @@ pub enum NodeTransition {
 /// idle-deduped to the physical node (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeIntervalStats {
-    /// Requests offered to the node during the interval.
-    pub arrived: usize,
     /// Requests completed during the interval.
     pub completed: usize,
     /// Completions over the QoS bound (each tenant judged against its
     /// own bound).
     pub violations: usize,
-    /// Measured p99 over the interval (0 when nothing completed).
-    pub p99_ms: f64,
     /// Mean node power over the interval, in watts.
     pub avg_power_w: f64,
     /// Node energy over the interval, in joules.
     pub energy_j: f64,
-    /// Work items still queued at interval end.
-    pub queued: usize,
     /// Healthy devices at interval end.
     pub healthy_devices: usize,
-    /// Device-level retry re-issues (fault recovery) during the interval.
-    pub retried: usize,
     /// Requests abandoned during the interval because their deadline
     /// passed (zero unless the node's lifecycle config sets deadlines).
     pub timed_out: usize,
-    /// Requests that exhausted their bounded retry budget this interval.
-    pub failed: usize,
-    /// Whether this interval adopted a different policy on any tenant.
-    pub policy_changed: bool,
     /// Per-class (completed, violations) breakdown, tenant-indexed.
     pub per_class: Vec<(usize, usize)>,
 }
 
-/// One tenant's private Poly control loop on a node.
+/// One tenant on a node: its application, its private control loop and
+/// its private simulator.
 #[derive(Debug)]
 struct TenantRt {
     ctx: AppContext,
-    optimizer: Optimizer,
-    monitor: SystemMonitor,
-    /// This tenant's share of the node cap.
-    cap_w: f64,
-    /// Set when the split moved materially or the node just recovered —
-    /// the next `begin_interval` re-plans unconditionally.
-    force_replan: bool,
+    control: ControlLoop,
     sim: Option<Simulator>,
-    policy: Option<Policy>,
-    predicted: Option<PolicyPrediction>,
-    /// Pool the last plan was made against; divergence from the
-    /// simulator's available pool forces a re-plan.
-    avail: Pool,
-    last_policy_changed: bool,
-    /// Why the last `begin_interval` planned the way it did (telemetry).
-    last_reason: &'static str,
-    /// Load estimate the last plan was made for (telemetry).
-    last_est_rps: f64,
     /// Last interval's raw completion latencies, recycled every interval
     /// ([`Simulator::drain_segment_into`]) — the cluster merges these
     /// across nodes for *fleet* percentiles (per-node p99s do not
@@ -112,140 +84,48 @@ struct TenantRt {
 
 impl TenantRt {
     fn new(ctx: AppContext) -> Self {
-        let avail = ctx.setup().pool.clone();
-        let cap_w = ctx.setup().power_cap_w;
+        let control = ControlLoop::new(&ctx, Some(ctx.setup().power_cap_w));
         Self {
             ctx,
-            optimizer: Optimizer::new(),
-            monitor: SystemMonitor::new(8),
-            cap_w,
-            force_replan: false,
+            control,
             sim: None,
-            policy: None,
-            predicted: None,
-            avail,
-            last_policy_changed: false,
-            last_reason: "initial",
-            last_est_rps: 0.0,
             seg_samples: Vec::new(),
         }
     }
 
     /// Start a fresh trace replay for this tenant (see
     /// [`ClusterNode::begin_replay_multi`]).
-    fn begin_replay(&mut self, first_rps: f64, cap_w: f64, faults: &FaultPlan) {
-        self.monitor.reset();
-        self.cap_w = cap_w;
-        self.force_replan = false;
-        self.last_policy_changed = false;
-        self.last_reason = "initial";
-        self.last_est_rps = first_rps;
-        self.avail = self.ctx.setup().pool.clone();
-        let (policy, predicted) = self.optimizer.plan_for_load_capped(
-            self.ctx.graph(),
-            self.ctx.spaces(),
-            &self.ctx.setup().pool,
-            &self.ctx.setup().gpu,
-            self.ctx.bound_ms(),
-            first_rps,
-            self.cap_w,
-        );
+    fn begin(&mut self, first_rps: f64, cap_w: f64, faults: &FaultPlan) {
+        self.control.set_cap(cap_w);
         // Each node re-times its plan for its own provisioned backend
         // (identity on analytical nodes), so a mixed fleet runs modeled
         // and measured nodes side by side.
-        let policy = retime_policy(&policy, &self.ctx.setup().backend, self.ctx.graph());
+        let backend = self.ctx.setup().backend.clone();
+        let policy = self
+            .control
+            .begin(&self.ctx, first_rps, None, backend, false);
         let mut sim_config = self.ctx.setup().sim_config.clone();
         sim_config.backend_label = self.ctx.setup().backend.label();
         let mut sim = Simulator::new(
             self.ctx.graph_owned(),
             &self.ctx.setup().pool,
-            policy.clone(),
+            policy,
             sim_config,
         );
         sim.inject_faults(faults);
         self.sim = Some(sim);
-        self.policy = Some(policy);
-        self.predicted = Some(predicted);
-    }
-
-    /// Impose a new cap share. A materially different cap (> 5% relative
-    /// move) schedules an unconditional re-plan at the next interval;
-    /// jitter below that threshold is absorbed to avoid churn.
-    fn set_cap(&mut self, cap_w: f64) {
-        if (cap_w - self.cap_w).abs() > 0.05 * self.cap_w.max(1.0) {
-            self.force_replan = true;
-        }
-        self.cap_w = cap_w;
     }
 
     /// Re-plan for the coming interval from the load estimate `est_rps`
     /// (see [`ClusterNode::begin_interval`]). `down` is the node-wide
     /// outage flag. Returns whether the policy changed.
     fn begin_interval(&mut self, est_rps: f64, down: bool) -> bool {
-        self.last_policy_changed = false;
-        self.last_est_rps = est_rps;
         if down {
-            self.last_reason = "down-hold";
+            self.control.hold(est_rps, "down-hold");
             return false;
         }
-        let sim = self.sim.as_mut().expect("begin_replay first");
-        let now_avail = sim.available_pool();
-        let degraded = now_avail != self.avail;
-        if degraded {
-            self.avail = now_avail;
-        }
-        let force = std::mem::take(&mut self.force_replan);
-        if self.avail.is_empty() {
-            // Nothing left to plan on; ride out the outage.
-            self.last_reason = "outage-hold";
-            return false;
-        }
-        let policy = self.policy.as_mut().expect("begin_replay first");
-        let (next, pred) = self.optimizer.plan_for_load_capped(
-            self.ctx.graph(),
-            self.ctx.spaces(),
-            &self.avail,
-            &self.ctx.setup().gpu,
-            self.ctx.bound_ms(),
-            est_rps,
-            self.cap_w,
-        );
-        let next = retime_policy(&next, &self.ctx.setup().backend, self.ctx.graph());
-        let mut changed = false;
-        if degraded || force {
-            self.last_reason = if degraded { "degraded" } else { "forced" };
-            if next != *policy {
-                changed = true;
-                sim.set_policy(next.clone());
-                *policy = next;
-            }
-            self.predicted = Some(pred);
-        } else {
-            // Hysteresis: a policy change pays FPGA reconfiguration and
-            // transient tail spikes. "Ok" now also requires the current
-            // policy to fit the governor's cap (with 5% slack) — a node
-            // holding a policy hungrier than its budget is not ok.
-            let cur_pred =
-                self.optimizer
-                    .model()
-                    .predict(self.ctx.graph(), policy, &self.avail, est_rps);
-            let cur_ok = cur_pred.p99_ms <= self.ctx.bound_ms() * 0.85
-                && cur_pred.bottleneck_util <= 0.85
-                && cur_pred.avg_power_w <= self.cap_w * 1.05;
-            let worthwhile = pred.avg_power_w < cur_pred.avg_power_w * 0.92;
-            if next != *policy && (!cur_ok || worthwhile) {
-                self.last_reason = if cur_ok { "power-save" } else { "qos-pressure" };
-                changed = true;
-                sim.set_policy(next.clone());
-                *policy = next;
-                self.predicted = Some(pred);
-            } else {
-                self.last_reason = "hold";
-                self.predicted = Some(cur_pred);
-            }
-        }
-        self.last_policy_changed = changed;
-        changed
+        let sim = self.sim.as_mut().expect("begin_replay_multi first");
+        self.control.replan(&self.ctx, sim, est_rps)
     }
 }
 
@@ -268,10 +148,10 @@ pub struct ClusterNode {
     warming_until_ms: Option<f64>,
     /// Per-class drain counts of the last `WentDown` / `drain` call.
     last_drained: Vec<usize>,
-    /// Intervals run since `begin_replay` (telemetry).
+    /// Intervals run since `begin_replay_multi` (telemetry).
     interval_idx: usize,
     /// Telemetry sink; a clone is attached to each tenant simulator at
-    /// `begin_replay`.
+    /// `begin_replay_multi`.
     recorder: Option<Box<dyn Recorder>>,
     /// Quantile-selection scratch ([`quantile_of`]), recycled.
     q_scratch: Vec<f64>,
@@ -280,12 +160,6 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Node for the single application/node bundle `ctx`.
-    #[must_use]
-    pub fn new(ctx: AppContext) -> Self {
-        Self::new_multi(vec![ctx])
-    }
-
     /// Node hosting one tenant per entry of `ctxs`, sharing its
     /// hardware. Every context must be provisioned on the same setup
     /// (the first entry's pool and cap define the node).
@@ -338,12 +212,6 @@ impl ClusterNode {
         self.tenants[class].ctx.qos_weight()
     }
 
-    /// Latency bound of tenant `class`, milliseconds.
-    #[must_use]
-    pub fn bound_ms_of(&self, class: usize) -> f64 {
-        self.tenants[class].ctx.bound_ms()
-    }
-
     /// Whether the node is currently fail-stopped.
     #[must_use]
     pub fn is_down(&self) -> bool {
@@ -358,7 +226,7 @@ impl ClusterNode {
     }
 
     /// Whether the node is routable: serving and not fail-stopped. A
-    /// warming node is *not* routable until `maintain` passes its
+    /// warming node is *not* routable until `maintain_at` passes its
     /// warm-up deadline.
     #[must_use]
     pub fn is_routable(&self) -> bool {
@@ -377,7 +245,7 @@ impl ClusterNode {
     pub fn capacity_rps(&self) -> f64 {
         self.tenants
             .iter()
-            .map(|t| t.predicted.as_ref().map_or(0.0, |p| p.capacity_rps))
+            .map(|t| t.control.predicted().map_or(0.0, |p| p.capacity_rps))
             .sum()
     }
 
@@ -385,8 +253,8 @@ impl ClusterNode {
     #[must_use]
     pub fn capacity_rps_of(&self, class: usize) -> f64 {
         self.tenants[class]
-            .predicted
-            .as_ref()
+            .control
+            .predicted()
             .map_or(0.0, |p| p.capacity_rps)
     }
 
@@ -420,21 +288,15 @@ impl ClusterNode {
     pub fn load_estimate_rps(&self) -> f64 {
         self.tenants
             .iter()
-            .map(|t| t.monitor.load_estimate_rps())
+            .map(|t| t.control.load_estimate_rps())
             .sum()
-    }
-
-    /// The smoothed load estimate of tenant `class`, in RPS.
-    #[must_use]
-    pub fn load_estimate_rps_of(&self, class: usize) -> f64 {
-        self.tenants[class].monitor.load_estimate_rps()
     }
 
     /// Attach (or detach) a telemetry recorder. The cluster driver tags
     /// each node's handle with its own track before calling this; the
     /// handle is propagated into the node's simulators at the next
-    /// [`begin_replay`](Self::begin_replay) (and immediately, when a
-    /// replay is already in progress).
+    /// [`begin_replay_multi`](Self::begin_replay_multi) (and immediately,
+    /// when a replay is already in progress).
     pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
         for t in &mut self.tenants {
             if let Some(sim) = t.sim.as_mut() {
@@ -450,20 +312,13 @@ impl ClusterNode {
     }
 
     /// Start a fresh trace replay: reset each tenant's monitor so its
-    /// EWMA re-seeds from this replay's first observation, plan an
-    /// initial policy for `first_rps` (split evenly across tenants), and
-    /// build fresh simulators with `faults` scripted into each (node
-    /// faults hit the shared hardware, so every tenant sees them).
-    pub fn begin_replay(&mut self, first_rps: f64, faults: &FaultPlan) {
-        let shares = vec![first_rps / self.tenants.len() as f64; self.tenants.len()];
-        self.begin_replay_multi(&shares, faults);
-    }
-
-    /// [`begin_replay`](Self::begin_replay) with an explicit per-tenant
-    /// first-interval load split.
+    /// EWMA re-seeds from this replay's first observation, plan each
+    /// tenant's initial policy for its entry of `first_rps`, and build
+    /// fresh simulators with `faults` scripted into each (node faults
+    /// hit the shared hardware, so every tenant sees them).
     ///
     /// # Panics
-    /// Panics if `first_rps` has one entry per tenant.
+    /// Panics unless `first_rps` has exactly one entry per tenant.
     pub fn begin_replay_multi(&mut self, first_rps: &[f64], faults: &FaultPlan) {
         assert_eq!(first_rps.len(), self.tenants.len(), "one load per tenant");
         self.power_cap_w = self.setup().power_cap_w;
@@ -474,13 +329,12 @@ impl ClusterNode {
         self.interval_idx = 0;
         let caps = self.tenant_caps();
         for ((t, &rps), cap) in self.tenants.iter_mut().zip(first_rps).zip(caps) {
-            t.begin_replay(rps, cap, faults);
+            t.begin(rps, cap, faults);
         }
         if self.recording() {
-            let recorder = self.recorder.clone();
             for t in &mut self.tenants {
                 if let Some(sim) = t.sim.as_mut() {
-                    sim.set_recorder(recorder.clone());
+                    sim.set_recorder(self.recorder.clone());
                 }
             }
         }
@@ -498,7 +352,7 @@ impl ClusterNode {
         let demands: Vec<f64> = self
             .tenants
             .iter()
-            .map(|t| t.monitor.load_estimate_rps())
+            .map(|t| t.control.load_estimate_rps())
             .collect();
         let states: Vec<NodeShare> = self
             .tenants
@@ -520,7 +374,7 @@ impl ClusterNode {
         self.power_cap_w = cap_w;
         let caps = self.tenant_caps();
         for (t, cap) in self.tenants.iter_mut().zip(caps) {
-            t.set_cap(cap);
+            t.control.set_cap(cap);
         }
     }
 
@@ -533,6 +387,12 @@ impl ClusterNode {
     pub fn drain(&mut self) -> usize {
         self.active = false;
         self.warming_until_ms = None;
+        self.cancel_pending()
+    }
+
+    /// Cancel everything queued/in-flight across tenants, recording the
+    /// per-class counts; returns the total.
+    fn cancel_pending(&mut self) -> usize {
         let mut total = 0;
         for (c, t) in self.tenants.iter_mut().enumerate() {
             let cancelled = t.sim.as_mut().map_or(0, Simulator::cancel_pending);
@@ -544,13 +404,13 @@ impl ClusterNode {
 
     /// Bring an administratively drained node back into service. With
     /// `warm_until_ms` set the node warms up first: it draws floor power
-    /// but is not routable until `maintain` is called at a boundary past
+    /// but is not routable until `maintain_at` is called at a boundary past
     /// that time. Re-plans are forced — the node returns cold.
     pub fn activate(&mut self, warm_until_ms: Option<f64>) {
         self.active = true;
         self.warming_until_ms = warm_until_ms;
         for t in &mut self.tenants {
-            t.force_replan = true;
+            t.control.force_replan();
         }
     }
 
@@ -560,7 +420,8 @@ impl ClusterNode {
     /// cold re-plan), and warm-up completion.
     ///
     /// # Panics
-    /// Panics if called before [`begin_replay`](Self::begin_replay).
+    /// Panics if called before
+    /// [`begin_replay_multi`](Self::begin_replay_multi).
     pub fn maintain_at(&mut self, now_ms: f64) -> NodeTransition {
         if let Some(until) = self.warming_until_ms {
             if now_ms >= until {
@@ -570,37 +431,25 @@ impl ClusterNode {
         let healthy = self.tenants[0]
             .sim
             .as_mut()
-            .expect("begin_replay first")
+            .expect("begin_replay_multi first")
             .healthy_devices();
         if !self.down && healthy == 0 {
             self.down = true;
             // Drain: abandon everything the dead node holds so the
             // front-end can re-issue it elsewhere.
-            let mut total = 0;
-            for (c, t) in self.tenants.iter_mut().enumerate() {
-                let cancelled = t.sim.as_mut().map_or(0, Simulator::cancel_pending);
-                self.last_drained[c] = cancelled;
-                total += cancelled;
-            }
-            NodeTransition::WentDown(total)
+            NodeTransition::WentDown(self.cancel_pending())
         } else if self.down && healthy > 0 {
             self.down = false;
             // The node comes back cold: its last plan may target a pool
             // that no longer matches, and its monitor history is from
             // before the outage.
             for t in &mut self.tenants {
-                t.force_replan = true;
+                t.control.force_replan();
             }
             NodeTransition::CameBack
         } else {
             NodeTransition::Steady
         }
-    }
-
-    /// [`maintain_at`](Self::maintain_at) without a clock (legacy entry
-    /// point; warm-up deadlines never expire through this path).
-    pub fn maintain(&mut self) -> NodeTransition {
-        self.maintain_at(f64::NEG_INFINITY)
     }
 
     /// Per-class breakdown of the most recent drain (node death,
@@ -616,24 +465,23 @@ impl ClusterNode {
     /// whether any tenant's policy changed.
     ///
     /// # Panics
-    /// Panics if called before [`begin_replay`](Self::begin_replay).
+    /// Panics if called before
+    /// [`begin_replay_multi`](Self::begin_replay_multi).
     pub fn begin_interval(&mut self, est_rps: f64) -> bool {
         let n = self.tenants.len();
-        if n == 1 {
-            let down = self.down;
-            return self.tenants[0].begin_interval(est_rps, down);
-        }
-        let ests: Vec<f64> = {
+        let ests: Vec<f64> = if n == 1 {
+            vec![est_rps]
+        } else {
             let total: f64 = self
                 .tenants
                 .iter()
-                .map(|t| t.monitor.load_estimate_rps())
+                .map(|t| t.control.load_estimate_rps())
                 .sum();
             self.tenants
                 .iter()
                 .map(|t| {
                     if total > 0.0 {
-                        est_rps * t.monitor.load_estimate_rps() / total
+                        est_rps * t.control.load_estimate_rps() / total
                     } else {
                         est_rps / n as f64
                     }
@@ -648,82 +496,51 @@ impl ClusterNode {
         changed
     }
 
-    /// Offer `arrivals` (absolute times) to the single tenant and run
-    /// the node's simulation to `end_ms` (see
-    /// [`run_to_multi`](Self::run_to_multi)).
-    pub fn run_to(&mut self, arrivals: &[f64], end_ms: f64) -> NodeIntervalStats {
-        if self.tenants.len() == 1 {
-            let classes = std::slice::from_ref(&arrivals);
-            return self.run_to_classes(classes, end_ms);
-        }
-        // Multi-tenant nodes offered an unlabeled stream: everything
-        // lands on class 0.
-        let mut classes: Vec<&[f64]> = vec![&[]; self.tenants.len()];
-        classes[0] = arrivals;
-        self.run_to_classes(&classes, end_ms)
-    }
-
     /// Offer per-class `arrivals` (absolute times, one slice per tenant)
     /// and run every tenant's simulation to `end_ms`, returning the
-    /// interval's merged measurements. Feeds each tenant's monitor and
-    /// (for statistically sound, transition-free intervals) its model's
-    /// correction loop.
+    /// interval's merged measurements. Feeds each tenant's control loop
+    /// (monitor, and the model for statistically sound, transition-free
+    /// intervals).
     ///
     /// # Panics
     /// Panics if the class count differs from the tenant count or if
-    /// called before [`begin_replay`](Self::begin_replay).
+    /// called before [`begin_replay_multi`](Self::begin_replay_multi).
     pub fn run_to_classes(&mut self, arrivals: &[&[f64]], end_ms: f64) -> NodeIntervalStats {
         let n = self.tenants.len();
         assert_eq!(arrivals.len(), n, "one arrival stream per tenant");
         let recording = self.recording();
         let mut out = NodeIntervalStats {
-            arrived: 0,
             completed: 0,
             violations: 0,
-            p99_ms: 0.0,
             avg_power_w: 0.0,
             energy_j: 0.0,
-            queued: 0,
             healthy_devices: 0,
-            retried: 0,
             timed_out: 0,
-            failed: 0,
-            policy_changed: false,
             per_class: Vec::with_capacity(n),
         };
         let mut duration_ms = 0.0;
         let mut events: Vec<(f64, ObsEvent)> = Vec::new();
         for (c, t) in self.tenants.iter_mut().enumerate() {
-            let sim = t.sim.as_mut().expect("begin_replay first");
+            let sim = t.sim.as_mut().expect("begin_replay_multi first");
             sim.enqueue_arrivals(arrivals[c]);
             sim.reset_accounting();
             sim.advance_to(end_ms);
             let report = sim.finish(end_ms);
             let (arrived, completed) = sim.drain_segment_into(&mut t.seg_samples);
-            let (_, retried) = sim.take_fault_counts();
-            let (timed_out, failed) = sim.take_lifecycle_counts();
-            let queued = sim.queued();
+            let (timed_out, _) = sim.take_lifecycle_counts();
             out.healthy_devices = sim.healthy_devices();
-            // `None` means no segment completions; every consumer below
-            // pairs the 0.0 fallback with the `completed` count, so "no
-            // samples" stays distinguishable from a true zero.
-            let p99 = quantile_of(&t.seg_samples, 0.99, &mut self.q_scratch);
+            // No segment completions folds to 0.0; the `completed` count
+            // keeps "no samples" distinguishable from a true zero.
+            let p99 = quantile_of(&t.seg_samples, 0.99, &mut self.q_scratch).unwrap_or(0.0);
             let violations = violations_of(&t.seg_samples, t.ctx.bound_ms());
-
-            let predicted_p99 = t.predicted.as_ref().map_or(f64::INFINITY, |p| p.p99_ms);
-            if completed >= 30 && !t.last_policy_changed && predicted_p99.is_finite() {
-                // The completion gate guarantees the segment has samples.
-                t.optimizer
-                    .model_mut()
-                    .observe(predicted_p99, p99.unwrap_or(0.0));
-            }
-            t.monitor.observe(IntervalObs {
+            let predicted_p99 = t.control.predicted().map_or(f64::INFINITY, |p| p.p99_ms);
+            t.control.observe(IntervalObs {
                 duration_ms: report.duration_ms,
                 arrived,
                 completed,
-                p99_ms: p99.unwrap_or(0.0),
+                p99_ms: p99,
                 avg_power_w: report.avg_power_w,
-                queued,
+                queued: sim.queued(),
             });
             if recording {
                 let offered_rps = if report.duration_ms > 0.0 {
@@ -738,27 +555,22 @@ impl ClusterNode {
                         start_ms: end_ms - report.duration_ms,
                         dur_ms: report.duration_ms,
                         offered_rps,
-                        load_est_rps: t.last_est_rps,
-                        policy_changed: t.last_policy_changed,
-                        reason: t.last_reason,
+                        load_est_rps: t.control.est_rps(),
+                        policy_changed: t.control.changed(),
+                        reason: t.control.reason(),
                         predicted_p99_ms: predicted_p99,
-                        observed_p99_ms: p99.unwrap_or(0.0),
+                        observed_p99_ms: p99,
                         power_w: report.avg_power_w,
                         completed,
                         violations,
                     },
                 ));
             }
-            out.arrived += arrived;
             out.completed += completed;
             out.violations += violations;
             out.avg_power_w += report.avg_power_w;
             out.energy_j += report.energy_j;
-            out.queued += queued;
-            out.retried += retried;
             out.timed_out += timed_out;
-            out.failed += failed;
-            out.policy_changed |= t.last_policy_changed;
             out.per_class.push((completed, violations));
             duration_ms = report.duration_ms;
         }
@@ -777,17 +589,13 @@ impl ClusterNode {
                 out.energy_j = (out.energy_j - over_w * duration_ms / 1000.0).max(0.0);
             }
         }
-        // Node p99 across tenants: merge the per-tenant segments.
-        if n == 1 {
-            out.p99_ms =
-                quantile_of(&self.tenants[0].seg_samples, 0.99, &mut self.q_scratch).unwrap_or(0.0);
-        } else {
+        // Multi-tenant nodes merge the per-tenant segments for
+        // `segment_samples`.
+        if n > 1 {
             self.merged_samples.clear();
             for t in &self.tenants {
                 self.merged_samples.extend_from_slice(&t.seg_samples);
             }
-            out.p99_ms =
-                quantile_of(&self.merged_samples, 0.99, &mut self.q_scratch).unwrap_or(0.0);
         }
         if recording {
             for (t_ms, event) in events {
@@ -813,14 +621,6 @@ impl ClusterNode {
             + pool.count(poly_device::DeviceKind::Fpga) as f64 * setup.sim_config.fpga_idle_w
     }
 
-    /// Raw completion latencies of the last [`run_to`](Self::run_to)
-    /// interval for tenant `class` (recycled buffer — read before the
-    /// next interval runs).
-    #[must_use]
-    pub fn segment_samples_of(&self, class: usize) -> &[f64] {
-        &self.tenants[class].seg_samples
-    }
-
     /// Raw completion latencies of the last interval, all tenants (for
     /// single-tenant nodes this is exactly the tenant's buffer).
     #[must_use]
@@ -833,7 +633,7 @@ impl ClusterNode {
     }
 
     /// Cumulative re-issue ledger of the node's simulators since
-    /// `begin_replay` (zeroed before the first replay), merged across
+    /// `begin_replay_multi` (zeroed before the first replay), merged across
     /// tenants.
     #[must_use]
     pub fn retry_stats(&self) -> poly_sim::RetryStats {
@@ -848,7 +648,7 @@ impl ClusterNode {
 
     /// The node simulators' lifecycle/energy audit counters (see
     /// [`poly_sim::AuditReport`]), merged across tenants; zeroed report
-    /// before `begin_replay`.
+    /// before `begin_replay_multi`.
     #[must_use]
     pub fn audit(&self) -> poly_sim::AuditReport {
         let mut out = poly_sim::AuditReport::default();

@@ -75,19 +75,6 @@ impl RoutingPolicy {
     }
 }
 
-/// What the router did with one interval's arrivals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteOutcome {
-    /// Arrival times assigned to each node, in time order.
-    pub per_node: Vec<Vec<f64>>,
-    /// Requests admitted this interval that had been deferred earlier.
-    pub drained_backlog: usize,
-    /// Requests still held in the backlog at interval end.
-    pub deferred: usize,
-    /// Requests dropped this interval (admission refused, backlog full).
-    pub shed: usize,
-}
-
 /// The router's per-class view of one node: what one QoS class can see
 /// of its own tenant stack there.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,12 +102,11 @@ pub struct ClassRouteOutcome {
 }
 
 /// The front-end router: one [`RoutingPolicy`] plus the cross-interval
-/// state it needs (round-robin cursor, deferral backlog).
+/// state it needs (round-robin cursor, per-class deferral backlogs).
 #[derive(Debug, Clone)]
 pub struct Router {
     policy: RoutingPolicy,
     cursor: usize,
-    backlog: Vec<f64>,
     /// Fraction of a node's predicted capacity the QoS-aware policy is
     /// willing to fill per interval (mirrors the optimizer's headroom).
     headroom: f64,
@@ -129,8 +115,7 @@ pub struct Router {
     max_backlog: usize,
     /// Per-node circuit breakers; empty while breakers are disabled.
     breakers: Vec<CircuitBreaker>,
-    /// Per-class deferral backlogs (multi-class routing only; the
-    /// single-class path keeps using `backlog`).
+    /// Per-class deferral backlogs.
     class_backlogs: Vec<Vec<f64>>,
 }
 
@@ -142,7 +127,6 @@ impl Router {
         Self {
             policy,
             cursor: usize::MAX, // first round-robin pick is node 0
-            backlog: Vec::new(),
             headroom: 0.85,
             max_backlog: 1024,
             breakers: Vec::new(),
@@ -204,7 +188,6 @@ impl Router {
     /// start of a fresh trace replay.
     pub fn reset(&mut self) {
         self.cursor = usize::MAX;
-        self.backlog.clear();
         self.class_backlogs.clear();
         for b in &mut self.breakers {
             b.reset();
@@ -214,121 +197,12 @@ impl Router {
     /// Requests currently deferred (all classes).
     #[must_use]
     pub fn backlog_len(&self) -> usize {
-        self.backlog.len() + self.class_backlogs.iter().map(Vec::len).sum::<usize>()
+        self.class_backlogs.iter().map(Vec::len).sum()
     }
 
     /// Route one interval's arrivals (absolute times within
-    /// `[start_ms, start_ms + interval_ms)`) across the nodes of `views`.
-    /// Previously deferred requests are re-offered first, paced evenly
-    /// across the interval.
-    ///
-    /// # Panics
-    /// Panics if `views` is empty.
-    pub fn route_interval(
-        &mut self,
-        views: &[NodeView],
-        arrivals: &[f64],
-        start_ms: f64,
-        interval_ms: f64,
-    ) -> RouteOutcome {
-        assert!(!views.is_empty(), "cluster has no nodes");
-        let n = views.len();
-        let mut per_node: Vec<Vec<f64>> = vec![Vec::new(); n];
-        let mut assigned = vec![0usize; n];
-        // QoS budgets: how many admissions each node can absorb this
-        // interval while its predicted p99 stays inside the bound
-        // (headroom x capacity), less what is already queued on it.
-        let budgets: Vec<f64> = views
-            .iter()
-            .map(|v| {
-                (v.capacity_rps * self.headroom * interval_ms / 1000.0 - v.queued as f64).max(0.0)
-            })
-            .collect();
-
-        // Oldest first: the deferred backlog re-enters ahead of this
-        // interval's fresh arrivals. Re-admissions are *paced* evenly
-        // across the interval rather than re-timed to its start — a
-        // synchronized re-entry herd lands on a node as one burst that
-        // can blow every request's latency budget at once (worst on a
-        // half-open node, whose probe quota would arrive as a single
-        // spike, time out wholesale, and keep the breaker from ever
-        // closing). Backlog still takes admission priority; only the
-        // timestamps spread.
-        let drained: Vec<f64> = std::mem::take(&mut self.backlog);
-        let pace = interval_ms / drained.len().max(1) as f64;
-        let waiting: Vec<f64> = drained
-            .iter()
-            .enumerate()
-            .map(|(i, _)| start_ms + pace * i as f64)
-            .chain(arrivals.iter().copied())
-            .collect();
-        let drained_candidates = waiting.len() - arrivals.len();
-
-        let mut shed = 0usize;
-        let any_up = views.iter().any(|v| v.up);
-        for &t in &waiting {
-            let target = if !any_up {
-                None
-            } else {
-                match self.policy {
-                    RoutingPolicy::RoundRobin => self.next_round_robin(views, &assigned),
-                    RoutingPolicy::JoinShortestQueue => (0..n)
-                        .filter(|&i| views[i].up && self.admits(i, assigned[i]))
-                        .min_by_key(|&i| views[i].queued + assigned[i]),
-                    RoutingPolicy::PowerHeadroom => (0..n)
-                        .filter(|&i| views[i].up && self.admits(i, assigned[i]))
-                        .map(|i| {
-                            let head = (views[i].power_cap_w - views[i].power_w).max(0.0);
-                            (i, head / (1.0 + assigned[i] as f64))
-                        })
-                        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-                        .map(|(i, _)| i),
-                    // Shortest-queue among the *admissible* nodes: the
-                    // budget decides who may accept more work this
-                    // interval, the queue decides who should. (Max
-                    // remaining budget alone would funnel whole
-                    // intervals onto whichever node predicts the
-                    // largest capacity.)
-                    RoutingPolicy::QosAware => (0..n)
-                        .filter(|&i| {
-                            views[i].up
-                                && budgets[i] - assigned[i] as f64 >= 1.0
-                                && self.admits(i, assigned[i])
-                        })
-                        .min_by_key(|&i| views[i].queued + assigned[i]),
-                }
-            };
-            match target {
-                Some(i) => {
-                    assigned[i] += 1;
-                    per_node[i].push(t);
-                }
-                // No admissible node: defer while the backlog lasts,
-                // shed beyond it.
-                None => {
-                    if self.backlog.len() < self.max_backlog {
-                        self.backlog.push(t);
-                    } else {
-                        shed += 1;
-                    }
-                }
-            }
-        }
-        // Paced backlog re-admissions interleave with fresh arrivals, so
-        // restore time order per node before handing the lists to the
-        // node simulations.
-        for node in &mut per_node {
-            node.sort_by(f64::total_cmp);
-        }
-        RouteOutcome {
-            per_node,
-            drained_backlog: drained_candidates.saturating_sub(self.backlog.len() + shed),
-            deferred: self.backlog.len(),
-            shed,
-        }
-    }
-
-    /// Route one interval's arrivals for several QoS classes at once.
+    /// `[start_ms, start_ms + interval_ms)`) for one or more QoS classes
+    /// across the nodes of `views`.
     ///
     /// `class_views[node][class]` is each tenant's own queue/capacity on
     /// each node; `arrivals[class]` the class's fresh arrival times;
@@ -337,11 +211,11 @@ impl Router {
     /// its *own* admission budget per node — a lenient tenant's flood
     /// consumes only its own tenant stack's budget, so it can never
     /// starve a strict one — and its own deferral backlog, bounded by a
-    /// weight-proportional share of the router's backlog bound.
-    ///
-    /// The single-class case of this method routes exactly like
-    /// [`route_interval`](Self::route_interval), but keeps separate
-    /// backlog state; drivers use one or the other for a whole replay.
+    /// weight-proportional share of the router's backlog bound (at least
+    /// one slot per class unless the bound is 0, which sheds everything
+    /// that finds no node). A class's previously deferred requests are
+    /// re-offered ahead of its fresh arrivals, paced evenly across the
+    /// interval.
     ///
     /// # Panics
     /// Panics if `views` is empty or the class dimensions disagree.
@@ -365,13 +239,15 @@ impl Router {
         if self.class_backlogs.len() != classes {
             self.class_backlogs = vec![Vec::new(); classes];
         }
-        // Weight-proportional deferral bounds (at least one slot each).
+        // Weight-proportional deferral bounds (at least one slot each
+        // while deferral is enabled at all).
         let weight_sum: f64 = weights.iter().sum();
+        let floor = usize::from(self.max_backlog > 0);
         let bounds: Vec<usize> = weights
             .iter()
             .map(|w| {
                 if weight_sum > 0.0 {
-                    ((self.max_backlog as f64 * w / weight_sum) as usize).max(1)
+                    ((self.max_backlog as f64 * w / weight_sum) as usize).max(floor)
                 } else {
                     self.max_backlog / classes.max(1)
                 }
@@ -401,8 +277,14 @@ impl Router {
                 })
                 .collect();
             // Oldest first: the class's deferred backlog re-enters ahead
-            // of its fresh arrivals, paced across the interval (see
-            // `route_interval` for why).
+            // of its fresh arrivals. Re-admissions are *paced* evenly
+            // across the interval rather than re-timed to its start — a
+            // synchronized re-entry herd lands on a node as one burst
+            // that can blow every request's latency budget at once
+            // (worst on a half-open node, whose probe quota would arrive
+            // as a single spike, time out wholesale, and keep the breaker
+            // from ever closing). Backlog still takes admission
+            // priority; only the timestamps spread.
             let drained: Vec<f64> = std::mem::take(&mut self.class_backlogs[c]);
             let drained_candidates = drained.len();
             let pace = interval_ms / drained.len().max(1) as f64;
@@ -463,6 +345,9 @@ impl Router {
             }
             per_class_out[c] = (admitted, self.class_backlogs[c].len(), shed);
         }
+        // Paced backlog re-admissions interleave with fresh arrivals, so
+        // restore time order per node before handing the lists to the
+        // node simulations.
         for node in &mut per_node {
             for class in node {
                 class.sort_by(f64::total_cmp);
@@ -508,6 +393,28 @@ mod tests {
         }
     }
 
+    fn class_view(queued: usize, capacity_rps: f64) -> ClassNodeView {
+        ClassNodeView {
+            queued,
+            capacity_rps,
+        }
+    }
+
+    /// Route one class of weight 1 whose tenant sees each node's own
+    /// queue and capacity — the single-class fleet.
+    fn route_one(
+        r: &mut Router,
+        views: &[NodeView],
+        arrivals: &[f64],
+        start_ms: f64,
+    ) -> ClassRouteOutcome {
+        let class_views: Vec<Vec<ClassNodeView>> = views
+            .iter()
+            .map(|v| vec![class_view(v.queued, v.capacity_rps)])
+            .collect();
+        r.route_classes(views, &class_views, &[arrivals], &[1.0], start_ms, 1000.0)
+    }
+
     #[test]
     fn round_robin_cycles_up_nodes_only() {
         let mut r = Router::new(RoutingPolicy::RoundRobin);
@@ -516,10 +423,10 @@ mod tests {
             view(false, 0, 0.0, 100.0),
             view(true, 0, 0.0, 100.0),
         ];
-        let out = r.route_interval(&views, &[0.0, 1.0, 2.0, 3.0], 0.0, 1000.0);
-        assert_eq!(out.per_node[0], vec![0.0, 2.0]);
-        assert!(out.per_node[1].is_empty(), "down node receives nothing");
-        assert_eq!(out.per_node[2], vec![1.0, 3.0]);
+        let out = route_one(&mut r, &views, &[0.0, 1.0, 2.0, 3.0], 0.0);
+        assert_eq!(out.per_node[0][0], vec![0.0, 2.0]);
+        assert!(out.per_node[1][0].is_empty(), "down node receives nothing");
+        assert_eq!(out.per_node[2][0], vec![1.0, 3.0]);
         assert_eq!((out.deferred, out.shed), (0, 0));
     }
 
@@ -527,11 +434,11 @@ mod tests {
     fn jsq_prefers_emptier_nodes_counting_own_assignments() {
         let mut r = Router::new(RoutingPolicy::JoinShortestQueue);
         let views = [view(true, 5, 0.0, 100.0), view(true, 0, 0.0, 100.0)];
-        let out = r.route_interval(&views, &[0.0, 1.0, 2.0], 0.0, 1000.0);
+        let out = route_one(&mut r, &views, &[0.0, 1.0, 2.0], 0.0);
         // All three go to node 1 until its ledger catches up with node
         // 0's queue — 5 > 0, 5 > 1, 5 > 2.
-        assert_eq!(out.per_node[1].len(), 3);
-        assert!(out.per_node[0].is_empty());
+        assert_eq!(out.per_node[1][0].len(), 3);
+        assert!(out.per_node[0][0].is_empty());
     }
 
     #[test]
@@ -539,8 +446,8 @@ mod tests {
         let mut r = Router::new(RoutingPolicy::PowerHeadroom);
         // Node 0 is near its cap, node 1 is cold.
         let views = [view(true, 0, 480.0, 100.0), view(true, 0, 100.0, 100.0)];
-        let out = r.route_interval(&views, &[0.0, 1.0], 0.0, 1000.0);
-        assert_eq!(out.per_node[1].len(), 2);
+        let out = route_one(&mut r, &views, &[0.0, 1.0], 0.0);
+        assert_eq!(out.per_node[1][0].len(), 2);
     }
 
     #[test]
@@ -550,18 +457,18 @@ mod tests {
         // Each node admits 0.85 x 2 rps x 1 s ≈ 1 request per interval.
         let views = [view(true, 0, 0.0, 2.0), view(true, 0, 0.0, 2.0)];
         let arrivals: Vec<f64> = (0..6).map(f64::from).collect();
-        let out = r.route_interval(&views, &arrivals, 0.0, 1000.0);
-        let admitted: usize = out.per_node.iter().map(Vec::len).sum();
+        let out = route_one(&mut r, &views, &arrivals, 0.0);
+        let admitted: usize = out.per_node.iter().map(|n| n[0].len()).sum();
         assert_eq!(admitted, 2, "one per node under the QoS budget");
         assert_eq!(out.deferred, 2, "backlog bound respected");
         assert_eq!(out.shed, 2, "the rest is shed");
         // Deferred requests re-enter first next interval, paced across
         // it instead of re-timed to the boundary as one burst.
-        let out2 = r.route_interval(&views, &[], 1000.0, 1000.0);
-        let admitted2: usize = out2.per_node.iter().map(Vec::len).sum();
+        let out2 = route_one(&mut r, &views, &[], 1000.0);
+        let admitted2: usize = out2.per_node.iter().map(|n| n[0].len()).sum();
         assert_eq!(admitted2, 2);
         assert_eq!(out2.drained_backlog, 2);
-        let times: Vec<f64> = out2.per_node.iter().flatten().copied().collect();
+        let times: Vec<f64> = out2.per_node.iter().flatten().flatten().copied().collect();
         assert!(
             times.contains(&1000.0) && times.contains(&1500.0),
             "{times:?}"
@@ -574,31 +481,24 @@ mod tests {
         // Node 0's standing queue already exceeds its per-interval
         // budget, so everything goes to node 1.
         let views = [view(true, 50, 0.0, 10.0), view(true, 0, 0.0, 10.0)];
-        let out = r.route_interval(&views, &[0.0, 1.0, 2.0], 0.0, 1000.0);
-        assert!(out.per_node[0].is_empty());
-        assert_eq!(out.per_node[1].len(), 3);
+        let out = route_one(&mut r, &views, &[0.0, 1.0, 2.0], 0.0);
+        assert!(out.per_node[0][0].is_empty());
+        assert_eq!(out.per_node[1][0].len(), 3);
     }
 
     #[test]
     fn all_nodes_down_defers_everything() {
         let mut r = Router::new(RoutingPolicy::RoundRobin);
         let views = [view(false, 0, 0.0, 100.0)];
-        let out = r.route_interval(&views, &[0.0, 1.0], 0.0, 1000.0);
+        let out = route_one(&mut r, &views, &[0.0, 1.0], 0.0);
         assert_eq!(out.deferred, 2);
         assert_eq!(r.backlog_len(), 2);
         // Recovery: the backlog drains to the node once it is back.
         let up = [view(true, 0, 0.0, 100.0)];
-        let out2 = r.route_interval(&up, &[], 1000.0, 1000.0);
-        assert_eq!(out2.per_node[0].len(), 2);
+        let out2 = route_one(&mut r, &up, &[], 1000.0);
+        assert_eq!(out2.per_node[0][0].len(), 2);
         assert_eq!(out2.drained_backlog, 2);
         assert_eq!(r.backlog_len(), 0);
-    }
-
-    fn class_view(queued: usize, capacity_rps: f64) -> ClassNodeView {
-        ClassNodeView {
-            queued,
-            capacity_rps,
-        }
     }
 
     #[test]
@@ -642,57 +542,44 @@ mod tests {
 
     #[test]
     fn class_backlogs_are_weight_bounded_and_drain_separately() {
-        let mut r = Router::new(RoutingPolicy::QosAware);
-        r.max_backlog = 8;
         // No capacity anywhere: everything defers up to the per-class
-        // bound (weight 3:1 → 6 and 2 slots).
+        // bound (bound 8, weight 3:1 → 6 and 2 slots; bound 0 defers
+        // nothing and sheds it all).
         let views = [view(true, 0, 0.0, 0.0)];
         let class_views = vec![vec![class_view(0, 0.0), class_view(0, 0.0)]];
         let a: Vec<f64> = (0..10).map(f64::from).collect();
-        let out = r.route_classes(&views, &class_views, &[&a, &a], &[3.0, 1.0], 0.0, 1000.0);
-        assert_eq!(out.per_class[0], (0, 6, 4));
-        assert_eq!(out.per_class[1], (0, 2, 8));
-        assert_eq!(r.backlog_len(), 8);
-        // Capacity restored: each class's backlog drains to its own
-        // tenant stack, strict first.
-        let roomy = vec![vec![class_view(0, 100.0), class_view(0, 100.0)]];
-        let out2 = r.route_classes(&views, &roomy, &[&[], &[]], &[3.0, 1.0], 1000.0, 1000.0);
-        assert_eq!(out2.drained_backlog, 8);
-        assert_eq!(out2.per_node[0][0].len(), 6);
-        assert_eq!(out2.per_node[0][1].len(), 2);
-        assert_eq!(r.backlog_len(), 0);
-    }
-
-    #[test]
-    fn single_class_routing_matches_route_interval() {
-        // One class with weight 1 routes exactly like the legacy path.
-        let arrivals: Vec<f64> = (0..12).map(|i| f64::from(i) * 80.0).collect();
-        let views = [view(true, 2, 0.0, 6.0), view(true, 0, 0.0, 6.0)];
-        let mut legacy = Router::new(RoutingPolicy::QosAware);
-        let legacy_out = legacy.route_interval(&views, &arrivals, 0.0, 1000.0);
-        let mut classy = Router::new(RoutingPolicy::QosAware);
-        let class_views = vec![vec![class_view(2, 6.0)], vec![class_view(0, 6.0)]];
-        let class_out =
-            classy.route_classes(&views, &class_views, &[&arrivals], &[1.0], 0.0, 1000.0);
-        for (j, node) in legacy_out.per_node.iter().enumerate() {
-            assert_eq!(node, &class_out.per_node[j][0]);
+        for (max_backlog, strict, lenient) in
+            [(8, (0, 6, 4), (0, 2, 8)), (0, (0, 0, 10), (0, 0, 10))]
+        {
+            let mut r = Router::new(RoutingPolicy::QosAware);
+            r.max_backlog = max_backlog;
+            let out = r.route_classes(&views, &class_views, &[&a, &a], &[3.0, 1.0], 0.0, 1000.0);
+            assert_eq!(out.per_class[0], strict, "max_backlog {max_backlog}");
+            assert_eq!(out.per_class[1], lenient, "max_backlog {max_backlog}");
+            assert_eq!(r.backlog_len(), strict.1 + lenient.1);
+            // Capacity restored: each class's backlog drains to its own
+            // tenant stack, strict first.
+            let roomy = vec![vec![class_view(0, 100.0), class_view(0, 100.0)]];
+            let out2 = r.route_classes(&views, &roomy, &[&[], &[]], &[3.0, 1.0], 1000.0, 1000.0);
+            assert_eq!(out2.drained_backlog, strict.1 + lenient.1);
+            assert_eq!(out2.per_node[0][0].len(), strict.1);
+            assert_eq!(out2.per_node[0][1].len(), lenient.1);
+            assert_eq!(r.backlog_len(), 0);
         }
-        assert_eq!(legacy_out.shed, class_out.shed);
-        assert_eq!(legacy_out.deferred, class_out.deferred);
     }
 
     #[test]
     fn reset_clears_cursor_and_backlog() {
         let mut r = Router::new(RoutingPolicy::RoundRobin);
         let views = [view(true, 0, 0.0, 1.0), view(true, 0, 0.0, 1.0)];
-        let _ = r.route_interval(&views, &[0.0], 0.0, 1000.0);
+        let _ = route_one(&mut r, &views, &[0.0], 0.0);
         let down = [view(false, 0, 0.0, 1.0), view(false, 0, 0.0, 1.0)];
-        let _ = r.route_interval(&down, &[1.0], 0.0, 1000.0);
+        let _ = route_one(&mut r, &down, &[1.0], 0.0);
         assert_eq!(r.backlog_len(), 1);
         r.reset();
         assert_eq!(r.backlog_len(), 0);
         // Cursor restarts at node 0.
-        let out = r.route_interval(&views, &[0.0], 0.0, 1000.0);
-        assert_eq!(out.per_node[0].len(), 1);
+        let out = route_one(&mut r, &views, &[0.0], 0.0);
+        assert_eq!(out.per_node[0][0].len(), 1);
     }
 }

@@ -2,11 +2,14 @@
 //! node-level fault domains, QoS-aware admission under faults, and the
 //! power governor's effect on per-node caps.
 
-use poly_cluster::{Cluster, ClusterConfig, ClusterReport, ClusterRunSpec, RoutingPolicy};
+use poly_cluster::{
+    Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterRunSpec, RoutingPolicy,
+};
 use poly_core::provision::{table_iii, Architecture, Setting};
 use poly_core::NodeSetup;
 use poly_dse::{Explorer, KernelDesignSpace};
 use poly_ir::KernelGraph;
+use poly_obs::MemRecorder;
 use poly_sim::workload::TracePoint;
 use poly_sim::FaultPlan;
 
@@ -200,6 +203,46 @@ fn governor_keeps_cluster_power_near_budget() {
         "mean cluster power {mean_power} exceeds budget {budget}"
     );
     assert!(mean_power > 0.0);
+}
+
+#[test]
+fn invalid_run_specs_fail_typed_and_change_nothing() {
+    let mut c = cluster(2, RoutingPolicy::RoundRobin);
+    let trace = flat_trace(3, 0.5);
+    let rec = MemRecorder::new();
+    let spec = || ClusterRunSpec::new(&trace, INTERVAL_MS, 30.0).recorder(Box::new(rec.clone()));
+    let cases = [
+        (
+            ClusterRunSpec::new(&trace, 0.0, 30.0).recorder(Box::new(rec.clone())),
+            ClusterError::NonPositiveInterval { interval_ms: 0.0 },
+        ),
+        (
+            ClusterRunSpec::new(&[], INTERVAL_MS, 30.0).recorder(Box::new(rec.clone())),
+            ClusterError::EmptyTrace,
+        ),
+        (
+            spec().traffic_mix(vec![1.0, 1.0]),
+            ClusterError::InvalidTrafficMix,
+        ),
+        (
+            spec().node_static_w(-1.0),
+            ClusterError::InvalidStaticDraw { static_w: -1.0 },
+        ),
+    ];
+    for (bad, expected) in cases {
+        assert_eq!(c.run(bad).expect_err("invalid spec"), expected);
+    }
+    assert!(c
+        .run(spec().faults(FaultPlan::new().fail_stop(0.0, 5)))
+        .is_err());
+    // None of the rejected specs attached its recorder: a later run
+    // without one records nothing.
+    c.run(ClusterRunSpec::new(&trace, INTERVAL_MS, 30.0))
+        .expect("valid run");
+    assert_eq!(rec.len(), 0);
+    // The same recorder on a valid spec does record.
+    c.run(spec()).expect("valid run");
+    assert!(!rec.is_empty());
 }
 
 trait Violations {

@@ -2,7 +2,7 @@
 //! explored design spaces, node provisioning, and QoS bound — that every
 //! runtime entry point used to take as a positional quadruple.
 //!
-//! `PolyRuntime::new` and `ClusterNode::new` both consume one; cluster
+//! `PolyRuntime::new` and `ClusterNode::new_multi` both consume them; cluster
 //! fan-out shares the (immutable) graph and design spaces across nodes
 //! through `Arc` instead of deep-cloning them per node.
 

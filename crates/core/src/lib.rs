@@ -14,6 +14,9 @@
 //!   efficient one predicted to meet QoS at the monitored load.
 //! - [`SystemMonitor`] tracks arrivals, tail latency, and power per
 //!   re-planning interval.
+//! - [`ControlLoop`] is the per-interval monitor → model → optimizer
+//!   loop (re-plan, hysteresis, model feedback) that the runtime and
+//!   every cluster tenant drive.
 //! - [`PolyRuntime`] drives the discrete-event simulator interval by
 //!   interval over a utilization trace, re-planning from monitor feedback —
 //!   the engine behind the 24-hour trace evaluation (Figs. 11–12).
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod context;
+mod control;
 mod framework;
 mod model;
 mod monitor;
@@ -35,6 +39,7 @@ mod runtime;
 pub mod tco;
 
 pub use context::AppContext;
+pub use control::ControlLoop;
 pub use framework::Poly;
 pub use model::{PolicyPrediction, SystemModel};
 pub use monitor::{IntervalObs, SystemMonitor};

@@ -7,7 +7,7 @@
 //! lifecycle override, telemetry recorder) and executed by
 //! [`PolyRuntime::run`].
 
-use crate::{AppContext, IntervalObs, Optimizer, SystemMonitor};
+use crate::{AppContext, ControlLoop, IntervalObs, Optimizer};
 use poly_backend::ExecBackend;
 use poly_ir::{KernelGraph, KernelId};
 use poly_obs::{Event as ObsEvent, Recorder};
@@ -16,12 +16,6 @@ use poly_sim::{
     quantile_of, violations_of, DynamicDispatch, FaultPlan, KernelImpl, LifecycleConfig, Policy,
     RetryStats, Simulator,
 };
-
-/// Alternates the dispatch-time chooser keeps per kernel when the
-/// dynamic layer is enabled (primary + up to three fallbacks — enough
-/// to retain both the min-latency and the most-efficient implementation
-/// of each platform).
-const DYNAMIC_TOP_K: usize = 4;
 
 /// How the runtime selects policies.
 #[derive(Debug, Clone)]
@@ -99,7 +93,7 @@ pub struct TraceReport {
 ///
 /// Build with [`RunSpec::new`] plus the chained setters; unset options
 /// default to fault-free, the node's configured lifecycle, and no
-/// recording — which reproduces the legacy `run_trace` behavior exactly.
+/// recording.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     trace: Vec<TracePoint>,
@@ -260,25 +254,21 @@ pub fn retime_policy(policy: &Policy, backend: &ExecBackend, graph: &KernelGraph
 #[derive(Debug)]
 pub struct PolyRuntime {
     ctx: AppContext,
-    optimizer: Optimizer,
-    monitor: SystemMonitor,
+    control: ControlLoop,
 }
 
 impl PolyRuntime {
     /// Runtime for the application/node bundle `ctx`.
     #[must_use]
     pub fn new(ctx: AppContext) -> Self {
-        Self {
-            ctx,
-            optimizer: Optimizer::new(),
-            monitor: SystemMonitor::new(8),
-        }
+        let control = ControlLoop::new(&ctx, None);
+        Self { ctx, control }
     }
 
     /// The optimizer (e.g. to inspect the model's correction factor).
     #[must_use]
     pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
+        self.control.optimizer()
     }
 
     /// The application/node bundle this runtime drives.
@@ -287,35 +277,10 @@ impl PolyRuntime {
         &self.ctx
     }
 
-    /// Make a planned policy adoptable: attach the design spaces' top-k
-    /// alternates when the spec enables dynamic dispatch, then re-time
-    /// everything for the run's execution backend (identity on the
-    /// analytical backend — see [`retime_policy`]). Planning itself
-    /// always works on the analytical design spaces; the backend only
-    /// replaces the adopted timings.
-    fn adopt(
-        &self,
-        policy: Policy,
-        spec: &RunSpec,
-        bound_ms: f64,
-        backend: &ExecBackend,
-    ) -> Policy {
-        let policy = if spec.dynamic.is_some() {
-            policy.with_alternates(
-                self.ctx.spaces(),
-                &self.ctx.setup().gpu,
-                bound_ms,
-                DYNAMIC_TOP_K,
-            )
-        } else {
-            policy
-        };
-        retime_policy(&policy, backend, self.ctx.graph())
-    }
-
     /// Replay `spec`: re-plan every interval from monitor feedback (Poly
-    /// mode) or hold one policy (static mode), applying the spec's fault
-    /// plan and recording telemetry into its recorder (if any).
+    /// mode, through the [`ControlLoop`]) or hold one policy (static
+    /// mode), applying the spec's fault plan and recording telemetry
+    /// into its recorder (if any).
     ///
     /// In Poly mode a device fault is detected at the next interval and
     /// the runtime re-plans onto the surviving devices, bypassing the
@@ -325,42 +290,29 @@ impl PolyRuntime {
     pub fn run(&mut self, spec: &RunSpec) -> TraceReport {
         let trace = &spec.trace;
         let interval_ms = spec.interval_ms;
-        let mode = &spec.mode;
         let faults = &spec.faults;
         let bound_ms = self.ctx.bound_ms();
         let backend = spec
             .backend
             .clone()
             .unwrap_or_else(|| self.ctx.setup().backend.clone());
-
-        // A fresh trace is a fresh workload context: re-seed the load EWMA
-        // from what this trace actually offers.
-        self.monitor.reset();
-        // Initial policy: plan for the first interval's load.
-        let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
-        let (policy, mut predicted) = match mode {
-            RuntimeMode::Poly => self.optimizer.plan_for_load(
-                self.ctx.graph(),
-                self.ctx.spaces(),
-                &self.ctx.setup().pool,
-                &self.ctx.setup().gpu,
-                bound_ms,
-                first_rps,
-            ),
-            RuntimeMode::Static(p) => {
-                let pred = self.optimizer.model().predict(
-                    self.ctx.graph(),
-                    p,
-                    &self.ctx.setup().pool,
-                    first_rps,
-                );
-                (p.clone(), pred)
-            }
+        let pinned = match &spec.mode {
+            RuntimeMode::Poly => None,
+            RuntimeMode::Static(p) => Some(p),
         };
-        // With the dynamic layer on, every adopted policy also carries
-        // the plan's top-k alternates for the dispatch-time chooser; a
-        // measured backend then re-times the whole policy.
-        let mut policy = self.adopt(policy, spec, bound_ms, &backend);
+
+        // Initial policy: plan for the first interval's load (or pin the
+        // static one). With the dynamic layer on, every adopted policy
+        // also carries the plan's top-k alternates for the dispatch-time
+        // chooser; a measured backend then re-times the whole policy.
+        let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
+        let policy = self.control.begin(
+            &self.ctx,
+            first_rps,
+            pinned,
+            backend.clone(),
+            spec.dynamic.is_some(),
+        );
 
         let mut sim_config = self.ctx.setup().sim_config.clone();
         if let Some(lc) = &spec.lifecycle {
@@ -371,7 +323,7 @@ impl PolyRuntime {
         let mut sim = Simulator::new(
             self.ctx.graph_owned(),
             &self.ctx.setup().pool,
-            policy.clone(),
+            policy,
             sim_config,
         );
         sim.inject_faults(faults);
@@ -380,9 +332,6 @@ impl PolyRuntime {
         if recording {
             sim.set_recorder(recorder.clone());
         }
-        // The pool the last plan was made against; diverging availability
-        // (a fault fired during the previous interval) forces a re-plan.
-        let mut avail = self.ctx.setup().pool.clone();
 
         let mut intervals = Vec::with_capacity(trace.len());
         // Per-interval measurement buffers, recycled across intervals
@@ -402,80 +351,18 @@ impl PolyRuntime {
             let end = start + interval_ms;
             let offered_rps = point.utilization * spec.max_rps;
 
-            // Re-plan from the monitor's estimate (skip the first interval,
-            // already planned).
-            let mut policy_changed = false;
-            let mut reason: &'static str = match (i, mode) {
-                (0, RuntimeMode::Poly) => "initial",
-                (_, RuntimeMode::Static(_)) => "static",
-                _ => "hold",
-            };
-            let mut load_est = if i == 0 { first_rps } else { offered_rps };
+            // Re-plan from the monitor's estimate (the first interval was
+            // planned by `begin`); a static policy only holds.
             if i > 0 {
-                if let RuntimeMode::Poly = mode {
-                    let now_avail = sim.available_pool();
-                    let degraded = now_avail != avail;
-                    if degraded {
-                        avail = now_avail;
-                    }
-                    let est = self.monitor.load_estimate_rps().max(offered_rps * 0.1);
-                    load_est = est;
-                    if avail.is_empty() {
-                        // Nothing left to plan on; ride out the outage with
-                        // the current (inert) policy.
-                        reason = "outage-hold";
-                    } else if degraded {
-                        // Availability changed since the last plan: re-plan
-                        // unconditionally onto what actually remains.
-                        reason = "degraded";
-                        let (next, pred) = self.optimizer.plan_for_load(
-                            self.ctx.graph(),
-                            self.ctx.spaces(),
-                            &avail,
-                            &self.ctx.setup().gpu,
-                            bound_ms,
-                            est,
-                        );
-                        let next = self.adopt(next, spec, bound_ms, &backend);
-                        if next != policy {
-                            policy_changed = true;
-                            sim.set_policy(next.clone());
-                            policy = next;
-                        }
-                        predicted = pred;
-                    } else {
-                        let (next, pred) = self.optimizer.plan_for_load(
-                            self.ctx.graph(),
-                            self.ctx.spaces(),
-                            &avail,
-                            &self.ctx.setup().gpu,
-                            bound_ms,
-                            est,
-                        );
-                        let next = self.adopt(next, spec, bound_ms, &backend);
-                        // Hysteresis: a policy change pays FPGA reconfiguration
-                        // and transient tail spikes, so keep the current policy
-                        // unless it is about to violate QoS or the candidate
-                        // saves a meaningful amount of power.
-                        let cur_pred =
-                            self.optimizer
-                                .model()
-                                .predict(self.ctx.graph(), &policy, &avail, est);
-                        let cur_ok =
-                            cur_pred.p99_ms <= bound_ms * 0.85 && cur_pred.bottleneck_util <= 0.85;
-                        let worthwhile = pred.avg_power_w < cur_pred.avg_power_w * 0.92;
-                        if next != policy && (!cur_ok || worthwhile) {
-                            reason = if cur_ok { "power-save" } else { "qos-pressure" };
-                            policy_changed = true;
-                            sim.set_policy(next.clone());
-                            policy = next;
-                            predicted = pred;
-                        } else {
-                            predicted = cur_pred;
-                        }
-                    }
+                if pinned.is_some() {
+                    self.control.hold(offered_rps, "static");
+                } else {
+                    let est = self.control.load_estimate_rps().max(offered_rps * 0.1);
+                    self.control.replan(&self.ctx, &mut sim, est);
                 }
             }
+            let policy_changed = self.control.changed();
+            let predicted_p99_ms = self.control.predicted().map_or(f64::INFINITY, |p| p.p99_ms);
 
             // Offer this interval's arrivals and run it.
             let arrivals: Vec<f64> =
@@ -513,28 +400,22 @@ impl PolyRuntime {
             total_fault_events += fault_events;
             energy_mj += report.energy_j * 1000.0;
 
-            // Feed measurements back into the model, excluding intervals
-            // that are statistically weak (few completions) or polluted by
-            // a policy transition's reconfiguration spike.
-            if matches!(mode, RuntimeMode::Poly)
-                && completed >= 30
-                && !policy_changed
-                && predicted.p99_ms.is_finite()
-            {
-                let err = ((p99 - predicted.p99_ms) / p99.max(1e-9)).abs();
-                err_sum += err.min(1.0);
-                err_n += 1;
-                self.optimizer.model_mut().observe(predicted.p99_ms, p99);
-            }
-
-            self.monitor.observe(IntervalObs {
+            // Feed measurements back into the monitor and (Poly mode
+            // only) the model's correction loop.
+            let obs = IntervalObs {
                 duration_ms: interval_ms,
                 arrived,
                 completed,
                 p99_ms: p99,
                 avg_power_w: report.avg_power_w,
                 queued: sim.queued(),
-            });
+            };
+            if pinned.is_none() {
+                if let Some(err) = self.control.observe(obs) {
+                    err_sum += err;
+                    err_n += 1;
+                }
+            }
 
             if recording {
                 if let Some(r) = recorder.as_mut() {
@@ -545,10 +426,10 @@ impl PolyRuntime {
                             start_ms: start,
                             dur_ms: interval_ms,
                             offered_rps,
-                            load_est_rps: load_est,
+                            load_est_rps: self.control.est_rps(),
                             policy_changed,
-                            reason,
-                            predicted_p99_ms: predicted.p99_ms,
+                            reason: self.control.reason(),
+                            predicted_p99_ms,
                             observed_p99_ms: p99,
                             power_w: report.avg_power_w,
                             completed,
@@ -563,7 +444,7 @@ impl PolyRuntime {
                 utilization: point.utilization,
                 offered_rps,
                 p99_ms: p99,
-                predicted_p99_ms: predicted.p99_ms,
+                predicted_p99_ms,
                 avg_power_w: report.avg_power_w,
                 policy_changed,
                 violations,

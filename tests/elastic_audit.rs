@@ -5,7 +5,8 @@
 //! contract: a revocation announced at least one re-planning interval
 //! ahead is drained proactively, so the revoked node's circuit breaker
 //! never trips — while the same capacity loss as an unannounced
-//! fail-stop does trip.
+//! fail-stop does trip. The contract is checked on the multi-tenant
+//! fleet and on a single-tenant one replayed without any elastic knob.
 
 use poly::apps::{asr, matrix_factorization, QOS_BOUND_MS};
 use poly::cluster::{
@@ -23,13 +24,26 @@ const NODES: usize = 3;
 /// Comfortable for three nodes, tight for the two survivors of a
 /// revocation — enough pressure to make the drain path do real work.
 const MAX_RPS: f64 = 90.0;
+/// The strict tenant's 70% share of `MAX_RPS`: the single-tenant fleet's
+/// load.
+const STRICT_ONLY_RPS: f64 = 63.0;
 /// Notice spanning three re-planning intervals, like the elastic figure.
 const NOTICE_MS: f64 = 3.0 * INTERVAL_MS;
 
+/// Which tenants every node of the audited fleet hosts.
+#[derive(Debug, Clone, Copy)]
+enum Tenancy {
+    /// A strict ASR tenant and a lenient matrix-factorization tenant,
+    /// with a 70/30 traffic mix and static node draw.
+    Mixed,
+    /// The strict ASR tenant alone, with no elastic knob set.
+    StrictOnly,
+}
+
 /// Three nodes, each hosting a strict ASR tenant (200 ms, weight 3) and
-/// a lenient matrix-factorization tenant (600 ms, weight 1), behind the
-/// QoS-aware router with breakers armed.
-fn fleet() -> Cluster {
+/// — in the mixed fleet — a lenient matrix-factorization tenant (600 ms,
+/// weight 1), behind the QoS-aware router with breakers armed.
+fn fleet(tenancy: Tenancy) -> Cluster {
     let setup = table_iii(Setting::I, Architecture::HeterPoly);
     let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
     let cache = DesignSpaceCache::new();
@@ -41,9 +55,13 @@ fn fleet() -> Cluster {
         .with_tenant("asr-strict", 3.0);
     let lenient = AppContext::new(lenient_app, lenient_spaces, setup, 3.0 * QOS_BOUND_MS)
         .with_tenant("mf-lenient", 1.0);
+    let tenants = match tenancy {
+        Tenancy::Mixed => vec![strict, lenient],
+        Tenancy::StrictOnly => vec![strict],
+    };
     Cluster::from_nodes(
         (0..NODES)
-            .map(|_| ClusterNode::new_multi(vec![strict.clone(), lenient.clone()]))
+            .map(|_| ClusterNode::new_multi(tenants.clone()))
             .collect(),
         ClusterConfig {
             bound_ms: QOS_BOUND_MS,
@@ -103,20 +121,27 @@ fn surprise_plan(seed: u64) -> FaultPlan {
 }
 
 fn run(
+    tenancy: Tenancy,
     seed: u64,
     faults: &FaultPlan,
     autoscale: Option<AutoscaleConfig>,
     jobs: usize,
 ) -> ClusterReport {
-    let mut cl = fleet();
+    let mut cl = fleet(tenancy);
     let trace = trace();
-    let spec = ClusterRunSpec::new(&trace, INTERVAL_MS, MAX_RPS)
+    let max_rps = match tenancy {
+        Tenancy::Mixed => MAX_RPS,
+        Tenancy::StrictOnly => STRICT_ONLY_RPS,
+    };
+    let spec = ClusterRunSpec::new(&trace, INTERVAL_MS, max_rps)
         .seed(seed)
         .faults(faults.clone())
         .jobs(jobs);
-    let report = cl
-        .run(flex_spec(spec, autoscale))
-        .expect("valid elastic run");
+    let spec = match tenancy {
+        Tenancy::Mixed => flex_spec(spec, autoscale),
+        Tenancy::StrictOnly => spec,
+    };
+    let report = cl.run(spec).expect("valid elastic run");
     // Conservation must hold on every node even across drains and
     // revocations — zero audit errors, per node and merged.
     let (merged, per_node) = cl.audits();
@@ -132,30 +157,40 @@ fn run(
 
 #[test]
 fn noticed_revocations_never_trip_breakers_across_seeds() {
-    for seed in 0..8u64 {
-        let report = run(seed, &noticed_plan(seed), None, 1);
-        assert_eq!(
-            report.breaker_trips, 0,
-            "seed {seed}: a noticed revocation tripped a breaker"
-        );
-        assert!(report.completed > 0, "seed {seed}: fleet served nothing");
-        assert!(
-            report.retry.redistributed > 0 || report.shed == 0,
-            "seed {seed}: drain path never engaged yet work was lost"
-        );
+    for tenancy in [Tenancy::Mixed, Tenancy::StrictOnly] {
+        for seed in 0..8u64 {
+            let report = run(tenancy, seed, &noticed_plan(seed), None, 1);
+            assert_eq!(
+                report.breaker_trips, 0,
+                "{tenancy:?} seed {seed}: a noticed revocation tripped a breaker"
+            );
+            assert!(
+                report.completed > 0,
+                "{tenancy:?} seed {seed}: fleet served nothing"
+            );
+            assert!(
+                report.retry.redistributed > 0 || report.shed == 0,
+                "{tenancy:?} seed {seed}: drain path never engaged yet work was lost"
+            );
+        }
     }
 }
 
 #[test]
 fn surprise_fail_stop_trips_where_notice_does_not() {
     let seed = 3u64;
-    let noticed = run(seed, &noticed_plan(seed), None, 1);
-    let surprise = run(seed, &surprise_plan(seed), None, 1);
-    assert_eq!(noticed.breaker_trips, 0, "notice must pre-drain the node");
-    assert!(
-        surprise.breaker_trips >= 1,
-        "an unannounced fail-stop must trip the dead node's breaker"
-    );
+    for tenancy in [Tenancy::Mixed, Tenancy::StrictOnly] {
+        let noticed = run(tenancy, seed, &noticed_plan(seed), None, 1);
+        let surprise = run(tenancy, seed, &surprise_plan(seed), None, 1);
+        assert_eq!(
+            noticed.breaker_trips, 0,
+            "{tenancy:?}: notice must pre-drain the node"
+        );
+        assert!(
+            surprise.breaker_trips >= 1,
+            "{tenancy:?}: an unannounced fail-stop must trip the dead node's breaker"
+        );
+    }
 }
 
 #[test]
@@ -170,7 +205,7 @@ fn elastic_replay_is_jobs_invariant() {
         ..AutoscaleConfig::default()
     };
     let plan = noticed_plan(1);
-    let serial = run(1, &plan, Some(autoscale.clone()), 1);
-    let parallel = run(1, &plan, Some(autoscale), 3);
+    let serial = run(Tenancy::Mixed, 1, &plan, Some(autoscale.clone()), 1);
+    let parallel = run(Tenancy::Mixed, 1, &plan, Some(autoscale), 3);
     assert_eq!(serial, parallel, "replay must not depend on worker count");
 }

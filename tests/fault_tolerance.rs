@@ -160,7 +160,7 @@ fn poly_replans_onto_survivors_and_beats_static() {
 }
 
 #[test]
-fn fault_free_plan_is_identical_to_plain_run_trace() {
+fn fault_free_plan_is_identical_to_default_run() {
     // An empty fault plan is the default: a spec without `.faults()` and
     // one carrying an explicitly empty plan must agree exactly.
     let (app, spaces, setup) = heter();
