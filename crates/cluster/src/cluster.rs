@@ -19,7 +19,7 @@ use crate::{
     Autoscaler, BreakerConfig, BreakerState, ClassNodeView, ClusterNode, NodeShare, NodeTransition,
     NodeView, PowerGovernor, Router, RoutingPolicy, ScaleAction,
 };
-use poly_core::{AppContext, NodeSetup};
+use poly_core::{validate_load, AppContext, NodeSetup, RunSpecError};
 use poly_dse::KernelDesignSpace;
 use poly_ir::KernelGraph;
 use poly_obs::{Event as ObsEvent, Recorder};
@@ -78,6 +78,8 @@ pub enum ClusterError {
     /// The node-level fault plan failed validation (out-of-range node
     /// index, overlapping revocations, …).
     FaultPlan(FaultPlanError),
+    /// The load scaling or a trace utilization is not finite.
+    InvalidLoad(RunSpecError),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -124,6 +126,7 @@ impl std::fmt::Display for ClusterError {
                 )
             }
             ClusterError::FaultPlan(ref e) => write!(f, "invalid node fault plan: {e}"),
+            ClusterError::InvalidLoad(ref e) => write!(f, "invalid load: {e}"),
         }
     }
 }
@@ -133,6 +136,12 @@ impl std::error::Error for ClusterError {}
 impl From<FaultPlanError> for ClusterError {
     fn from(e: FaultPlanError) -> Self {
         ClusterError::FaultPlan(e)
+    }
+}
+
+impl From<RunSpecError> for ClusterError {
+    fn from(e: RunSpecError) -> Self {
+        ClusterError::InvalidLoad(e)
     }
 }
 
@@ -635,15 +644,18 @@ impl Cluster {
         if spec.trace.is_empty() {
             return Err(ClusterError::EmptyTrace);
         }
+        validate_load(spec.trace, spec.max_rps)?;
         spec.faults.validate_for(self.nodes.len())?;
         let classes = self.nodes[0].tenant_count();
         let mix = spec
             .traffic_mix
             .take()
             .unwrap_or_else(|| vec![1.0; classes]);
+        let mix_sum: f64 = mix.iter().sum();
         if mix.len() != classes
             || mix.iter().any(|m| !m.is_finite() || *m < 0.0)
-            || mix.iter().sum::<f64>() <= 0.0
+            || !mix_sum.is_finite()
+            || mix_sum <= 0.0
         {
             return Err(ClusterError::InvalidTrafficMix);
         }
@@ -652,7 +664,6 @@ impl Cluster {
                 static_w: spec.node_static_w,
             });
         }
-        let mix_sum: f64 = mix.iter().sum();
         let mix: Vec<f64> = mix.iter().map(|m| m / mix_sum).collect();
         if let Some(jobs) = spec.jobs {
             self.set_jobs(jobs);

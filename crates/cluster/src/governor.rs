@@ -153,12 +153,6 @@ impl PowerGovernor {
         }
     }
 
-    /// The cluster-wide budget, in watts.
-    #[must_use]
-    pub fn budget_w(&self) -> f64 {
-        self.budget_w
-    }
-
     /// Forget the smoothed load — called at the start of a fresh replay.
     pub fn reset(&mut self) {
         self.load_ewma.fill(None);

@@ -91,10 +91,6 @@ pub struct ClassRouteOutcome {
     /// Arrival times assigned per node, per class (`per_node[node][class]`),
     /// each list in time order.
     pub per_node: Vec<Vec<Vec<f64>>>,
-    /// Requests admitted this interval that had been deferred earlier.
-    pub drained_backlog: usize,
-    /// Requests still deferred at interval end, summed across classes.
-    pub deferred: usize,
     /// Requests dropped this interval, summed across classes.
     pub shed: usize,
     /// Per-class (admitted, deferred, shed) breakdown.
@@ -167,12 +163,6 @@ impl Router {
     /// while breakers are disabled).
     fn admits(&self, i: usize, assigned: usize) -> bool {
         self.breakers.get(i).is_none_or(|b| b.admits(assigned))
-    }
-
-    /// The routing policy.
-    #[must_use]
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
     }
 
     /// Bound the deferral backlog: beyond `n` waiting requests the
@@ -263,7 +253,6 @@ impl Router {
         // …and the per-class ledger the per-class budgets meter.
         let mut class_assigned: Vec<Vec<usize>> = vec![vec![0usize; n]; classes];
         let mut per_class_out = vec![(0usize, 0usize, 0usize); classes];
-        let mut drained_admitted = 0usize;
         let any_up = views.iter().any(|v| v.up);
 
         for &c in &order {
@@ -286,7 +275,6 @@ impl Router {
             // from ever closing). Backlog still takes admission
             // priority; only the timestamps spread.
             let drained: Vec<f64> = std::mem::take(&mut self.class_backlogs[c]);
-            let drained_candidates = drained.len();
             let pace = interval_ms / drained.len().max(1) as f64;
             let waiting: Vec<f64> = drained
                 .iter()
@@ -296,7 +284,7 @@ impl Router {
                 .collect();
             let mut shed = 0usize;
             let mut admitted = 0usize;
-            for (k, &t) in waiting.iter().enumerate() {
+            for &t in &waiting {
                 let target = if !any_up {
                     None
                 } else {
@@ -330,9 +318,6 @@ impl Router {
                         class_assigned[c][i] += 1;
                         per_node[i][c].push(t);
                         admitted += 1;
-                        if k < drained_candidates {
-                            drained_admitted += 1;
-                        }
                     }
                     None => {
                         if self.class_backlogs[c].len() < bounds[c] {
@@ -353,12 +338,9 @@ impl Router {
                 class.sort_by(f64::total_cmp);
             }
         }
-        let deferred = per_class_out.iter().map(|&(_, d, _)| d).sum();
         let shed = per_class_out.iter().map(|&(_, _, s)| s).sum();
         ClassRouteOutcome {
             per_node,
-            drained_backlog: drained_admitted,
-            deferred,
             shed,
             per_class: per_class_out,
         }
@@ -427,7 +409,7 @@ mod tests {
         assert_eq!(out.per_node[0][0], vec![0.0, 2.0]);
         assert!(out.per_node[1][0].is_empty(), "down node receives nothing");
         assert_eq!(out.per_node[2][0], vec![1.0, 3.0]);
-        assert_eq!((out.deferred, out.shed), (0, 0));
+        assert_eq!((r.backlog_len(), out.shed), (0, 0));
     }
 
     #[test]
@@ -460,14 +442,14 @@ mod tests {
         let out = route_one(&mut r, &views, &arrivals, 0.0);
         let admitted: usize = out.per_node.iter().map(|n| n[0].len()).sum();
         assert_eq!(admitted, 2, "one per node under the QoS budget");
-        assert_eq!(out.deferred, 2, "backlog bound respected");
+        assert_eq!(r.backlog_len(), 2, "backlog bound respected");
         assert_eq!(out.shed, 2, "the rest is shed");
         // Deferred requests re-enter first next interval, paced across
         // it instead of re-timed to the boundary as one burst.
         let out2 = route_one(&mut r, &views, &[], 1000.0);
         let admitted2: usize = out2.per_node.iter().map(|n| n[0].len()).sum();
-        assert_eq!(admitted2, 2);
-        assert_eq!(out2.drained_backlog, 2);
+        assert_eq!(admitted2, 2, "the whole backlog is admitted");
+        assert_eq!((r.backlog_len(), out2.shed), (0, 0));
         let times: Vec<f64> = out2.per_node.iter().flatten().flatten().copied().collect();
         assert!(
             times.contains(&1000.0) && times.contains(&1500.0),
@@ -491,14 +473,12 @@ mod tests {
         let mut r = Router::new(RoutingPolicy::RoundRobin);
         let views = [view(false, 0, 0.0, 100.0)];
         let out = route_one(&mut r, &views, &[0.0, 1.0], 0.0);
-        assert_eq!(out.deferred, 2);
-        assert_eq!(r.backlog_len(), 2);
+        assert_eq!((r.backlog_len(), out.shed), (2, 0));
         // Recovery: the backlog drains to the node once it is back.
         let up = [view(true, 0, 0.0, 100.0)];
         let out2 = route_one(&mut r, &up, &[], 1000.0);
         assert_eq!(out2.per_node[0][0].len(), 2);
-        assert_eq!(out2.drained_backlog, 2);
-        assert_eq!(r.backlog_len(), 0);
+        assert_eq!((r.backlog_len(), out2.shed), (0, 0));
     }
 
     #[test]
@@ -561,7 +541,7 @@ mod tests {
             // tenant stack, strict first.
             let roomy = vec![vec![class_view(0, 100.0), class_view(0, 100.0)]];
             let out2 = r.route_classes(&views, &roomy, &[&[], &[]], &[3.0, 1.0], 1000.0, 1000.0);
-            assert_eq!(out2.drained_backlog, strict.1 + lenient.1);
+            assert_eq!(out2.shed, 0);
             assert_eq!(out2.per_node[0][0].len(), strict.1);
             assert_eq!(out2.per_node[0][1].len(), lenient.1);
             assert_eq!(r.backlog_len(), 0);

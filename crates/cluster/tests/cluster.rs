@@ -6,7 +6,7 @@ use poly_cluster::{
     Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterRunSpec, RoutingPolicy,
 };
 use poly_core::provision::{table_iii, Architecture, Setting};
-use poly_core::NodeSetup;
+use poly_core::{NodeSetup, RunSpecError};
 use poly_dse::{Explorer, KernelDesignSpace};
 use poly_ir::KernelGraph;
 use poly_obs::MemRecorder;
@@ -228,10 +228,34 @@ fn invalid_run_specs_fail_typed_and_change_nothing() {
             spec().node_static_w(-1.0),
             ClusterError::InvalidStaticDraw { static_w: -1.0 },
         ),
+        (
+            ClusterRunSpec::new(&trace, INTERVAL_MS, f64::INFINITY).recorder(Box::new(rec.clone())),
+            ClusterError::InvalidLoad(RunSpecError::InvalidMaxRps {
+                max_rps: f64::INFINITY,
+            }),
+        ),
+        (
+            spec().traffic_mix(vec![f64::INFINITY]),
+            ClusterError::InvalidTrafficMix,
+        ),
     ];
     for (bad, expected) in cases {
         assert_eq!(c.run(bad).expect_err("invalid spec"), expected);
     }
+    // A non-finite utilization anywhere in the trace is refused before
+    // any load is generated (NaN never compares equal, so match).
+    let mut nan_trace = trace.clone();
+    nan_trace[1].utilization = f64::NAN;
+    let err = c
+        .run(ClusterRunSpec::new(&nan_trace, INTERVAL_MS, 30.0).recorder(Box::new(rec.clone())))
+        .expect_err("NaN utilization");
+    assert!(
+        matches!(
+            err,
+            ClusterError::InvalidLoad(RunSpecError::InvalidUtilization { index: 1, .. })
+        ),
+        "{err:?}"
+    );
     assert!(c
         .run(spec().faults(FaultPlan::new().fail_stop(0.0, 5)))
         .is_err());

@@ -45,4 +45,7 @@ pub use model::{PolicyPrediction, SystemModel};
 pub use monitor::{IntervalObs, SystemMonitor};
 pub use optimizer::{policy_from_points, Optimizer};
 pub use provision::{Architecture, NodeSetup, Setting};
-pub use runtime::{retime_policy, IntervalRecord, PolyRuntime, RunSpec, RuntimeMode, TraceReport};
+pub use runtime::{
+    retime_policy, validate_load, IntervalRecord, PolyRuntime, RunSpec, RunSpecError, RuntimeMode,
+    TraceReport,
+};

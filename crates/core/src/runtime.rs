@@ -86,6 +86,62 @@ pub struct TraceReport {
     pub mean_recovery_ms: f64,
 }
 
+/// A [`RunSpec`] whose load cannot be generated: a non-finite rate
+/// would stall the Poisson arrival process.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RunSpecError {
+    /// The load scaling is not finite.
+    InvalidMaxRps {
+        /// The offending scaling, RPS.
+        max_rps: f64,
+    },
+    /// A trace point's utilization, or its offered rate (utilization ×
+    /// load scaling), is not finite.
+    InvalidUtilization {
+        /// Index of the offending trace point.
+        index: usize,
+        /// Its utilization.
+        utilization: f64,
+    },
+}
+
+impl std::fmt::Display for RunSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            RunSpecError::InvalidMaxRps { max_rps } => {
+                write!(f, "load scaling must be finite, got {max_rps} RPS")
+            }
+            RunSpecError::InvalidUtilization { index, utilization } => write!(
+                f,
+                "trace point {index} offers a non-finite rate (utilization {utilization})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunSpecError {}
+
+/// Check that `trace` scaled by `max_rps` yields finite arrival rates:
+/// the check both [`RunSpec`] and the cluster's run spec apply before
+/// generating load.
+///
+/// # Errors
+/// The first offence, as a typed [`RunSpecError`].
+pub fn validate_load(trace: &[TracePoint], max_rps: f64) -> Result<(), RunSpecError> {
+    if !max_rps.is_finite() {
+        return Err(RunSpecError::InvalidMaxRps { max_rps });
+    }
+    for (index, p) in trace.iter().enumerate() {
+        if !(p.utilization * max_rps).is_finite() {
+            return Err(RunSpecError::InvalidUtilization {
+                index,
+                utilization: p.utilization,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Everything that defines one trace run: the workload (trace, interval,
 /// load scaling), the planning mode, the arrival seed, an optional fault
 /// plan, an optional per-run lifecycle override, and an optional
@@ -128,6 +184,15 @@ impl RunSpec {
             dynamic: None,
             backend: None,
         }
+    }
+
+    /// Check the spec's load for values that cannot run (see
+    /// [`validate_load`]).
+    ///
+    /// # Errors
+    /// The first offence, as a typed [`RunSpecError`].
+    pub fn validate(&self) -> Result<(), RunSpecError> {
+        validate_load(&self.trace, self.max_rps)
     }
 
     /// Planning mode ([`RuntimeMode::Poly`] or a static baseline).
@@ -285,9 +350,31 @@ impl PolyRuntime {
     /// In Poly mode a device fault is detected at the next interval and
     /// the runtime re-plans onto the surviving devices, bypassing the
     /// change hysteresis — a failure is never "not worthwhile".
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`RunSpec::validate`]; use
+    /// [`try_run`](Self::try_run) to get the typed error instead.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn run(&mut self, spec: &RunSpec) -> TraceReport {
+        match self.try_run(spec) {
+            Ok(report) => report,
+            Err(e) => panic!("invalid run spec: {e}"),
+        }
+    }
+
+    /// [`run`](Self::run), rejecting a spec that fails
+    /// [`RunSpec::validate`] before anything runs.
+    ///
+    /// # Errors
+    /// The spec's first invalid parameter, as a typed [`RunSpecError`].
+    pub fn try_run(&mut self, spec: &RunSpec) -> Result<TraceReport, RunSpecError> {
+        spec.validate()?;
+        Ok(self.replay(spec))
+    }
+
+    /// The replay of [`run`](Self::run), on a validated spec.
+    #[allow(clippy::too_many_lines)]
+    fn replay(&mut self, spec: &RunSpec) -> TraceReport {
         let trace = &spec.trace;
         let interval_ms = spec.interval_ms;
         let faults = &spec.faults;

@@ -15,6 +15,11 @@
 //! window), which matters because the backoff-jitter key and the audit
 //! trail are derived from those indices.
 //!
+//! The arrays are ring buffers (`VecDeque`), so dropping a settled
+//! prefix costs what it drops: an overloaded node keeps tens of
+//! thousands of requests in flight, and shifting that live suffix down
+//! at every boundary would cost a copy of the whole window each time.
+//!
 //! Compaction safety rests on one invariant, checked by every engine
 //! access path: a compacted request is **settled** (its `outcome` left
 //! `InFlight`), and every event handler consults
@@ -22,6 +27,8 @@
 //! compacted range without touching storage — before reading any
 //! per-kernel state. Settled requests hold no queued or future-completion
 //! work, so no live path ever indexes below `base`.
+
+use std::collections::VecDeque;
 
 /// Where a request ended up. `InFlight` until exactly one terminal
 /// transition; the audit counters assert that exactly-once property.
@@ -46,27 +53,27 @@ pub(crate) struct ReqArena {
     /// each new request's `remaining_preds` window.
     pred_template: Vec<u16>,
     // --- per-request scalars (index: req - base) --------------------------
-    arrival_ms: Vec<f64>,
-    deadline_ms: Vec<f64>,
+    arrival_ms: VecDeque<f64>,
+    deadline_ms: VecDeque<f64>,
     /// Relative input size (1.0 = the nominal profile the models were
     /// evaluated against).
-    size: Vec<f64>,
-    kernels_left: Vec<u32>,
-    outcome: Vec<Outcome>,
+    size: VecDeque<f64>,
+    kernels_left: VecDeque<u32>,
+    outcome: VecDeque<Outcome>,
     // --- per-kernel state (index: (req - base) * k + kernel) --------------
-    remaining_preds: Vec<u16>,
-    done: Vec<bool>,
-    attempt: Vec<u32>,
-    hedged: Vec<bool>,
+    remaining_preds: VecDeque<u16>,
+    done: VecDeque<bool>,
+    attempt: VecDeque<u32>,
+    hedged: VecDeque<bool>,
     /// Pipelined streaming: the stage was dispatched early on its
     /// producer's first tile (its final predecessor count was consumed at
     /// stream time, so the producer's completion must not decrement it
     /// again). Never set under barrier semantics.
-    streamed: Vec<bool>,
+    streamed: VecDeque<bool>,
     /// Earliest time the streamed stage can see its producer's **last**
     /// tile; the consumer's completion is floored at this plus one of its
     /// own tile times. `NEG_INFINITY` = no streaming producer.
-    stream_floor: Vec<f64>,
+    stream_floor: VecDeque<f64>,
 }
 
 impl ReqArena {
@@ -77,17 +84,17 @@ impl ReqArena {
             k: pred_template.len(),
             base: 0,
             pred_template,
-            arrival_ms: Vec::new(),
-            deadline_ms: Vec::new(),
-            size: Vec::new(),
-            kernels_left: Vec::new(),
-            outcome: Vec::new(),
-            remaining_preds: Vec::new(),
-            done: Vec::new(),
-            attempt: Vec::new(),
-            hedged: Vec::new(),
-            streamed: Vec::new(),
-            stream_floor: Vec::new(),
+            arrival_ms: VecDeque::new(),
+            deadline_ms: VecDeque::new(),
+            size: VecDeque::new(),
+            kernels_left: VecDeque::new(),
+            outcome: VecDeque::new(),
+            remaining_preds: VecDeque::new(),
+            done: VecDeque::new(),
+            attempt: VecDeque::new(),
+            hedged: VecDeque::new(),
+            streamed: VecDeque::new(),
+            stream_floor: VecDeque::new(),
         }
     }
 
@@ -114,13 +121,13 @@ impl ReqArena {
     /// global index.
     pub(crate) fn push_sized(&mut self, arrival_ms: f64, deadline_ms: f64, size: f64) -> usize {
         let req = self.len();
-        self.arrival_ms.push(arrival_ms);
-        self.deadline_ms.push(deadline_ms);
-        self.size.push(size);
+        self.arrival_ms.push_back(arrival_ms);
+        self.deadline_ms.push_back(deadline_ms);
+        self.size.push_back(size);
         self.kernels_left
-            .push(u32::try_from(self.k).expect("kernel count fits u32"));
-        self.outcome.push(Outcome::InFlight);
-        self.remaining_preds.extend_from_slice(&self.pred_template);
+            .push_back(u32::try_from(self.k).expect("kernel count fits u32"));
+        self.outcome.push_back(Outcome::InFlight);
+        self.remaining_preds.extend(&self.pred_template);
         self.done.extend(std::iter::repeat_n(false, self.k));
         self.attempt.extend(std::iter::repeat_n(0u32, self.k));
         self.hedged.extend(std::iter::repeat_n(false, self.k));
@@ -216,7 +223,7 @@ impl ReqArena {
     /// of the request).
     pub(crate) fn bump_all_attempts(&mut self, req: usize) {
         let i = self.at(req) * self.k;
-        for a in &mut self.attempt[i..i + self.k] {
+        for a in self.attempt.range_mut(i..i + self.k) {
             *a += 1;
         }
     }
@@ -279,10 +286,9 @@ impl ReqArena {
     }
 
     /// Drop the settled prefix of the window, keeping global indices
-    /// stable via `base`. Called at measurement boundaries; the live
-    /// suffix is tiny compared to a long replay's total admissions, so
-    /// the memmove is cheap and memory stays bounded by the in-flight
-    /// population, not the trace length.
+    /// stable via `base`. Called at measurement boundaries; it costs the
+    /// prefix it drops (the live suffix stays where it is), and memory
+    /// stays bounded by the in-flight population, not the trace length.
     pub(crate) fn compact(&mut self) {
         let settled = self
             .outcome

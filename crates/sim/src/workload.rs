@@ -20,9 +20,20 @@ pub fn constant(rate_rps: f64, duration_ms: f64) -> Vec<f64> {
     (0..n).map(|i| i as f64 * interval).collect()
 }
 
-/// Poisson (open-loop) arrivals at `rate_rps`, seeded.
+/// Poisson (open-loop) arrivals at `rate_rps`, seeded. A non-positive
+/// rate yields no arrivals.
+///
+/// # Panics
+/// Panics if `rate_rps` or `duration_ms` is not finite: the arrival
+/// clock would never pass the end of the window, and the loop would
+/// grow its output without bound. Run specs reject such rates with a
+/// typed error before they reach this point.
 #[must_use]
 pub fn poisson(rate_rps: f64, duration_ms: f64, seed: u64) -> Vec<f64> {
+    assert!(
+        rate_rps.is_finite() && duration_ms.is_finite(),
+        "poisson needs a finite rate and window, got {rate_rps} RPS over {duration_ms} ms"
+    );
     if rate_rps <= 0.0 {
         return Vec::new();
     }
@@ -252,6 +263,24 @@ mod tests {
         // 50 RPS over 60 s ⇒ ~3000 arrivals; Poisson σ≈55.
         assert!((2700..=3300).contains(&a.len()), "{}", a.len());
         assert!(a.windows(2).all(|w| w[1] > w[0]), "sorted");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite rate")]
+    fn poisson_refuses_a_nan_rate() {
+        let _ = poisson(f64::NAN, 1_000.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite rate")]
+    fn poisson_refuses_an_infinite_rate() {
+        let _ = poisson(f64::INFINITY, 1_000.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite rate")]
+    fn poisson_refuses_an_unbounded_window() {
+        let _ = poisson(10.0, f64::INFINITY, 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::fmt;
 
 use poly_cluster::ClusterError;
+use poly_core::RunSpecError;
 use poly_ir::IrError;
 use poly_sched::ScheduleError;
 use poly_sim::{AuditError, FaultPlanError};
@@ -24,6 +25,9 @@ pub enum Error {
     FaultPlan(FaultPlanError),
     /// A cluster was misconfigured (no nodes, mismatched tenancy, …).
     Cluster(ClusterError),
+    /// A single-node run spec cannot generate its load (non-finite
+    /// rate).
+    Run(RunSpecError),
 }
 
 impl fmt::Display for Error {
@@ -34,6 +38,7 @@ impl fmt::Display for Error {
             Error::Audit(e) => write!(f, "audit: {e}"),
             Error::FaultPlan(e) => write!(f, "fault plan: {e}"),
             Error::Cluster(e) => write!(f, "cluster: {e}"),
+            Error::Run(e) => write!(f, "run: {e}"),
         }
     }
 }
@@ -46,6 +51,7 @@ impl std::error::Error for Error {
             Error::Audit(e) => Some(e),
             Error::FaultPlan(e) => Some(e),
             Error::Cluster(e) => Some(e),
+            Error::Run(e) => Some(e),
         }
     }
 }
@@ -77,6 +83,12 @@ impl From<FaultPlanError> for Error {
 impl From<ClusterError> for Error {
     fn from(e: ClusterError) -> Self {
         Error::Cluster(e)
+    }
+}
+
+impl From<RunSpecError> for Error {
+    fn from(e: RunSpecError) -> Self {
+        Error::Run(e)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use poly::apps::{asr, QOS_BOUND_MS};
 use poly::core::provision::{table_iii, Architecture, Setting};
-use poly::core::{AppContext, Optimizer, PolyRuntime, RunSpec, RuntimeMode};
+use poly::core::{AppContext, Optimizer, PolyRuntime, RunSpec, RunSpecError, RuntimeMode};
 use poly::device::DeviceKind;
 use poly::dse::Explorer;
 use poly::sim::steady_state;
@@ -159,4 +159,45 @@ fn mmpp_bursty_traffic_is_survivable() {
         "violations {:.1}% under MMPP",
         report.qos_violation_ratio * 100.0
     );
+}
+
+#[test]
+fn non_finite_load_is_refused_with_a_typed_error() {
+    let (app, spaces, setup) = heter();
+    let mut rt = PolyRuntime::new(AppContext::new(app, spaces, setup, QOS_BOUND_MS));
+    let flat = |util: f64| -> Vec<TracePoint> {
+        (0..3)
+            .map(|i| TracePoint {
+                start_ms: f64::from(i) * 10_000.0,
+                utilization: if i == 2 { util } else { 0.3 },
+            })
+            .collect()
+    };
+    let trace = flat(0.3);
+    for max_rps in [f64::INFINITY, f64::NEG_INFINITY] {
+        let spec = RunSpec::new(&trace, 10_000.0, max_rps);
+        assert_eq!(
+            rt.try_run(&spec).expect_err("non-finite scaling"),
+            RunSpecError::InvalidMaxRps { max_rps }
+        );
+    }
+    // `f64::MAX` is finite, but times the 30 RPS scaling it is not.
+    for util in [f64::NAN, f64::INFINITY, f64::MAX] {
+        let bad = flat(util);
+        let err = rt
+            .try_run(&RunSpec::new(&bad, 10_000.0, 30.0))
+            .expect_err("non-finite utilization");
+        assert!(
+            matches!(err, RunSpecError::InvalidUtilization { index: 2, .. }),
+            "{err:?}"
+        );
+        // The facade folds it into the workspace error.
+        let e: poly::Error = err.into();
+        assert!(e.to_string().starts_with("run: "), "{e}");
+    }
+    // The same runtime still runs a valid spec afterwards.
+    let report = rt
+        .try_run(&RunSpec::new(&trace, 10_000.0, 30.0).seed(3))
+        .expect("valid spec");
+    assert_eq!(report.intervals.len(), 3);
 }
