@@ -5,7 +5,7 @@
 //! throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use poly_apps::{asr, QOS_BOUND_MS};
+use poly_apps::{asr, image_recognition, QOS_BOUND_MS};
 use poly_backend::MicroKernel;
 use poly_core::provision::{table_iii, Architecture, Setting};
 use poly_core::Optimizer;
@@ -14,8 +14,9 @@ use poly_sim::{steady_state, EventQueue, LoadSweep, SimReport, TotalF64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Splitmix-style step: pseudo-random event delta in `[0, 4096)` ms (the
-/// wheel's full horizon), deterministic across runs.
+/// Splitmix-style step: pseudo-random event delta in `[0, 4096)` ms,
+/// deterministic across runs. The wheel's 256 × 2 ms ring covers the
+/// first ~0.5 s of that; later events wait in its overflow heap.
 fn next_delta_ms(state: &mut u64) -> f64 {
     *state = state
         .wrapping_mul(6_364_136_223_846_793_005)
@@ -59,6 +60,17 @@ fn bench_sweep(c: &mut Criterion) {
     let kernel = &app.kernels()[0];
     group.bench_function("explore_uncached", |b| {
         b.iter(|| explorer.explore(black_box(kernel)))
+    });
+    // IR `convolution`: 4 320 GPU candidates, the suite's largest space
+    // and the worst case for Pareto pruning.
+    let ir = image_recognition();
+    let convolution = ir
+        .kernels()
+        .iter()
+        .find(|k| k.name() == "convolution")
+        .expect("IR has a convolution kernel");
+    group.bench_function("explore_uncached_convolution", |b| {
+        b.iter(|| explorer.explore(black_box(convolution)))
     });
     group.bench_function("explore_cached", |b| {
         // A bench-local cache: the first call populates, every timed call

@@ -2,7 +2,7 @@ use crate::global::realizable_fractions;
 use crate::local::{fpga_candidates_with_fractions, gpu_candidates_with_fractions};
 use crate::{pareto_front, DesignPoint, KernelDesignSpace, Tuning};
 use poly_device::{DeviceKind, FpgaModel, GpuModel};
-use poly_ir::Kernel;
+use poly_ir::{Kernel, KernelProfile};
 
 /// Exploration options.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,15 +71,34 @@ impl Explorer {
     #[must_use]
     pub fn explore(&self, kernel: &Kernel) -> KernelDesignSpace {
         let profile = kernel.profile();
+        let (gpu_points, fpga_points) = self.candidates(kernel, &profile);
+        let gpu_explored = gpu_points.len();
+        let fpga_explored = fpga_points.len();
+        KernelDesignSpace {
+            kernel: kernel.name().to_string(),
+            profile,
+            gpu: self.prune(gpu_points),
+            fpga: self.prune(fpga_points),
+            gpu_explored,
+            fpga_explored,
+        }
+    }
+
+    /// Every enumerated candidate of `kernel` (whose profile is
+    /// `profile`), evaluated: all GPU designs, and the FPGA designs that
+    /// fit the device.
+    fn candidates(
+        &self,
+        kernel: &Kernel,
+        profile: &KernelProfile,
+    ) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
         let gpu_fracs = realizable_fractions(kernel, Self::GPU_SCRATCH_BYTES);
         let fpga_fracs = realizable_fractions(kernel, self.fpga.spec().bram_bytes / 2);
 
-        // --- GPU ------------------------------------------------------------
-        let gpu_cands = gpu_candidates_with_fractions(&profile, &gpu_fracs);
-        let gpu_points: Vec<DesignPoint> = gpu_cands
+        let gpu = gpu_candidates_with_fractions(profile, &gpu_fracs)
             .into_iter()
             .map(|t| {
-                let estimate = self.gpu.estimate(&profile, &t);
+                let estimate = self.gpu.estimate(profile, &t);
                 DesignPoint {
                     index: 0,
                     kind: DeviceKind::Gpu,
@@ -88,16 +107,11 @@ impl Explorer {
                 }
             })
             .collect();
-        let gpu_explored = gpu_points.len();
-        let gpu = self.prune(gpu_points);
-
-        // --- FPGA -----------------------------------------------------------
-        let fpga_cands = fpga_candidates_with_fractions(&profile, &fpga_fracs);
-        let fpga_points: Vec<DesignPoint> = fpga_cands
+        let fpga = fpga_candidates_with_fractions(profile, &fpga_fracs)
             .into_iter()
             .filter_map(|t| {
                 self.fpga
-                    .estimate(&profile, &t)
+                    .estimate(profile, &t)
                     .ok()
                     .map(|estimate| DesignPoint {
                         index: 0,
@@ -107,17 +121,7 @@ impl Explorer {
                     })
             })
             .collect();
-        let fpga_explored = fpga_points.len();
-        let fpga = self.prune(fpga_points);
-
-        KernelDesignSpace {
-            kernel: kernel.name().to_string(),
-            profile,
-            gpu,
-            fpga,
-            gpu_explored,
-            fpga_explored,
-        }
+        (gpu, fpga)
     }
 
     /// Keep the Pareto frontier over (latency, power, service), evenly
@@ -126,13 +130,7 @@ impl Explorer {
         if points.is_empty() {
             return points;
         }
-        let front = pareto_front(&points, |p| {
-            vec![
-                p.estimate.latency_ms,
-                p.estimate.active_power_w,
-                p.estimate.service_ms,
-            ]
-        });
+        let front = pareto_front(&points, objectives);
         let mut kept: Vec<DesignPoint> = front.into_iter().map(|i| points[i].clone()).collect();
         if kept.len() > self.config.max_points {
             let stride = kept.len() as f64 / self.config.max_points as f64;
@@ -153,6 +151,15 @@ impl Explorer {
         }
         kept
     }
+}
+
+/// The pruning objectives, all minimized: (latency, power, service).
+fn objectives(p: &DesignPoint) -> [f64; 3] {
+    [
+        p.estimate.latency_ms,
+        p.estimate.active_power_w,
+        p.estimate.service_ms,
+    ]
 }
 
 #[cfg(test)]
@@ -242,6 +249,38 @@ mod tests {
             assert!(last.latency_ms() > first.latency_ms());
             assert!(last.power_w() < first.power_w());
         }
+    }
+
+    /// The sweep keeps the scan's points in the scan's order on every
+    /// kernel of the suite, on each Table III device pair (Settings
+    /// I–III).
+    #[test]
+    fn suite_fronts_match_the_quadratic_scan() {
+        let settings = [
+            (catalog::amd_w9100(), catalog::xilinx_7v3()),
+            (catalog::nvidia_k20(), catalog::xilinx_zcu102()),
+            (catalog::nvidia_k20(), catalog::intel_arria10()),
+        ];
+        let mut spaces = 0;
+        for (gpu, fpga) in settings {
+            let explorer = Explorer::new(gpu, fpga);
+            for app in poly_apps::suite() {
+                for kernel in app.kernels() {
+                    let (gpu_points, fpga_points) = explorer.candidates(kernel, &kernel.profile());
+                    for points in [gpu_points, fpga_points] {
+                        assert_eq!(
+                            pareto_front(&points, objectives),
+                            crate::pareto::quadratic_front(&points, objectives),
+                            "{}::{}",
+                            app.name(),
+                            kernel.name()
+                        );
+                    }
+                    spaces += 1;
+                }
+            }
+        }
+        assert_eq!(spaces, 51, "17 suite kernels x 3 settings");
     }
 
     #[test]

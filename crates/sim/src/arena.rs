@@ -30,6 +30,11 @@
 
 use std::collections::VecDeque;
 
+/// The largest request index one simulator admits: indices fit `u32`, the
+/// width the device queues key requests by, so a simulator admits at
+/// most 2^32 requests over its life (compacted ones included).
+pub(crate) const MAX_REQ_INDEX: usize = u32::MAX as usize;
+
 /// Where a request ended up. `InFlight` until exactly one terminal
 /// transition; the audit counters assert that exactly-once property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +124,16 @@ impl ReqArena {
 
     /// Admit a request with relative input size `size`; returns its
     /// global index.
+    ///
+    /// # Panics
+    /// Panics if the index would pass [`MAX_REQ_INDEX`]: the one place
+    /// the request-index width is enforced.
     pub(crate) fn push_sized(&mut self, arrival_ms: f64, deadline_ms: f64, size: f64) -> usize {
         let req = self.len();
+        assert!(
+            req <= MAX_REQ_INDEX,
+            "a simulator admits at most 2^32 requests (request indices are u32)"
+        );
         self.arrival_ms.push_back(arrival_ms);
         self.deadline_ms.push_back(deadline_ms);
         self.size.push_back(size);
@@ -338,6 +351,20 @@ mod tests {
         assert_eq!(a.attempt(r, 0), 0);
         assert!(!a.hedged(r, 1));
         assert_eq!(a.dec_remaining_preds(r, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a simulator admits at most 2^32 requests")]
+    fn admission_stops_at_the_u32_index_bound() {
+        let mut a = arena2();
+        // Stand in for 2^32 - 1 compacted requests without holding them.
+        a.base = MAX_REQ_INDEX;
+        assert_eq!(
+            a.push(0.0, f64::INFINITY),
+            MAX_REQ_INDEX,
+            "last index admitted"
+        );
+        a.push(0.0, f64::INFINITY);
     }
 
     #[test]

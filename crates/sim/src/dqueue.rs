@@ -52,9 +52,10 @@ const DEAD: u64 = 1 << 63;
 /// index sits above them.
 const POS_BITS: u32 = 48;
 
-/// A request index as the request map's key.
+/// A request index as the request map's key. Admission
+/// (`ReqArena::push_sized`) already refused any index that does not fit.
 fn key(req: usize) -> u32 {
-    u32::try_from(req).expect("request indices of one simulator fit u32")
+    u32::try_from(req).expect("admitted request indices fit u32")
 }
 
 /// Where an entry lives: its lane and its position there, counted from

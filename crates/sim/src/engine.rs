@@ -726,6 +726,11 @@ impl Simulator {
     /// lifecycle config sets a deadline factor, each request also gets an
     /// absolute deadline (`arrival + factor × bound`) at which all its
     /// outstanding work is cancelled.
+    ///
+    /// # Panics
+    /// Panics with "a simulator admits at most 2^32 requests" once this
+    /// simulator has admitted 2^32 requests in all: request indices are
+    /// `u32`-wide.
     pub fn enqueue_arrivals(&mut self, times: &[f64]) {
         for &t in times {
             self.enqueue_one(t, 1.0);
@@ -739,7 +744,9 @@ impl Simulator {
     /// the SLO does not grow with the input.
     ///
     /// # Panics
-    /// Panics unless `times` and `sizes` have equal length.
+    /// Panics unless `times` and `sizes` have equal length, and, as
+    /// [`enqueue_arrivals`](Self::enqueue_arrivals), past 2^32 admitted
+    /// requests.
     pub fn enqueue_arrivals_sized(&mut self, times: &[f64], sizes: &[f64]) {
         assert_eq!(times.len(), sizes.len(), "one size per arrival");
         for (&t, &size) in times.iter().zip(sizes) {

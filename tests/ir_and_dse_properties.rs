@@ -123,7 +123,7 @@ proptest! {
     /// non-dominated, and every excluded point is dominated by someone.
     #[test]
     fn pareto_front_laws(pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..60)) {
-        let front = pareto_front(&pts, |p| vec![p.0, p.1]);
+        let front = pareto_front(&pts, |p| [p.0, p.1]);
         prop_assert!(!front.is_empty());
         let dominated = |a: (f64, f64), b: (f64, f64)| {
             b.0 <= a.0 && b.1 <= a.1 && (b.0 < a.0 || b.1 < a.1)
