@@ -9,7 +9,7 @@ use poly_dse::Explorer;
 
 fn bench_dse(c: &mut Criterion) {
     let explorer = Explorer::new(catalog::amd_w9100(), catalog::xilinx_7v3());
-    let mut group = c.benchmark_group("dse");
+    let mut group = c.benchmark_group("dse_models");
     group.sample_size(20);
 
     // Single-model evaluations (the inner loop of exploration).

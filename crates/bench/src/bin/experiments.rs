@@ -39,7 +39,7 @@ use poly_core::tco::{cost_efficiency, monthly_tco_usd, TcoParams};
 use poly_core::{AppContext, Optimizer, PolyRuntime, RunSpec, RuntimeMode};
 use poly_device::{catalog, DeviceKind, PcieLink};
 use poly_dse::{pipeline_candidates, DesignSpaceCache, Explorer, PipelineCandidate};
-use poly_ir::DEFAULT_TILES;
+use poly_ir::{KernelId, DEFAULT_TILES};
 use poly_obs::{
     chrome_trace_json, latency_summary, queue_wait_summary, service_summary, Event as ObsEvent,
     MemRecorder,
@@ -553,33 +553,41 @@ fn fig6(out: &mut String) {
     let policy = Policy::from_plan(&step2, &spaces, &setup.gpu);
     let mut sim =
         poly_sim::Simulator::new(app.clone(), &setup.pool, policy, setup.sim_config.clone());
-    sim.record_timeline(true);
+    let rec = MemRecorder::new();
+    sim.set_recorder(Some(Box::new(rec.clone())));
     sim.enqueue_arrivals(&[0.0]);
     sim.drain();
     outln!(
         out,
         "-- Simulated execution of one request (measured Gantt):"
     );
-    for r in sim.timeline() {
+    for sample in rec.samples() {
+        let ObsEvent::ExecStart {
+            device,
+            device_kind,
+            kernel,
+            impl_index,
+            batch,
+            reconfig_ms,
+            exec_ms,
+            ..
+        } = sample.event
+        else {
+            continue;
+        };
+        let (start_ms, end_ms) = (sample.t_ms, sample.t_ms + reconfig_ms + exec_ms);
+        let name = app.kernel(KernelId(kernel)).name();
         outln!(
             out,
-            "  {}^{} on {} d{}: {:.1}..{:.1} ms (batch {}, reconfig {:.0} ms)",
-            app.kernel(r.kernel).name(),
-            r.impl_index,
-            r.kind,
-            r.device,
-            r.start_ms,
-            r.completion_ms,
-            r.batch,
-            r.reconfig_ms
+            "  {name}^{impl_index} on {device_kind} d{device}: {start_ms:.1}..{end_ms:.1} ms (batch {batch}, reconfig {reconfig_ms:.0} ms)"
         );
         rows.push(vec![
             "simulated".into(),
-            app.kernel(r.kernel).name().into(),
-            r.impl_index.to_string(),
-            r.kind.name().into(),
-            f2(r.start_ms),
-            f2(r.completion_ms),
+            name.into(),
+            impl_index.to_string(),
+            device_kind.into(),
+            f2(start_ms),
+            f2(end_ms),
         ]);
     }
     save_csv(
@@ -1428,7 +1436,7 @@ fn cluster(out: &mut String) {
         let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
         let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
         let setups = vec![setup; NODES];
-        let mut cl = Cluster::new(
+        let mut cl = Cluster::try_new(
             &app,
             &spaces,
             setups,
@@ -1443,7 +1451,8 @@ fn cluster(out: &mut String) {
                 lifecycle: LifecycleConfig::default(),
                 breaker: None,
             },
-        );
+        )
+        .expect("valid cluster configuration");
         // Per-interval node stepping fans out over the worker budget;
         // the CSV is byte-identical for every job count (CI diffs it).
         let report = cl
@@ -1580,7 +1589,7 @@ fn chaos(out: &mut String) {
         let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
         let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
         let setups = vec![setup; NODES];
-        let mut cl = Cluster::new(
+        let mut cl = Cluster::try_new(
             &app,
             &spaces,
             setups,
@@ -1596,7 +1605,8 @@ fn chaos(out: &mut String) {
                 lifecycle: lifecycle.clone(),
                 breaker: *breaker,
             },
-        );
+        )
+        .expect("valid cluster configuration");
         let report = cl
             .run(
                 ClusterRunSpec::new(&trace, TRACE_INTERVAL_MS, CHAOS_MAX_RPS)
@@ -1980,7 +1990,7 @@ fn obs(out: &mut String) {
         let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
         let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
         let setups = vec![setup; NODES];
-        let mut cl = Cluster::new(
+        let mut cl = Cluster::try_new(
             &app,
             &spaces,
             setups,
@@ -1993,7 +2003,8 @@ fn obs(out: &mut String) {
                 lifecycle: lifecycle.clone(),
                 breaker: *breaker,
             },
-        );
+        )
+        .expect("valid cluster configuration");
         let rec = MemRecorder::new();
         // With the recorder attached the cluster steps its nodes
         // serially regardless of the job budget (telemetry sequence
@@ -2672,7 +2683,7 @@ fn scale(out: &mut String) {
     let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
     let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
     let setups = vec![setup; nodes];
-    let mut cl = Cluster::new(
+    let mut cl = Cluster::try_new(
         &app,
         &spaces,
         setups,
@@ -2685,7 +2696,8 @@ fn scale(out: &mut String) {
             lifecycle: LifecycleConfig::default(),
             breaker: None,
         },
-    );
+    )
+    .expect("valid cluster configuration");
     let t = Instant::now();
     let report = cl
         .run(

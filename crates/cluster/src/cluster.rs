@@ -452,23 +452,8 @@ pub struct Cluster {
 
 impl Cluster {
     /// Cluster of identical-application nodes, one per entry of `setups`.
-    ///
-    /// # Panics
-    /// Panics if [`try_new`](Self::try_new) rejects the configuration.
-    #[must_use]
-    pub fn new(
-        graph: &KernelGraph,
-        spaces: &[KernelDesignSpace],
-        setups: Vec<NodeSetup>,
-        config: ClusterConfig,
-    ) -> Self {
-        Self::try_new(graph, spaces, setups, config)
-            .unwrap_or_else(|e| panic!("invalid cluster configuration: {e}"))
-    }
-
-    /// [`new`](Self::new), but misconfiguration (no nodes, bad budget /
-    /// floor / bound) fails with a typed error at construction instead
-    /// of somewhere mid-run.
+    /// Misconfiguration (no nodes, bad budget / floor / bound) fails with
+    /// a typed error at construction instead of somewhere mid-run.
     ///
     /// # Errors
     /// The first offence, as a typed [`ClusterError`].

@@ -1,10 +1,10 @@
-//! One leaf node of the cluster: per-tenant Poly stacks — a
-//! [`ControlLoop`] (monitor, model, optimizer) and a discrete-event
-//! simulator — stepped interval by interval by the
-//! [`Cluster`](crate::Cluster) driver instead of owning their own trace
-//! loop. The re-planning logic (degraded-pool detection, change
-//! hysteresis, model feedback) is the same `ControlLoop`
-//! `poly_core::PolyRuntime` drives; what the node adds is the externally
+//! One leaf node of the cluster: per-tenant Poly stacks — each a
+//! [`Tenant`] (application, control loop, discrete-event simulator) —
+//! stepped interval by interval by the [`Cluster`](crate::Cluster)
+//! driver instead of owning their own trace loop. The re-planning logic
+//! (degraded-pool detection, change hysteresis, model feedback) and the
+//! interval step are the same `Tenant` `poly_core::PolyRuntime` drives;
+//! what the node adds is the externally
 //! imposed power cap from the cluster governor (a capped loop), the
 //! fail-stop / drain / recover lifecycle the front-end router observes,
 //! and multi-tenancy: a node may host several [`AppContext`]s (distinct
@@ -25,9 +25,9 @@
 //! the physical node pays it once), so a single-tenant node reports
 //! exactly what it always did.
 
-use poly_core::{AppContext, ControlLoop, IntervalObs, NodeSetup};
-use poly_obs::{Event as ObsEvent, Recorder};
-use poly_sim::{quantile_of, violations_of, FaultPlan, Simulator};
+use poly_core::{AppContext, NodeSetup, Tenant};
+use poly_obs::Recorder;
+use poly_sim::{FaultPlan, Simulator};
 
 use crate::governor::{weighted_water_fill, NodeShare};
 
@@ -68,72 +68,11 @@ pub struct NodeIntervalStats {
     pub per_class: Vec<(usize, usize)>,
 }
 
-/// One tenant on a node: its application, its private control loop and
-/// its private simulator.
-#[derive(Debug)]
-struct TenantRt {
-    ctx: AppContext,
-    control: ControlLoop,
-    sim: Option<Simulator>,
-    /// Last interval's raw completion latencies, recycled every interval
-    /// ([`Simulator::drain_segment_into`]) — the cluster merges these
-    /// across nodes for *fleet* percentiles (per-node p99s do not
-    /// average) without a per-interval allocation.
-    seg_samples: Vec<f64>,
-}
-
-impl TenantRt {
-    fn new(ctx: AppContext) -> Self {
-        let control = ControlLoop::new(&ctx, Some(ctx.setup().power_cap_w));
-        Self {
-            ctx,
-            control,
-            sim: None,
-            seg_samples: Vec::new(),
-        }
-    }
-
-    /// Start a fresh trace replay for this tenant (see
-    /// [`ClusterNode::begin_replay_multi`]).
-    fn begin(&mut self, first_rps: f64, cap_w: f64, faults: &FaultPlan) {
-        self.control.set_cap(cap_w);
-        // Each node re-times its plan for its own provisioned backend
-        // (identity on analytical nodes), so a mixed fleet runs modeled
-        // and measured nodes side by side.
-        let backend = self.ctx.setup().backend.clone();
-        let policy = self
-            .control
-            .begin(&self.ctx, first_rps, None, backend, false);
-        let mut sim_config = self.ctx.setup().sim_config.clone();
-        sim_config.backend_label = self.ctx.setup().backend.label();
-        let mut sim = Simulator::new(
-            self.ctx.graph_owned(),
-            &self.ctx.setup().pool,
-            policy,
-            sim_config,
-        );
-        sim.inject_faults(faults);
-        self.sim = Some(sim);
-    }
-
-    /// Re-plan for the coming interval from the load estimate `est_rps`
-    /// (see [`ClusterNode::begin_interval`]). `down` is the node-wide
-    /// outage flag. Returns whether the policy changed.
-    fn begin_interval(&mut self, est_rps: f64, down: bool) -> bool {
-        if down {
-            self.control.hold(est_rps, "down-hold");
-            return false;
-        }
-        let sim = self.sim.as_mut().expect("begin_replay_multi first");
-        self.control.replan(&self.ctx, sim, est_rps)
-    }
-}
-
 /// A leaf node: provisioned hardware plus one private Poly control loop
 /// per hosted tenant.
 #[derive(Debug)]
 pub struct ClusterNode {
-    tenants: Vec<TenantRt>,
+    tenants: Vec<Tenant>,
     /// Cap currently imposed by the cluster governor (starts at the
     /// node's provisioned cap).
     power_cap_w: f64,
@@ -153,8 +92,6 @@ pub struct ClusterNode {
     /// Telemetry sink; a clone is attached to each tenant simulator at
     /// `begin_replay_multi`.
     recorder: Option<Box<dyn Recorder>>,
-    /// Quantile-selection scratch ([`quantile_of`]), recycled.
-    q_scratch: Vec<f64>,
     /// Merged-sample scratch for multi-tenant percentiles, recycled.
     merged_samples: Vec<f64>,
 }
@@ -172,7 +109,13 @@ impl ClusterNode {
         let power_cap_w = ctxs[0].setup().power_cap_w;
         let n = ctxs.len();
         Self {
-            tenants: ctxs.into_iter().map(TenantRt::new).collect(),
+            tenants: ctxs
+                .into_iter()
+                .map(|ctx| {
+                    let cap_w = ctx.setup().power_cap_w;
+                    Tenant::new(ctx, Some(cap_w))
+                })
+                .collect(),
             power_cap_w,
             down: false,
             active: true,
@@ -180,7 +123,6 @@ impl ClusterNode {
             last_drained: vec![0; n],
             interval_idx: 0,
             recorder: None,
-            q_scratch: Vec::new(),
             merged_samples: Vec::new(),
         }
     }
@@ -194,7 +136,7 @@ impl ClusterNode {
     /// The node's provisioned setup (the first tenant's).
     #[must_use]
     pub fn setup(&self) -> &NodeSetup {
-        self.tenants[0].ctx.setup()
+        self.tenants[0].context().setup()
     }
 
     /// QoS-class label of tenant `class`.
@@ -203,13 +145,13 @@ impl ClusterNode {
     /// Panics if `class` is out of range.
     #[must_use]
     pub fn tenant_label(&self, class: usize) -> &'static str {
-        self.tenants[class].ctx.tenant()
+        self.tenants[class].context().tenant()
     }
 
     /// QoS weight of tenant `class`.
     #[must_use]
     pub fn tenant_weight(&self, class: usize) -> f64 {
-        self.tenants[class].ctx.qos_weight()
+        self.tenants[class].context().qos_weight()
     }
 
     /// Whether the node is currently fail-stopped.
@@ -245,7 +187,7 @@ impl ClusterNode {
     pub fn capacity_rps(&self) -> f64 {
         self.tenants
             .iter()
-            .map(|t| t.control.predicted().map_or(0.0, |p| p.capacity_rps))
+            .map(|t| t.control().predicted().map_or(0.0, |p| p.capacity_rps))
             .sum()
     }
 
@@ -253,7 +195,7 @@ impl ClusterNode {
     #[must_use]
     pub fn capacity_rps_of(&self, class: usize) -> f64 {
         self.tenants[class]
-            .control
+            .control()
             .predicted()
             .map_or(0.0, |p| p.capacity_rps)
     }
@@ -269,17 +211,14 @@ impl ClusterNode {
     pub fn queued(&self) -> usize {
         self.tenants
             .iter()
-            .map(|t| t.sim.as_ref().map_or(0, Simulator::queued))
+            .map(|t| t.sim().map_or(0, Simulator::queued))
             .sum()
     }
 
     /// Work items queued for tenant `class` right now.
     #[must_use]
     pub fn queued_of(&self, class: usize) -> usize {
-        self.tenants[class]
-            .sim
-            .as_ref()
-            .map_or(0, Simulator::queued)
+        self.tenants[class].sim().map_or(0, Simulator::queued)
     }
 
     /// The monitor's smoothed load estimate, in RPS, summed across
@@ -288,7 +227,7 @@ impl ClusterNode {
     pub fn load_estimate_rps(&self) -> f64 {
         self.tenants
             .iter()
-            .map(|t| t.control.load_estimate_rps())
+            .map(|t| t.control().load_estimate_rps())
             .sum()
     }
 
@@ -299,9 +238,7 @@ impl ClusterNode {
     /// when a replay is already in progress).
     pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
         for t in &mut self.tenants {
-            if let Some(sim) = t.sim.as_mut() {
-                sim.set_recorder(recorder.clone());
-            }
+            t.set_recorder(recorder.clone());
         }
         self.recorder = recorder;
     }
@@ -328,14 +265,17 @@ impl ClusterNode {
         self.last_drained = vec![0; self.tenants.len()];
         self.interval_idx = 0;
         let caps = self.tenant_caps();
+        let recording = self.recording();
         for ((t, &rps), cap) in self.tenants.iter_mut().zip(first_rps).zip(caps) {
-            t.begin(rps, cap, faults);
-        }
-        if self.recording() {
-            for t in &mut self.tenants {
-                if let Some(sim) = t.sim.as_mut() {
-                    sim.set_recorder(self.recorder.clone());
-                }
+            t.control_mut().set_cap(cap);
+            // Each node re-times its plan for its own provisioned backend
+            // (identity on analytical nodes), so a mixed fleet runs
+            // modeled and measured nodes side by side.
+            let setup = t.context().setup();
+            let (backend, sim_config) = (setup.backend.clone(), setup.sim_config.clone());
+            t.begin(rps, None, backend, sim_config, faults);
+            if recording {
+                t.set_recorder(self.recorder.clone());
             }
         }
     }
@@ -352,13 +292,13 @@ impl ClusterNode {
         let demands: Vec<f64> = self
             .tenants
             .iter()
-            .map(|t| t.control.load_estimate_rps())
+            .map(|t| t.control().load_estimate_rps())
             .collect();
         let states: Vec<NodeShare> = self
             .tenants
             .iter()
             .map(|t| NodeShare::Active {
-                weight: t.ctx.qos_weight(),
+                weight: t.context().qos_weight(),
             })
             .collect();
         let floor = 0.1 * self.power_cap_w / n as f64;
@@ -374,7 +314,7 @@ impl ClusterNode {
         self.power_cap_w = cap_w;
         let caps = self.tenant_caps();
         for (t, cap) in self.tenants.iter_mut().zip(caps) {
-            t.control.set_cap(cap);
+            t.control_mut().set_cap(cap);
         }
     }
 
@@ -395,7 +335,7 @@ impl ClusterNode {
     fn cancel_pending(&mut self) -> usize {
         let mut total = 0;
         for (c, t) in self.tenants.iter_mut().enumerate() {
-            let cancelled = t.sim.as_mut().map_or(0, Simulator::cancel_pending);
+            let cancelled = t.sim_mut().map_or(0, Simulator::cancel_pending);
             self.last_drained[c] = cancelled;
             total += cancelled;
         }
@@ -410,7 +350,7 @@ impl ClusterNode {
         self.active = true;
         self.warming_until_ms = warm_until_ms;
         for t in &mut self.tenants {
-            t.control.force_replan();
+            t.control_mut().force_replan();
         }
     }
 
@@ -429,8 +369,7 @@ impl ClusterNode {
             }
         }
         let healthy = self.tenants[0]
-            .sim
-            .as_mut()
+            .sim()
             .expect("begin_replay_multi first")
             .healthy_devices();
         if !self.down && healthy == 0 {
@@ -444,7 +383,7 @@ impl ClusterNode {
             // that no longer matches, and its monitor history is from
             // before the outage.
             for t in &mut self.tenants {
-                t.control.force_replan();
+                t.control_mut().force_replan();
             }
             NodeTransition::CameBack
         } else {
@@ -475,23 +414,26 @@ impl ClusterNode {
             let total: f64 = self
                 .tenants
                 .iter()
-                .map(|t| t.control.load_estimate_rps())
+                .map(|t| t.control().load_estimate_rps())
                 .sum();
             self.tenants
                 .iter()
                 .map(|t| {
                     if total > 0.0 {
-                        est_rps * t.control.load_estimate_rps() / total
+                        est_rps * t.control().load_estimate_rps() / total
                     } else {
                         est_rps / n as f64
                     }
                 })
                 .collect()
         };
-        let down = self.down;
         let mut changed = false;
         for (t, est) in self.tenants.iter_mut().zip(ests) {
-            changed |= t.begin_interval(est, down);
+            if self.down {
+                t.control_mut().hold(est, "down-hold");
+            } else {
+                changed |= t.replan(est);
+            }
         }
         changed
     }
@@ -508,7 +450,6 @@ impl ClusterNode {
     pub fn run_to_classes(&mut self, arrivals: &[&[f64]], end_ms: f64) -> NodeIntervalStats {
         let n = self.tenants.len();
         assert_eq!(arrivals.len(), n, "one arrival stream per tenant");
-        let recording = self.recording();
         let mut out = NodeIntervalStats {
             completed: 0,
             violations: 0,
@@ -519,60 +460,18 @@ impl ClusterNode {
             per_class: Vec::with_capacity(n),
         };
         let mut duration_ms = 0.0;
-        let mut events: Vec<(f64, ObsEvent)> = Vec::new();
-        for (c, t) in self.tenants.iter_mut().enumerate() {
-            let sim = t.sim.as_mut().expect("begin_replay_multi first");
-            sim.enqueue_arrivals(arrivals[c]);
-            sim.reset_accounting();
-            sim.advance_to(end_ms);
-            let report = sim.finish(end_ms);
-            let (arrived, completed) = sim.drain_segment_into(&mut t.seg_samples);
-            let (timed_out, _) = sim.take_lifecycle_counts();
-            out.healthy_devices = sim.healthy_devices();
-            // No segment completions folds to 0.0; the `completed` count
-            // keeps "no samples" distinguishable from a true zero.
-            let p99 = quantile_of(&t.seg_samples, 0.99, &mut self.q_scratch).unwrap_or(0.0);
-            let violations = violations_of(&t.seg_samples, t.ctx.bound_ms());
-            let predicted_p99 = t.control.predicted().map_or(f64::INFINITY, |p| p.p99_ms);
-            t.control.observe(IntervalObs {
-                duration_ms: report.duration_ms,
-                arrived,
-                completed,
-                p99_ms: p99,
-                avg_power_w: report.avg_power_w,
-                queued: sim.queued(),
-            });
-            if recording {
-                let offered_rps = if report.duration_ms > 0.0 {
-                    arrivals[c].len() as f64 * 1000.0 / report.duration_ms
-                } else {
-                    0.0
-                };
-                events.push((
-                    end_ms,
-                    ObsEvent::Interval {
-                        index: self.interval_idx,
-                        start_ms: end_ms - report.duration_ms,
-                        dur_ms: report.duration_ms,
-                        offered_rps,
-                        load_est_rps: t.control.est_rps(),
-                        policy_changed: t.control.changed(),
-                        reason: t.control.reason(),
-                        predicted_p99_ms: predicted_p99,
-                        observed_p99_ms: p99,
-                        power_w: report.avg_power_w,
-                        completed,
-                        violations,
-                    },
-                ));
-            }
-            out.completed += completed;
-            out.violations += violations;
-            out.avg_power_w += report.avg_power_w;
-            out.energy_j += report.energy_j;
-            out.timed_out += timed_out;
-            out.per_class.push((completed, violations));
-            duration_ms = report.duration_ms;
+        let mut outcomes = Vec::with_capacity(n);
+        for (t, arrivals) in self.tenants.iter_mut().zip(arrivals) {
+            let o = t.step(arrivals, None, end_ms, None);
+            out.healthy_devices = o.healthy_devices;
+            out.completed += o.completed;
+            out.violations += o.violations;
+            out.avg_power_w += o.avg_power_w;
+            out.energy_j += o.energy_j;
+            out.timed_out += o.timed_out;
+            out.per_class.push((o.completed, o.violations));
+            duration_ms = o.duration_ms;
+            outcomes.push(o);
         }
         // Idle-power dedup: every private simulator accounts the shared
         // boards' idle draw, but the physical node pays it once. Each
@@ -589,19 +488,25 @@ impl ClusterNode {
                 out.energy_j = (out.energy_j - over_w * duration_ms / 1000.0).max(0.0);
             }
         }
-        // Multi-tenant nodes merge the per-tenant segments for
+        // Multi-tenant nodes merge the per-tenant windows for
         // `segment_samples`.
         if n > 1 {
             self.merged_samples.clear();
             for t in &self.tenants {
-                self.merged_samples.extend_from_slice(&t.seg_samples);
+                self.merged_samples.extend_from_slice(t.window_latencies());
             }
         }
-        if recording {
-            for (t_ms, event) in events {
-                if let Some(r) = self.recorder.as_mut() {
-                    r.record(t_ms, event);
-                }
+        // Tenants' interval events go out after every tenant stepped.
+        if let Some(r) = self.recorder.as_mut().filter(|r| r.enabled()) {
+            for ((t, o), arrivals) in self.tenants.iter().zip(&outcomes).zip(arrivals) {
+                let offered_rps = if o.duration_ms > 0.0 {
+                    arrivals.len() as f64 * 1000.0 / o.duration_ms
+                } else {
+                    0.0
+                };
+                let start_ms = end_ms - o.duration_ms;
+                let event = t.interval_event(self.interval_idx, start_ms, offered_rps, o);
+                r.record(end_ms, event);
             }
         }
         self.interval_idx += 1;
@@ -614,8 +519,7 @@ impl ClusterNode {
         let setup = self.setup();
         let t = &self.tenants[0];
         let pool = t
-            .sim
-            .as_ref()
+            .sim()
             .map_or_else(|| setup.pool.clone(), Simulator::available_pool);
         pool.count(poly_device::DeviceKind::Gpu) as f64 * setup.sim_config.gpu_idle_w
             + pool.count(poly_device::DeviceKind::Fpga) as f64 * setup.sim_config.fpga_idle_w
@@ -626,7 +530,7 @@ impl ClusterNode {
     #[must_use]
     pub fn segment_samples(&self) -> &[f64] {
         if self.tenants.len() == 1 {
-            &self.tenants[0].seg_samples
+            self.tenants[0].window_latencies()
         } else {
             &self.merged_samples
         }
@@ -639,7 +543,7 @@ impl ClusterNode {
     pub fn retry_stats(&self) -> poly_sim::RetryStats {
         let mut out = poly_sim::RetryStats::default();
         for t in &self.tenants {
-            if let Some(sim) = t.sim.as_ref() {
+            if let Some(sim) = t.sim() {
                 out.merge(&sim.retry_stats());
             }
         }
@@ -653,7 +557,7 @@ impl ClusterNode {
     pub fn audit(&self) -> poly_sim::AuditReport {
         let mut out = poly_sim::AuditReport::default();
         for t in &self.tenants {
-            if let Some(sim) = t.sim.as_ref() {
+            if let Some(sim) = t.sim() {
                 out.merge(&sim.audit());
             }
         }

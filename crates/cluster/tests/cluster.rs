@@ -27,7 +27,7 @@ fn app_and_spaces() -> (KernelGraph, Vec<KernelDesignSpace>, NodeSetup) {
 fn cluster(nodes: usize, routing: RoutingPolicy) -> Cluster {
     let (app, spaces, setup) = app_and_spaces();
     let setups: Vec<NodeSetup> = (0..nodes).map(|_| setup.clone()).collect();
-    Cluster::new(
+    Cluster::try_new(
         &app,
         &spaces,
         setups,
@@ -41,6 +41,7 @@ fn cluster(nodes: usize, routing: RoutingPolicy) -> Cluster {
             breaker: None,
         },
     )
+    .expect("valid cluster configuration")
 }
 
 fn flat_trace(n: usize, util: f64) -> Vec<TracePoint> {

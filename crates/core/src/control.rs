@@ -92,6 +92,13 @@ impl ControlLoop {
         self.predicted.as_ref()
     }
 
+    /// The predicted p99 of the adopted policy, in ms (∞ before the
+    /// first [`begin`](Self::begin)).
+    #[must_use]
+    pub fn predicted_p99_ms(&self) -> f64 {
+        self.predicted.as_ref().map_or(f64::INFINITY, |p| p.p99_ms)
+    }
+
     /// Whether the last boundary adopted a different policy.
     #[must_use]
     pub fn changed(&self) -> bool {
@@ -285,7 +292,7 @@ impl ControlLoop {
     /// prediction's relative error (capped at 1), or `None` when the
     /// interval was not fed back.
     pub fn observe(&mut self, obs: IntervalObs) -> Option<f64> {
-        let predicted = self.predicted.as_ref().map_or(f64::INFINITY, |p| p.p99_ms);
+        let predicted = self.predicted_p99_ms();
         let err = (obs.completed >= 30 && !self.changed && predicted.is_finite()).then(|| {
             self.optimizer.model_mut().observe(predicted, obs.p99_ms);
             ((obs.p99_ms - predicted) / obs.p99_ms.max(1e-9))

@@ -15,8 +15,9 @@
 //! - [`SystemMonitor`] tracks arrivals, tail latency, and power per
 //!   re-planning interval.
 //! - [`ControlLoop`] is the per-interval monitor → model → optimizer
-//!   loop (re-plan, hysteresis, model feedback) that the runtime and
-//!   every cluster tenant drive.
+//!   loop (re-plan, hysteresis, model feedback); a [`Tenant`] owns one
+//!   with its application and simulator and steps them through one
+//!   interval body, which the runtime and every cluster node drive.
 //! - [`PolyRuntime`] drives the discrete-event simulator interval by
 //!   interval over a utilization trace, re-planning from monitor feedback —
 //!   the engine behind the 24-hour trace evaluation (Figs. 11–12).
@@ -37,6 +38,7 @@ mod optimizer;
 pub mod provision;
 mod runtime;
 pub mod tco;
+mod tenant;
 
 pub use context::AppContext;
 pub use control::ControlLoop;
@@ -49,3 +51,4 @@ pub use runtime::{
     retime_policy, validate_load, IntervalRecord, PolyRuntime, RunSpec, RunSpecError, RuntimeMode,
     TraceReport,
 };
+pub use tenant::{IntervalOutcome, Tenant};

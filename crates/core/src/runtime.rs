@@ -7,15 +7,12 @@
 //! lifecycle override, telemetry recorder) and executed by
 //! [`PolyRuntime::run`].
 
-use crate::{AppContext, ControlLoop, IntervalObs, Optimizer};
+use crate::{AppContext, Optimizer, Tenant};
 use poly_backend::ExecBackend;
 use poly_ir::{KernelGraph, KernelId};
-use poly_obs::{Event as ObsEvent, Recorder};
+use poly_obs::Recorder;
 use poly_sim::workload::{poisson, SizeDist, TracePoint};
-use poly_sim::{
-    quantile_of, violations_of, DynamicDispatch, FaultPlan, KernelImpl, LifecycleConfig, Policy,
-    RetryStats, Simulator,
-};
+use poly_sim::{DynamicDispatch, FaultPlan, KernelImpl, LifecycleConfig, Policy, RetryStats};
 
 /// How the runtime selects policies.
 #[derive(Debug, Clone)]
@@ -318,34 +315,34 @@ pub fn retime_policy(policy: &Policy, backend: &ExecBackend, graph: &KernelGraph
 /// The Poly runtime for one application on one provisioned node.
 #[derive(Debug)]
 pub struct PolyRuntime {
-    ctx: AppContext,
-    control: ControlLoop,
+    tenant: Tenant,
 }
 
 impl PolyRuntime {
     /// Runtime for the application/node bundle `ctx`.
     #[must_use]
     pub fn new(ctx: AppContext) -> Self {
-        let control = ControlLoop::new(&ctx, None);
-        Self { ctx, control }
+        Self {
+            tenant: Tenant::new(ctx, None),
+        }
     }
 
     /// The optimizer (e.g. to inspect the model's correction factor).
     #[must_use]
     pub fn optimizer(&self) -> &Optimizer {
-        self.control.optimizer()
+        self.tenant.control().optimizer()
     }
 
     /// The application/node bundle this runtime drives.
     #[must_use]
     pub fn context(&self) -> &AppContext {
-        &self.ctx
+        self.tenant.context()
     }
 
     /// Replay `spec`: re-plan every interval from monitor feedback (Poly
-    /// mode, through the [`ControlLoop`]) or hold one policy (static
-    /// mode), applying the spec's fault plan and recording telemetry
-    /// into its recorder (if any).
+    /// mode, through the [`ControlLoop`](crate::ControlLoop)) or hold one
+    /// policy (static mode), applying the spec's fault plan and recording
+    /// telemetry into its recorder (if any).
     ///
     /// In Poly mode a device fault is detected at the next interval and
     /// the runtime re-plans onto the surviving devices, bypassing the
@@ -373,16 +370,11 @@ impl PolyRuntime {
     }
 
     /// The replay of [`run`](Self::run), on a validated spec.
-    #[allow(clippy::too_many_lines)]
     fn replay(&mut self, spec: &RunSpec) -> TraceReport {
         let trace = &spec.trace;
         let interval_ms = spec.interval_ms;
-        let faults = &spec.faults;
-        let bound_ms = self.ctx.bound_ms();
-        let backend = spec
-            .backend
-            .clone()
-            .unwrap_or_else(|| self.ctx.setup().backend.clone());
+        let tenant = &mut self.tenant;
+        let bound_ms = tenant.context().bound_ms();
         let pinned = match &spec.mode {
             RuntimeMode::Poly => None,
             RuntimeMode::Static(p) => Some(p),
@@ -392,40 +384,25 @@ impl PolyRuntime {
         // static one). With the dynamic layer on, every adopted policy
         // also carries the plan's top-k alternates for the dispatch-time
         // chooser; a measured backend then re-times the whole policy.
-        let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
-        let policy = self.control.begin(
-            &self.ctx,
-            first_rps,
-            pinned,
-            backend.clone(),
-            spec.dynamic.is_some(),
-        );
-
-        let mut sim_config = self.ctx.setup().sim_config.clone();
+        let setup = tenant.context().setup();
+        let backend = spec
+            .backend
+            .clone()
+            .unwrap_or_else(|| setup.backend.clone());
+        let mut sim_config = setup.sim_config.clone();
         if let Some(lc) = &spec.lifecycle {
             sim_config.lifecycle = lc.clone();
         }
         sim_config.dynamic = spec.dynamic;
-        sim_config.backend_label = backend.label();
-        let mut sim = Simulator::new(
-            self.ctx.graph_owned(),
-            &self.ctx.setup().pool,
-            policy,
-            sim_config,
-        );
-        sim.inject_faults(faults);
+        let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
+        tenant.begin(first_rps, pinned, backend, sim_config, &spec.faults);
         let mut recorder = spec.recorder.clone();
         let recording = recorder.as_ref().is_some_and(|r| r.enabled());
         if recording {
-            sim.set_recorder(recorder.clone());
+            tenant.set_recorder(recorder.clone());
         }
 
         let mut intervals = Vec::with_capacity(trace.len());
-        // Per-interval measurement buffers, recycled across intervals
-        // (`drain_segment_into` + the slice quantile helpers replace a
-        // per-interval digest allocation).
-        let mut seg_samples: Vec<f64> = Vec::new();
-        let mut q_scratch: Vec<f64> = Vec::new();
         let mut energy_mj = 0.0;
         let mut total_completed = 0usize;
         let mut total_violations = 0usize;
@@ -442,14 +419,12 @@ impl PolyRuntime {
             // planned by `begin`); a static policy only holds.
             if i > 0 {
                 if pinned.is_some() {
-                    self.control.hold(offered_rps, "static");
+                    tenant.control_mut().hold(offered_rps, "static");
                 } else {
-                    let est = self.control.load_estimate_rps().max(offered_rps * 0.1);
-                    self.control.replan(&self.ctx, &mut sim, est);
+                    let est = tenant.control().load_estimate_rps().max(offered_rps * 0.1);
+                    tenant.replan(est);
                 }
             }
-            let policy_changed = self.control.changed();
-            let predicted_p99_ms = self.control.predicted().map_or(f64::INFINITY, |p| p.p99_ms);
 
             // Offer this interval's arrivals and run it.
             let arrivals: Vec<f64> =
@@ -457,72 +432,28 @@ impl PolyRuntime {
                     .into_iter()
                     .map(|t| start + t)
                     .collect();
-            if matches!(spec.sizes, SizeDist::Nominal) {
-                sim.enqueue_arrivals(&arrivals);
-            } else {
-                // Decorrelate the size stream from the arrival stream
-                // (same per-interval index, different seed lineage).
+            // Decorrelate the size stream from the arrival stream (same
+            // per-interval index, different seed lineage).
+            let sizes = (!matches!(spec.sizes, SizeDist::Nominal)).then(|| {
                 let size_seed = spec
                     .seed
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(i as u64);
-                let sizes = spec.sizes.sample(arrivals.len(), size_seed);
-                sim.enqueue_arrivals_sized(&arrivals, &sizes);
-            }
-            sim.reset_accounting();
-            sim.advance_to(end);
-            let report = sim.finish(end);
-            let (arrived, completed) = sim.drain_segment_into(&mut seg_samples);
-
-            // `None` (no completions) folds to 0.0 for the records below;
-            // their `completed` field keeps it distinguishable.
-            let p99 = quantile_of(&seg_samples, 0.99, &mut q_scratch).unwrap_or(0.0);
-            // Exact exceedance count — the former reconstruction through
-            // `violation_ratio * completed` could drift off-by-one.
-            let violations = violations_of(&seg_samples, bound_ms);
-            let (fault_events, retried) = sim.take_fault_counts();
-            let healthy_devices = sim.healthy_devices();
-            total_completed += completed;
-            total_violations += violations;
-            total_fault_events += fault_events;
-            energy_mj += report.energy_j * 1000.0;
-
-            // Feed measurements back into the monitor and (Poly mode
-            // only) the model's correction loop.
-            let obs = IntervalObs {
-                duration_ms: interval_ms,
-                arrived,
-                completed,
-                p99_ms: p99,
-                avg_power_w: report.avg_power_w,
-                queued: sim.queued(),
-            };
-            if pinned.is_none() {
-                if let Some(err) = self.control.observe(obs) {
-                    err_sum += err;
-                    err_n += 1;
-                }
+                spec.sizes.sample(arrivals.len(), size_seed)
+            });
+            let out = tenant.step(&arrivals, sizes.as_deref(), end, Some(interval_ms));
+            total_completed += out.completed;
+            total_violations += out.violations;
+            total_fault_events += out.fault_events;
+            energy_mj += out.energy_j * 1000.0;
+            if let Some(err) = out.model_error {
+                err_sum += err;
+                err_n += 1;
             }
 
             if recording {
                 if let Some(r) = recorder.as_mut() {
-                    r.record(
-                        end,
-                        ObsEvent::Interval {
-                            index: i,
-                            start_ms: start,
-                            dur_ms: interval_ms,
-                            offered_rps,
-                            load_est_rps: self.control.est_rps(),
-                            policy_changed,
-                            reason: self.control.reason(),
-                            predicted_p99_ms,
-                            observed_p99_ms: p99,
-                            power_w: report.avg_power_w,
-                            completed,
-                            violations,
-                        },
-                    );
+                    r.record(end, tenant.interval_event(i, start, offered_rps, &out));
                 }
             }
 
@@ -530,15 +461,15 @@ impl PolyRuntime {
                 start_ms: start,
                 utilization: point.utilization,
                 offered_rps,
-                p99_ms: p99,
-                predicted_p99_ms,
-                avg_power_w: report.avg_power_w,
-                policy_changed,
-                violations,
-                completed,
-                healthy_devices,
-                fault_events,
-                retried,
+                p99_ms: out.p99_ms,
+                predicted_p99_ms: tenant.control().predicted_p99_ms(),
+                avg_power_w: out.avg_power_w,
+                policy_changed: tenant.control().changed(),
+                violations: out.violations,
+                completed: out.completed,
+                healthy_devices: out.healthy_devices,
+                fault_events: out.fault_events,
+                retried: out.retried,
             });
         }
 
@@ -547,7 +478,7 @@ impl PolyRuntime {
         // bound.
         let mut recovery_sum = 0.0;
         let mut recovery_n = 0usize;
-        for f in faults.fail_stops() {
+        for f in spec.faults.fail_stops() {
             if let Some(r) = intervals
                 .iter()
                 .find(|r| r.start_ms >= f.at_ms && r.completed > 0 && r.p99_ms <= bound_ms)
@@ -557,6 +488,7 @@ impl PolyRuntime {
             }
         }
 
+        let sim = tenant.sim().expect("begun above");
         let total_ms = trace.len() as f64 * interval_ms;
         TraceReport {
             intervals,
@@ -578,7 +510,7 @@ impl PolyRuntime {
             },
             fault_events: total_fault_events,
             retry: sim.retry_stats(),
-            timed_out: sim.audit().timed_out,
+            timed_out: sim.counters().timed_out,
             mean_recovery_ms: if recovery_n > 0 {
                 recovery_sum / recovery_n as f64
             } else {

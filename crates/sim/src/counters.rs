@@ -1,11 +1,21 @@
-//! Deterministic work counters of the engine's queue operations.
+//! The engine's lifetime counters: one [`Counters`] set per simulator.
 //!
-//! Host time cannot prove an asymptotic claim on a noisy machine, and it
-//! cannot split one `advance_to` into its parts. These counters can: for
-//! each queue operation class they count how often it ran and how many
-//! queued entries it visited (scanned, summed, moved, removed, or reached
-//! through the request index). They depend only on the simulated inputs,
-//! never on the host, so tests may assert on them.
+//! Every count the engine keeps — request lifecycle outcomes, audit
+//! anomalies, fault events, re-issues and queue work — lives here and
+//! is never reset. A window (one
+//! interval, one benchmark phase) is the [`delta`](Counters::delta)
+//! between two snapshots, and a fleet total is a fieldwise
+//! [`merge`](Counters::merge).
+//!
+//! The queue work counts ([`WorkCounters`]) exist because host time
+//! cannot prove an asymptotic claim on a noisy machine, and it cannot
+//! split one `advance_to` into its parts. For each queue operation class
+//! they count how often it ran and how many queued entries it visited
+//! (scanned, summed, moved, removed, or reached through the request
+//! index). Like every count here they depend only on the simulated
+//! inputs, never on the host, so tests may assert on them.
+
+use crate::metrics::RetryStats;
 
 /// How often one operation class ran, and the queue entries it touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,18 +35,6 @@ impl OpCount {
         } else {
             self.entries as f64 / self.events as f64
         }
-    }
-
-    fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            events: self.events - earlier.events,
-            entries: self.entries - earlier.entries,
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.events += other.events;
-        self.entries += other.entries;
     }
 }
 
@@ -60,29 +58,75 @@ pub struct WorkCounters {
     pub margin: OpCount,
 }
 
-impl WorkCounters {
-    /// Counts accrued since the `earlier` snapshot of the same simulator.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `earlier` is not an earlier snapshot.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            dispatch: self.dispatch.delta(&earlier.dispatch),
-            batch: self.batch.delta(&earlier.batch),
-            cancel: self.cancel.delta(&earlier.cancel),
-            margin: self.margin.delta(&earlier.margin),
-        }
-    }
-
-    /// Add `other`'s counts into these (e.g. to total a fleet's nodes).
-    pub fn merge(&mut self, other: &Self) {
-        self.dispatch.merge(&other.dispatch);
-        self.batch.merge(&other.batch);
-        self.cancel.merge(&other.cancel);
-        self.margin.merge(&other.margin);
-    }
+/// Lifetime counts of one simulator (never reset; take a
+/// [`delta`](Self::delta) between two snapshots to count a window).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counters {
+    /// Requests ever enqueued.
+    pub admitted: usize,
+    /// Requests that completed every kernel stage.
+    pub completed: usize,
+    /// Requests abandoned at their deadline.
+    pub timed_out: usize,
+    /// Requests failed after exhausting their retry budget.
+    pub failed: usize,
+    /// Requests abandoned by a node drain.
+    pub cancelled: usize,
+    /// Completion events ignored as stale (see
+    /// [`AuditReport::stale_completions`](crate::AuditReport)).
+    pub stale_completions: usize,
+    /// Terminal transitions attempted on an already-terminal request.
+    pub double_terminal: usize,
+    /// Events popped with a timestamp behind the clock.
+    pub clock_regressions: usize,
+    /// Fault events applied: fail-stops and slowdowns of healthy
+    /// devices, recoveries of failed ones.
+    pub fault_events: usize,
+    /// Fail-stops applied (a subset of `fault_events`).
+    pub fail_stops: usize,
+    /// Re-issue ledger: fail-stop retries, exhausted budgets, hedges,
+    /// steals.
+    pub retry: RetryStats,
+    /// Queue operation work.
+    pub work: WorkCounters,
 }
+
+/// Give a counter struct `delta` and `merge`, field by field: plain
+/// counts first, then nested counter structs after a `;`.
+macro_rules! fieldwise {
+    ($t:ty: $($f:ident),* $(; $($n:ident),+)?) => {
+        impl $t {
+            /// Counts accrued since the `earlier` snapshot of the same
+            /// source.
+            ///
+            /// # Panics
+            /// Panics (in debug builds) if `earlier` is not an earlier
+            /// snapshot.
+            #[must_use]
+            pub fn delta(&self, earlier: &Self) -> Self {
+                Self {
+                    $($f: self.$f - earlier.$f,)*
+                    $($($n: self.$n.delta(&earlier.$n),)+)?
+                }
+            }
+
+            /// Add `other`'s counts into these (e.g. to total a fleet's
+            /// nodes).
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$f += other.$f;)*
+                $($(self.$n.merge(&other.$n);)+)?
+            }
+        }
+    };
+}
+
+fieldwise!(OpCount: events, entries);
+fieldwise!(WorkCounters: ; dispatch, batch, cancel, margin);
+fieldwise!(RetryStats:
+    device_retries, exhausted, redistributed, hedges_fired, hedge_wins, steals);
+fieldwise!(Counters:
+    admitted, completed, timed_out, failed, cancelled, stale_completions, double_terminal,
+    clock_regressions, fault_events, fail_stops; retry, work);
 
 #[cfg(test)]
 mod tests {
@@ -109,5 +153,36 @@ mod tests {
         assert_eq!(b.delta(&a), a);
         assert!((a.dispatch.per_event() - 5.0).abs() < 1e-12);
         assert_eq!(a.cancel.per_event(), 0.0);
+
+        let c = Counters {
+            admitted: 3,
+            completed: 2,
+            timed_out: 1,
+            fault_events: 2,
+            fail_stops: 1,
+            retry: RetryStats {
+                device_retries: 4,
+                steals: 1,
+                ..RetryStats::default()
+            },
+            work: a,
+            ..Counters::default()
+        };
+        let mut d = c;
+        d.merge(&c);
+        assert_eq!(
+            (
+                d.admitted,
+                d.completed,
+                d.timed_out,
+                d.fault_events,
+                d.fail_stops
+            ),
+            (6, 4, 2, 4, 2)
+        );
+        assert_eq!((d.retry.device_retries, d.retry.steals), (8, 2));
+        assert_eq!(d.work, b);
+        assert_eq!(d.delta(&c), c);
+        assert_eq!(c.delta(&c), Counters::default());
     }
 }

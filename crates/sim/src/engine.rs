@@ -1,6 +1,6 @@
 use crate::arena::{Outcome, ReqArena};
 use crate::audit::AuditReport;
-use crate::counters::WorkCounters;
+use crate::counters::Counters;
 use crate::device::{ms_to_ns, ns_to_ms, DeviceState, DeviceStats, InflightItem, WorkItem};
 use crate::equeue::EventQueue;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -205,29 +205,10 @@ impl KernelStats {
     }
 }
 
-/// One recorded kernel execution (timeline/Gantt entry), available when
-/// recording is enabled via [`Simulator::record_timeline`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutionRecord {
-    /// Device index within the pool.
-    pub device: usize,
-    /// Device kind.
-    pub kind: DeviceKind,
-    /// Kernel executed.
-    pub kernel: KernelId,
-    /// Implementation index of the policy at execution time.
-    pub impl_index: usize,
-    /// When the device committed to the batch (reconfiguration included).
-    pub start_ms: f64,
-    /// Reconfiguration time paid before execution (FPGA bitstream swap).
-    pub reconfig_ms: f64,
-    /// When results complete.
-    pub completion_ms: f64,
-    /// Requests served by this execution.
-    pub batch: usize,
-}
-
-/// Summary of one completed simulation (or simulation segment).
+/// Summary of one accounting window: the whole simulation, or the
+/// segment since the last
+/// [`reset_accounting`](Simulator::reset_accounting). Lifetime counts
+/// live in [`Simulator::counters`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Simulated duration in milliseconds.
@@ -250,14 +231,6 @@ pub struct SimReport {
     pub devices: Vec<DeviceStats>,
     /// Per-kernel execution breakdown, indexed by kernel id.
     pub kernels: Vec<KernelStats>,
-    /// Fail-stop faults applied since construction.
-    pub device_failures: usize,
-    /// Re-issue accounting (fail-stop retries, exhausted retry budgets,
-    /// hedges) since construction.
-    pub retry: RetryStats,
-    /// Requests abandoned at their deadline since construction (0 unless
-    /// the lifecycle config enables deadlines).
-    pub timed_out: usize,
 }
 
 impl std::fmt::Display for SimReport {
@@ -318,28 +291,12 @@ pub struct Simulator {
     latencies: Arc<Vec<f64>>,
     /// Reusable workspace for quantile selection at report time.
     lat_scratch: Vec<f64>,
-    segment_latencies: Vec<f64>,
-    segment_arrived: usize,
-    segment_completed: usize,
     kernel_stats: Vec<KernelStats>,
-    timeline: Option<Vec<ExecutionRecord>>,
     /// Scripted faults, indexed by `EventKind::Fault`.
     faults: Vec<FaultEvent>,
     /// Work with no healthy device of the required kind, parked until a
     /// policy change or a recovery makes it dispatchable again.
     stranded: Vec<WorkItem>,
-    /// Fail-stops applied since construction.
-    fault_failures: usize,
-    /// Re-issue ledger (fail-stop retries, exhausted budgets, hedges),
-    /// since construction.
-    retry_stats: RetryStats,
-    /// Fault events applied since the last `take_fault_counts`.
-    seg_fault_events: usize,
-    /// Retried work items since the last `take_fault_counts`.
-    seg_retries: usize,
-    /// Requests timed out / failed since the last `take_lifecycle_counts`.
-    seg_timeouts: usize,
-    seg_failed: usize,
     /// Rolling per-kernel stage-latency windows feeding the hedge-delay
     /// quantile (filled only when hedging is enabled).
     hedge_window: Vec<VecDeque<f64>>,
@@ -356,19 +313,12 @@ pub struct Simulator {
     margin_scratch: Vec<f64>,
     /// Per-device backlog table for `downstream_margin`.
     load_scratch: Vec<f64>,
-    // --- lifetime audit counters (never reset; see `audit`) ---------------
-    life_admitted: usize,
-    life_completed: usize,
-    life_timed_out: usize,
-    life_failed: usize,
-    life_cancelled: usize,
-    audit_stale: usize,
-    audit_double_terminal: usize,
-    audit_clock_regressions: usize,
+    /// Lifetime counts: lifecycle, audit, faults, re-issues and queue
+    /// work (never reset; see [`counters`](Self::counters)).
+    counters: Counters,
+    /// Lifetime busy-energy books (see `audit`).
     booked_busy_mj: f64,
     refunded_busy_mj: f64,
-    /// Queue work counts (never reset; see `work_counters`).
-    work: WorkCounters,
     /// Telemetry sink (`None` = recording off). The recorder keeps its
     /// own sequence numbering and never feeds back into simulation state,
     /// so attaching one cannot perturb results.
@@ -414,19 +364,9 @@ impl Simulator {
             last_arrival_ms: -1.0,
             latencies: Arc::new(Vec::new()),
             lat_scratch: Vec::new(),
-            segment_latencies: Vec::new(),
-            segment_arrived: 0,
-            segment_completed: 0,
             kernel_stats: vec![KernelStats::default(); n_kernels],
-            timeline: None,
             faults: Vec::new(),
             stranded: Vec::new(),
-            fault_failures: 0,
-            retry_stats: RetryStats::default(),
-            seg_fault_events: 0,
-            seg_retries: 0,
-            seg_timeouts: 0,
-            seg_failed: 0,
             hedge_window: vec![VecDeque::new(); n_kernels],
             batch_scratch: Vec::new(),
             succ_scratch: Vec::new(),
@@ -434,17 +374,9 @@ impl Simulator {
             hedge_scratch: Vec::new(),
             margin_scratch: Vec::new(),
             load_scratch: Vec::new(),
-            life_admitted: 0,
-            life_completed: 0,
-            life_timed_out: 0,
-            life_failed: 0,
-            life_cancelled: 0,
-            audit_stale: 0,
-            audit_double_terminal: 0,
-            audit_clock_regressions: 0,
+            counters: Counters::default(),
             booked_busy_mj: 0.0,
             refunded_busy_mj: 0.0,
-            work: WorkCounters::default(),
             recorder: None,
         };
         sim.preload_bitstreams();
@@ -530,7 +462,7 @@ impl Simulator {
         let sf = poly_device::size_scale(DeviceKind::Fpga, size);
         // Per-device backlog right now: busy tail plus queued work, derated.
         let now = self.now;
-        self.work.margin.events += 1;
+        self.counters.work.margin.events += 1;
         let mut load = std::mem::take(&mut self.load_scratch);
         load.clear();
         load.extend(
@@ -664,19 +596,6 @@ impl Simulator {
         self.now
     }
 
-    /// Enable (or disable) execution-timeline recording. Recording keeps
-    /// one [`ExecutionRecord`] per started batch, capped at 100 000
-    /// entries; intended for Gantt-style inspection of short runs.
-    pub fn record_timeline(&mut self, enable: bool) {
-        self.timeline = if enable { Some(Vec::new()) } else { None };
-    }
-
-    /// The recorded executions so far (empty when recording is off).
-    #[must_use]
-    pub fn timeline(&self) -> &[ExecutionRecord] {
-        self.timeline.as_deref().unwrap_or(&[])
-    }
-
     /// Attach (or detach, with `None`) a telemetry [`Recorder`]. Every
     /// emission site gates on [`Recorder::enabled`] before constructing
     /// an event, so a `NullRecorder` (or no recorder) costs one branch.
@@ -761,7 +680,7 @@ impl Simulator {
             arrival_ms + f * self.config.latency_bound_ms
         });
         let req = self.requests.push_sized(arrival_ms, deadline_ms, size);
-        self.life_admitted += 1;
+        self.counters.admitted += 1;
         self.push(arrival_ms, EventKind::Arrival { req });
         if deadline_ms.is_finite() {
             self.push(deadline_ms, EventKind::Deadline { req });
@@ -783,7 +702,7 @@ impl Simulator {
             }
             let (et, _, kind) = self.events.pop().expect("peeked");
             if et < self.now - 1e-9 {
-                self.audit_clock_regressions += 1;
+                self.counters.clock_regressions += 1;
             }
             self.now = self.now.max(et);
             self.handle(kind);
@@ -796,7 +715,7 @@ impl Simulator {
     pub fn drain(&mut self) -> f64 {
         while let Some((et, _, kind)) = self.events.pop() {
             if et < self.now - 1e-9 {
-                self.audit_clock_regressions += 1;
+                self.counters.clock_regressions += 1;
             }
             self.now = self.now.max(et);
             self.handle(kind);
@@ -813,7 +732,6 @@ impl Simulator {
                     return;
                 }
                 self.arrived += 1;
-                self.segment_arrived += 1;
                 if self.last_arrival_ms >= 0.0 {
                     let interval = (self.now - self.last_arrival_ms).max(0.01);
                     self.arrival_rate = 0.9 * self.arrival_rate + 0.1 / interval;
@@ -1002,7 +920,7 @@ impl Simulator {
         let mut holder = None;
         for (i, d) in self.devices.iter_mut().enumerate() {
             let queued = d.queue.contains_stage(req, kernel);
-            self.work.dispatch.entries += d.queue.take_touched();
+            self.counters.work.dispatch.entries += d.queue.take_touched();
             if queued
                 || d.inflight.iter().any(|e| {
                     e.item.req == req
@@ -1032,7 +950,7 @@ impl Simulator {
             return;
         }
         self.requests.set_hedged(req, k);
-        self.retry_stats.hedges_fired += 1;
+        self.counters.retry.hedges_fired += 1;
         self.devices[alt_dev].queue.push_back(WorkItem {
             req,
             kernel,
@@ -1215,7 +1133,7 @@ impl Simulator {
         kernel: KernelId,
         exclude: Option<usize>,
     ) -> Option<(usize, u8, f64)> {
-        self.work.dispatch.events += 1;
+        self.counters.work.dispatch.events += 1;
         let size = self.requests.size(req);
         let dynamic = self.config.dynamic.is_some() && self.policy.has_alternates();
         let primary = *self.policy.of(kernel);
@@ -1386,9 +1304,9 @@ impl Simulator {
             .queue
             .pop_back()
             .expect("victim queue checked non-empty");
-        self.work.dispatch.entries += self.devices[victim].queue.take_touched();
+        self.counters.work.dispatch.entries += self.devices[victim].queue.take_touched();
         self.devices[dev].queue.push_back(item);
-        self.retry_stats.steals += 1;
+        self.counters.retry.steals += 1;
         if self.recording() {
             self.obs(ObsEvent::WorkSteal {
                 req: item.req,
@@ -1420,7 +1338,7 @@ impl Simulator {
             return;
         };
         let imp: KernelImpl = self.impl_of(front.kernel, front.alt);
-        self.work.batch.events += 1;
+        self.counters.work.batch.events += 1;
 
         // Deliberate batch formation (DjiNN-style): hold a partial GPU
         // batch open while (a) the oldest request's slack still allows it
@@ -1470,7 +1388,7 @@ impl Simulator {
         batch.clear();
         let d = &mut self.devices[dev];
         d.queue.take_front_batch(imp.batch as usize, &mut batch);
-        self.work.batch.entries += d.queue.take_touched();
+        self.counters.work.batch.entries += d.queue.take_touched();
 
         let mut start = now;
         if d.kind == DeviceKind::Fpga && d.loaded != Some((front.kernel, imp.impl_index)) {
@@ -1525,23 +1443,8 @@ impl Simulator {
         } else {
             (completion, busy_until)
         };
-        let d = &mut self.devices[dev];
-        if let Some(tl) = &mut self.timeline {
-            if tl.len() < 100_000 {
-                tl.push(ExecutionRecord {
-                    device: dev,
-                    kind: d.kind,
-                    kernel: front.kernel,
-                    impl_index: imp.impl_index,
-                    start_ms: now,
-                    reconfig_ms: start - now,
-                    completion_ms: completion,
-                    batch: batch.len(),
-                });
-            }
-        }
         self.kernel_stats[front.kernel.0].busy_ms += busy_until - now;
-        d.account_busy(now, busy_until, imp.active_power_w);
+        self.devices[dev].account_busy(now, busy_until, imp.active_power_w);
         self.booked_busy_mj += imp.active_power_w * (busy_until - now).max(0.0);
         let d = &mut self.devices[dev];
         d.idle_power_w = imp.idle_power_w;
@@ -1735,7 +1638,7 @@ impl Simulator {
         // The request reached a terminal state (deadline, retry
         // exhaustion, node drain) while this completion was in flight.
         if self.requests.is_settled(req) {
-            self.audit_stale += 1;
+            self.counters.stale_completions += 1;
             return;
         }
         // A stale completion: the execution that scheduled this event
@@ -1743,7 +1646,7 @@ impl Simulator {
         // and the kernel was re-dispatched under a higher attempt
         // number — or the hedge twin already finished this stage.
         if self.requests.done(req, kernel.0) || self.requests.attempt(req, kernel.0) != attempt {
-            self.audit_stale += 1;
+            self.counters.stale_completions += 1;
             return;
         }
         self.requests.set_done(req, kernel.0);
@@ -1751,7 +1654,7 @@ impl Simulator {
         let was_hedged = self.requests.hedged(req, kernel.0);
         if was_hedged {
             if hedge {
-                self.retry_stats.hedge_wins += 1;
+                self.counters.retry.hedge_wins += 1;
             }
             // First completion wins: cancel the losing copy wherever it is
             // and refund whatever busy time it still held booked.
@@ -1790,9 +1693,7 @@ impl Simulator {
             self.set_terminal(req, Outcome::Completed);
             let latency = now - self.requests.arrival_ms(req);
             Arc::make_mut(&mut self.latencies).push(latency);
-            self.segment_latencies.push(latency);
             self.completed += 1;
-            self.segment_completed += 1;
             if self.recording() {
                 self.obs(ObsEvent::ReqComplete {
                     req,
@@ -1806,22 +1707,16 @@ impl Simulator {
     /// transition is counted as an audit violation and ignored.
     fn set_terminal(&mut self, req: usize, outcome: Outcome) {
         if self.requests.is_settled(req) {
-            self.audit_double_terminal += 1;
+            self.counters.double_terminal += 1;
             return;
         }
         self.requests.set_outcome(req, outcome);
         match outcome {
             Outcome::InFlight => unreachable!("terminal transition to InFlight"),
-            Outcome::Completed => self.life_completed += 1,
-            Outcome::TimedOut => {
-                self.life_timed_out += 1;
-                self.seg_timeouts += 1;
-            }
-            Outcome::Failed => {
-                self.life_failed += 1;
-                self.seg_failed += 1;
-            }
-            Outcome::Cancelled => self.life_cancelled += 1,
+            Outcome::Completed => self.counters.completed += 1,
+            Outcome::TimedOut => self.counters.timed_out += 1,
+            Outcome::Failed => self.counters.failed += 1,
+            Outcome::Cancelled => self.counters.cancelled += 1,
         }
         if self.recording() {
             // `Completed` is reported by the caller as `ReqComplete`
@@ -1845,10 +1740,10 @@ impl Simulator {
         let now = self.now;
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        self.work.cancel.events += 1;
+        self.counters.work.cancel.events += 1;
         for (i, d) in self.devices.iter_mut().enumerate() {
             let removed = d.queue.remove_req(req);
-            self.work.cancel.entries += d.queue.take_touched();
+            self.counters.work.cancel.entries += d.queue.take_touched();
             if removed > 0 {
                 touched.push(i);
             }
@@ -1883,11 +1778,11 @@ impl Simulator {
         let now = self.now;
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        self.work.cancel.events += 1;
+        self.counters.work.cancel.events += 1;
         for (i, d) in self.devices.iter_mut().enumerate() {
             let before = d.inflight.len();
             let removed = d.queue.remove_stage(req, kernel);
-            self.work.cancel.entries += d.queue.take_touched();
+            self.counters.work.cancel.entries += d.queue.take_touched();
             d.inflight.retain(|e| {
                 !(e.item.req == req && e.item.kernel == kernel && e.completion_ms > now + 1e-12)
             });
@@ -1953,9 +1848,6 @@ impl Simulator {
         self.arrived = 0;
         self.completed = 0;
         Arc::make_mut(&mut self.latencies).clear();
-        self.segment_latencies.clear();
-        self.segment_arrived = 0;
-        self.segment_completed = 0;
         for ks in &mut self.kernel_stats {
             *ks = KernelStats::default();
         }
@@ -1965,29 +1857,13 @@ impl Simulator {
         self.requests.compact();
     }
 
-    /// Statistics since the last call (the system monitor's view): arrived
-    /// and completed counts and the latency distribution of the segment.
-    pub fn drain_segment(&mut self) -> (usize, usize, LatencyStats) {
-        let stats = LatencyStats::from_samples(std::mem::take(&mut self.segment_latencies));
-        let arrived = std::mem::replace(&mut self.segment_arrived, 0);
-        let completed = std::mem::replace(&mut self.segment_completed, 0);
-        (arrived, completed, stats)
-    }
-
-    /// Allocation-free [`drain_segment`](Self::drain_segment): swaps the
-    /// segment's raw latency samples into `out` (clearing it first) so an
-    /// interval-stepping driver can recycle one buffer per node instead of
-    /// building a fresh digest every interval. Returns `(arrived,
-    /// completed)`; percentiles come from the slice helpers
-    /// ([`quantile_of`](crate::quantile_of) /
-    /// [`violations_of`](crate::violations_of)), which match the digest
-    /// bit-for-bit.
-    pub fn drain_segment_into(&mut self, out: &mut Vec<f64>) -> (usize, usize) {
-        out.clear();
-        std::mem::swap(out, &mut self.segment_latencies);
-        let arrived = std::mem::replace(&mut self.segment_arrived, 0);
-        let completed = std::mem::replace(&mut self.segment_completed, 0);
-        (arrived, completed)
+    /// Completion latencies of the current accounting window (since the
+    /// last [`reset_accounting`](Self::reset_accounting)), in completion
+    /// order: the raw samples behind [`finish`](Self::finish)'s
+    /// latency digest, for callers that merge windows across simulators.
+    #[must_use]
+    pub fn window_latencies(&self) -> &[f64] {
+        &self.latencies
     }
 
     /// Total queued work items across devices, plus work stranded by
@@ -2043,15 +1919,6 @@ impl Simulator {
     #[must_use]
     pub fn healthy_devices(&self) -> usize {
         self.devices.iter().filter(|d| d.healthy).count()
-    }
-
-    /// Fault events applied and work items retried since the last call
-    /// (the monitor's fault signal).
-    pub fn take_fault_counts(&mut self) -> (usize, usize) {
-        (
-            std::mem::replace(&mut self.seg_fault_events, 0),
-            std::mem::replace(&mut self.seg_retries, 0),
-        )
     }
 
     /// Abandon every request that has not completed yet: clear device
@@ -2127,8 +1994,8 @@ impl Simulator {
                 if !self.devices[device].healthy {
                     return; // already down
                 }
-                self.fault_failures += 1;
-                self.seg_fault_events += 1;
+                self.counters.fail_stops += 1;
+                self.counters.fault_events += 1;
                 if self.recording() {
                     self.obs(ObsEvent::Fault {
                         device,
@@ -2184,8 +2051,7 @@ impl Simulator {
                     // bound; queued victims keep their attempt counter.
                     RetryPolicy::Immediate => {
                         to_retry.extend(queued_victims);
-                        self.retry_stats.device_retries += to_retry.len();
-                        self.seg_retries += to_retry.len();
+                        self.counters.retry.device_retries += to_retry.len();
                         for item in to_retry {
                             self.push(
                                 now,
@@ -2210,12 +2076,11 @@ impl Simulator {
                             }
                             let n = self.requests.attempt(item.req, item.kernel.0);
                             if n > policy.max_retries {
-                                self.retry_stats.exhausted += 1;
+                                self.counters.retry.exhausted += 1;
                                 self.abort_request(item.req, Outcome::Failed);
                                 continue;
                             }
-                            self.retry_stats.device_retries += 1;
-                            self.seg_retries += 1;
+                            self.counters.retry.device_retries += 1;
                             let key = ((item.req as u64) << 20) | item.kernel.0 as u64;
                             let delay = policy.delay_ms(n, key);
                             self.push(
@@ -2233,7 +2098,7 @@ impl Simulator {
                 let d = &mut self.devices[device];
                 if d.healthy {
                     d.derate = factor.max(1.0);
-                    self.seg_fault_events += 1;
+                    self.counters.fault_events += 1;
                     if self.recording() {
                         self.obs(ObsEvent::Fault {
                             device,
@@ -2261,7 +2126,7 @@ impl Simulator {
                     }
                 }
                 if was_down {
-                    self.seg_fault_events += 1;
+                    self.counters.fault_events += 1;
                     self.apply_idle_floors();
                     if self.recording() {
                         self.obs(ObsEvent::Fault {
@@ -2319,19 +2184,7 @@ impl Simulator {
             latency,
             devices,
             kernels: self.kernel_stats.clone(),
-            device_failures: self.fault_failures,
-            retry: self.retry_stats,
-            timed_out: self.life_timed_out,
         }
-    }
-
-    /// Requests timed out and failed since the last call (the monitor's
-    /// lifecycle signal).
-    pub fn take_lifecycle_counts(&mut self) -> (usize, usize) {
-        (
-            std::mem::replace(&mut self.seg_timeouts, 0),
-            std::mem::replace(&mut self.seg_failed, 0),
-        )
     }
 
     /// Milliseconds of deadline budget request `req` has left (∞ when
@@ -2346,37 +2199,40 @@ impl Simulator {
         (self.requests.deadline_ms(req) - self.now).max(0.0)
     }
 
-    /// Lifetime work counts of the queue operations (dispatch pricing,
-    /// batch formation, cancellation, margin walk): deterministic and
+    /// Snapshot of the lifetime counters (never reset: they survive
+    /// [`reset_accounting`](Self::reset_accounting)). Take a
+    /// [`delta`](Counters::delta) between two snapshots to count a window,
+    /// e.g. one interval's fault events or timeouts; the queue work counts
+    /// in [`work`](Counters::work) are deterministic and
     /// machine-independent, so a test can bound the work per event.
     #[must_use]
-    pub fn work_counters(&self) -> WorkCounters {
-        self.work
+    pub fn counters(&self) -> Counters {
+        self.counters
     }
 
-    /// Cumulative re-issue ledger since construction (also embedded in
-    /// [`SimReport`] by [`finish`](Self::finish)).
+    /// Cumulative re-issue ledger since construction.
     #[must_use]
     pub fn retry_stats(&self) -> RetryStats {
-        self.retry_stats
+        self.counters.retry
     }
 
     /// Lifetime conservation accounting for invariant checking — see
-    /// [`AuditReport`]. Counters are never reset (they survive
-    /// [`reset_accounting`](Self::reset_accounting)), so the report covers
-    /// the whole life of the simulator.
+    /// [`AuditReport`]: a view over [`counters`](Self::counters) plus the
+    /// pending population and the busy-energy books, covering the whole
+    /// life of the simulator.
     #[must_use]
     pub fn audit(&self) -> AuditReport {
+        let c = &self.counters;
         AuditReport {
-            admitted: self.life_admitted,
-            completed: self.life_completed,
-            timed_out: self.life_timed_out,
-            failed: self.life_failed,
-            cancelled: self.life_cancelled,
+            admitted: c.admitted,
+            completed: c.completed,
+            timed_out: c.timed_out,
+            failed: c.failed,
+            cancelled: c.cancelled,
             pending: self.requests.pending(),
-            stale_completions: self.audit_stale,
-            double_terminal: self.audit_double_terminal,
-            clock_regressions: self.audit_clock_regressions,
+            stale_completions: c.stale_completions,
+            double_terminal: c.double_terminal,
+            clock_regressions: c.clock_regressions,
             booked_busy_mj: self.booked_busy_mj,
             refunded_busy_mj: self.refunded_busy_mj,
         }
@@ -2587,19 +2443,28 @@ mod tests {
     }
 
     #[test]
-    fn segment_drain_resets_counters() {
+    fn counter_deltas_count_a_window_then_nothing() {
         let mut s = sim(
             vec![fpga_impl(0, 5.0), fpga_impl(1, 5.0)],
             Pool::heterogeneous(0, 2),
         );
+        let before = s.counters();
         s.enqueue_arrivals(&[0.0, 1.0]);
         s.advance_to(5_000.0);
-        let (a1, c1, _) = s.drain_segment();
-        assert_eq!(a1, 2);
-        assert_eq!(c1, 2);
-        let (a2, c2, l2) = s.drain_segment();
-        assert_eq!((a2, c2), (0, 0));
-        assert!(l2.is_empty());
+        let r = s.finish(5_000.0);
+        assert_eq!((r.arrived, r.completed), (2, 2));
+        let d = s.counters().delta(&before);
+        assert_eq!((d.admitted, d.completed), (2, 2));
+        assert_eq!(s.window_latencies().len(), 2);
+        drop(r);
+
+        let before = s.counters();
+        s.reset_accounting();
+        let r = s.finish(6_000.0);
+        assert_eq!((r.arrived, r.completed), (0, 0));
+        assert!(r.latency.is_empty());
+        assert!(s.window_latencies().is_empty());
+        assert_eq!(s.counters().delta(&before), Counters::default());
     }
 
     #[test]
@@ -2633,20 +2498,37 @@ mod tests {
             vec![fpga_impl(0, 10.0), fpga_impl(1, 10.0)],
             Pool::heterogeneous(0, 2),
         );
-        s.record_timeline(true);
+        let rec = poly_obs::MemRecorder::new();
+        s.set_recorder(Some(Box::new(rec.clone())));
         s.enqueue_arrivals(&[0.0, 1.0]);
         s.drain();
-        let tl = s.timeline().to_vec();
+        let execs = |rec: &poly_obs::MemRecorder| -> Vec<(f64, usize, f64, f64)> {
+            rec.samples()
+                .into_iter()
+                .filter_map(|smp| match smp.event {
+                    ObsEvent::ExecStart {
+                        batch,
+                        reconfig_ms,
+                        exec_ms,
+                        ..
+                    } => Some((smp.t_ms, batch, reconfig_ms, exec_ms)),
+                    _ => None,
+                })
+                .collect()
+        };
         // 2 requests × 2 kernels = 4 executions (batch = 1 each).
+        let tl = execs(&rec);
         assert_eq!(tl.len(), 4);
-        for r in &tl {
-            assert!(r.completion_ms > r.start_ms);
-            assert_eq!(r.batch, 1);
-            assert!(r.reconfig_ms >= 0.0);
+        for &(start_ms, batch, reconfig_ms, exec_ms) in &tl {
+            assert!(start_ms + reconfig_ms + exec_ms > start_ms);
+            assert_eq!(batch, 1);
+            assert!(reconfig_ms >= 0.0);
         }
         // Recording can be turned off again.
-        s.record_timeline(false);
-        assert!(s.timeline().is_empty());
+        s.set_recorder(None);
+        s.enqueue_arrivals(&[100.0]);
+        s.drain();
+        assert_eq!(execs(&rec).len(), 4);
     }
 
     #[test]
@@ -2705,8 +2587,8 @@ mod tests {
         s.drain();
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 1);
-        assert_eq!(r.device_failures, 1);
-        assert_eq!(r.retry.device_retries, 1);
+        let c = s.counters();
+        assert_eq!((c.fail_stops, c.retry.device_retries), (1, 1));
         assert!(
             (r.latency.max() - 15.0).abs() < 1e-6,
             "retried completion at 15, got {}",
@@ -2761,7 +2643,7 @@ mod tests {
             "{}",
             r.latency.quantile(0.01)
         );
-        assert_eq!(r.device_failures, 0, "a slowdown is not a fail-stop");
+        assert_eq!(s.counters().fail_stops, 0, "a slowdown is not a fail-stop");
     }
 
     #[test]
@@ -2798,7 +2680,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_counts_drain_like_segments() {
+    fn fault_counter_deltas_count_a_window_then_nothing() {
         let mut s = Simulator::new(
             graph1(),
             &Pool::heterogeneous(0, 2),
@@ -2806,12 +2688,17 @@ mod tests {
             SimConfig::default(),
         );
         s.inject_faults(&FaultPlan::new().fail_stop(5.0, 0).recover(50.0, 0));
+        let before = s.counters();
         s.enqueue_arrivals(&[0.0]);
         s.advance_to(100.0);
-        let (events, retried) = s.take_fault_counts();
-        assert_eq!(events, 2, "fail-stop + recovery");
-        assert_eq!(retried, 1);
-        assert_eq!(s.take_fault_counts(), (0, 0), "counts drained");
+        let d = s.counters().delta(&before);
+        assert_eq!(d.fault_events, 2, "fail-stop + recovery");
+        assert_eq!(d.fail_stops, 1);
+        assert_eq!(d.retry.device_retries, 1);
+        let before = s.counters();
+        s.advance_to(200.0);
+        let d = s.counters().delta(&before);
+        assert_eq!((d.fault_events, d.retry.device_retries), (0, 0));
     }
 
     #[test]
@@ -3054,7 +2941,6 @@ mod tests {
         s.drain();
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 2);
-        assert_eq!(r.timed_out, 8);
         let a = s.audit();
         a.check().expect("audit invariants hold");
         assert_eq!(a.completed, 2);
@@ -3096,7 +2982,7 @@ mod tests {
         }
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 1, "in-budget request completes normally");
-        assert_eq!(r.timed_out, 0);
+        assert_eq!(s.counters().timed_out, 0);
         assert_eq!(s.remaining_budget_ms(0), 0.0, "budget exhausted at 250+");
         s.audit().check().expect("audit invariants hold");
     }
@@ -3119,8 +3005,8 @@ mod tests {
         s.drain();
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 1);
-        assert_eq!(r.retry.device_retries, 1);
-        assert_eq!(r.retry.exhausted, 0);
+        assert_eq!(s.retry_stats().device_retries, 1);
+        assert_eq!(s.retry_stats().exhausted, 0);
         assert!(
             (r.latency.max() - 20.0).abs() < 1e-6,
             "retry delayed by 5 ms backoff, got {}",
@@ -3163,8 +3049,8 @@ mod tests {
         s.drain();
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 0, "request failed, not completed");
-        assert_eq!(r.retry.device_retries, 1);
-        assert_eq!(r.retry.exhausted, 1);
+        assert_eq!(s.retry_stats().device_retries, 1);
+        assert_eq!(s.retry_stats().exhausted, 1);
         let a = s.audit();
         a.check().expect("audit invariants hold");
         assert_eq!(a.failed, 1);
@@ -3193,8 +3079,8 @@ mod tests {
         s.drain();
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 9);
-        assert_eq!(r.retry.hedges_fired, 1);
-        assert_eq!(r.retry.hedge_wins, 1);
+        assert_eq!(s.retry_stats().hedges_fired, 1);
+        assert_eq!(s.retry_stats().hedge_wins, 1);
         // The hedged request finished well under the derated 50 ms.
         assert!(r.latency.max() < 40.0, "{}", r.latency.max());
         let a = s.audit();
@@ -3232,7 +3118,8 @@ mod tests {
         let r = s.finish(1000.0);
         assert_eq!(r.completed, 18);
         assert_eq!(
-            r.retry.hedges_fired, 0,
+            s.retry_stats().hedges_fired,
+            0,
             "no hedge may fire into a backlogged queue"
         );
         s.audit().check().expect("audit invariants hold");
@@ -3356,7 +3243,7 @@ mod tests {
         crate::workload::SizeDist::heavy_tail().sample(n, 7)
     }
 
-    fn run_dyn(policy: Policy, dynamic: Option<DynamicDispatch>) -> SimReport {
+    fn run_dyn(policy: Policy, dynamic: Option<DynamicDispatch>) -> (SimReport, RetryStats) {
         let mut s = Simulator::new(
             graph2(),
             &Pool::heterogeneous(1, 2),
@@ -3371,7 +3258,7 @@ mod tests {
         s.enqueue_arrivals_sized(&arrivals, &sizes);
         s.drain();
         s.audit().check().expect("audit invariants hold");
-        s.finish(60_000.0)
+        (s.finish(60_000.0), s.retry_stats())
     }
 
     /// With the dynamic layer off, carrying alternates must change
@@ -3379,12 +3266,12 @@ mod tests {
     /// equally inert — both reduce to the static plan bit-for-bit.
     #[test]
     fn dynamic_off_is_byte_identical_to_static() {
-        let baseline = run_dyn(
+        let (baseline, _) = run_dyn(
             Policy::from_impls(vec![gpu_impl(0, 40.0, 8), fpga_impl(1, 12.0)]),
             None,
         );
-        let with_alts = run_dyn(dyn_policy(), None);
-        let knob_only = run_dyn(
+        let (with_alts, _) = run_dyn(dyn_policy(), None);
+        let (knob_only, _) = run_dyn(
             Policy::from_impls(vec![gpu_impl(0, 40.0, 8), fpga_impl(1, 12.0)]),
             Some(DynamicDispatch::default()),
         );
@@ -3404,11 +3291,11 @@ mod tests {
     /// bit-identical latency streams, energy, and steal counts.
     #[test]
     fn dynamic_chooser_is_deterministic() {
-        let a = run_dyn(dyn_policy(), Some(DynamicDispatch::default()));
-        let b = run_dyn(dyn_policy(), Some(DynamicDispatch::default()));
+        let (a, a_retry) = run_dyn(dyn_policy(), Some(DynamicDispatch::default()));
+        let (b, b_retry) = run_dyn(dyn_policy(), Some(DynamicDispatch::default()));
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
-        assert_eq!(a.retry.steals, b.retry.steals);
+        assert_eq!(a_retry.steals, b_retry.steals);
         assert!(a
             .latency
             .samples()
@@ -3451,14 +3338,14 @@ mod tests {
         s.devices[1].queue.push_back(item);
         s.try_steal(0);
         assert_eq!(
-            s.retry_stats.steals, 0,
+            s.counters.retry.steals, 0,
             "single-entry queues are not farmed"
         );
         // Two entries: the thief takes the tail and starts it; the
         // victim keeps its front.
         s.devices[1].queue.push_back(item);
         s.try_steal(0);
-        assert_eq!(s.retry_stats.steals, 1);
+        assert_eq!(s.counters.retry.steals, 1);
         assert_eq!(
             s.devices[0].queue.len() + s.devices[0].inflight.len(),
             1,

@@ -43,10 +43,10 @@ mod time;
 pub mod workload;
 
 pub use audit::{AuditError, AuditReport};
-pub use counters::{OpCount, WorkCounters};
+pub use counters::{Counters, OpCount, WorkCounters};
 pub use device::DeviceStats;
 pub use engine::{
-    DynamicDispatch, ExecutionRecord, KernelStats, PipelineConfig, SimConfig, SimReport, Simulator,
+    DynamicDispatch, KernelStats, PipelineConfig, SimConfig, SimReport, Simulator,
     GPU_PARKED_FRACTION,
 };
 pub use ep::{ep_metric, EpCurve, EpPoint};
@@ -54,6 +54,6 @@ pub use equeue::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use lifecycle::{hedge_delay_from, BackoffPolicy, HedgeConfig, LifecycleConfig, RetryPolicy};
 pub use load::{max_rps_under_qos, max_rps_under_qos_par, steady_state, LoadPoint, LoadSweep};
-pub use metrics::{quantile_of, violations_of, LatencyStats, RetryStats};
+pub use metrics::{quantile_of, LatencyStats, RetryStats};
 pub use policy::{KernelImpl, Policy};
 pub use time::TotalF64;

@@ -225,9 +225,6 @@ mod tests {
             throughput_rps: rps,
             devices: vec![],
             kernels: vec![],
-            device_failures: 0,
-            retry: crate::RetryStats::default(),
-            timed_out: 0,
         }
     }
 

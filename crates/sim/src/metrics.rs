@@ -28,16 +28,6 @@ pub struct RetryStats {
 }
 
 impl RetryStats {
-    /// Fold another ledger into this one (cluster aggregation).
-    pub fn merge(&mut self, other: &RetryStats) {
-        self.device_retries += other.device_retries;
-        self.exhausted += other.exhausted;
-        self.redistributed += other.redistributed;
-        self.hedges_fired += other.hedges_fired;
-        self.hedge_wins += other.hedge_wins;
-        self.steals += other.steals;
-    }
-
     /// Total extra dispatches caused by faults and hedging.
     #[must_use]
     pub fn total_reissues(&self) -> usize {
@@ -187,17 +177,6 @@ fn clamp_q(q: f64) -> f64 {
     } else {
         q.clamp(0.0, 1.0)
     }
-}
-
-/// Number of finite samples strictly above `bound_ms` — the slice twin of
-/// [`LatencyStats::violations_over`] (which counts over an already
-/// finite-filtered buffer).
-#[must_use]
-pub fn violations_of(samples: &[f64], bound_ms: f64) -> usize {
-    samples
-        .iter()
-        .filter(|&&x| x.is_finite() && x > bound_ms)
-        .count()
 }
 
 impl LatencyStats {
@@ -543,15 +522,12 @@ mod tests {
                     "n={n} q={q}"
                 );
             }
-            assert_eq!(violations_of(&samples, 10.0), s.violations_over(10.0));
         }
         // Non-finite entries are filtered identically on both paths.
         let dirty = vec![1.0, f64::NAN, 3.0, f64::INFINITY, 2.0];
         let s = LatencyStats::from_samples(dirty.clone());
         assert_eq!(quantile_of(&dirty, 0.99, &mut scratch), Some(s.p99()));
-        assert_eq!(violations_of(&dirty, 1.5), s.violations_over(1.5));
         assert_eq!(quantile_of(&[], 0.5, &mut scratch), None);
-        assert_eq!(violations_of(&[], 0.0), 0);
     }
 
     /// Property sweep: on hundreds of seeded pseudo-random slices mixing
@@ -600,12 +576,6 @@ mod tests {
                     "case {case} q={q}: None iff no finite"
                 );
             }
-            let bound = (next() % 1_000) as f64;
-            assert_eq!(
-                violations_of(&samples, bound),
-                stats.violations_over(bound),
-                "case {case} bound={bound}"
-            );
         }
     }
 

@@ -226,7 +226,7 @@ fn mixed_fleet_runs_both_backends_side_by_side() {
     let run = || {
         let mut measured = setup.clone();
         measured.backend = ExecBackend::Cpu(Arc::clone(&client));
-        let mut cl = Cluster::new(
+        let mut cl = Cluster::try_new(
             &app,
             &spaces,
             vec![setup.clone(), measured],
@@ -239,7 +239,8 @@ fn mixed_fleet_runs_both_backends_side_by_side() {
                 lifecycle: poly::sim::LifecycleConfig::default(),
                 breaker: None,
             },
-        );
+        )
+        .expect("valid cluster configuration");
         cl.run(ClusterRunSpec::new(&flat_trace(3, 0.3), INTERVAL_MS, 16.0).seed(2011))
             .expect("valid mixed-fleet run")
     };

@@ -3,7 +3,7 @@
 //! walk must stay under one constant whether a node queues ten work
 //! items or ten thousand.
 //!
-//! The counts come from `Simulator::work_counters`, which depends only on
+//! The counts come from `Simulator::counters().work`, which depends only on
 //! the simulated inputs, so the gate is exact on any host. Each case is
 //! one Setting-I Heter-Poly ASR node:
 //!
@@ -152,12 +152,12 @@ fn plain_overload_touches_constant_entries_per_event() {
             seed += 1;
         }
         let at = sim.queued();
-        let before = sim.work_counters();
+        let before = sim.counters().work;
         feed(&mut sim, n.capacity_rps, 2_000.0, seed);
         seed += 1;
         rows.push(Row {
             depth: at,
-            work: sim.work_counters().delta(&before),
+            work: sim.counters().work.delta(&before),
         });
     }
     assert!(
@@ -193,7 +193,7 @@ fn lifecycle_overload_touches_constant_entries_per_event() {
         let fill_ms = (2.0 * wait_ms).max(4_000.0);
         feed(&mut sim, OVERLOAD * n.capacity_rps, fill_ms, depth as u64);
         let at = sim.queued();
-        let before = sim.work_counters();
+        let before = sim.counters().work;
         feed(
             &mut sim,
             OVERLOAD * n.capacity_rps,
@@ -202,7 +202,7 @@ fn lifecycle_overload_touches_constant_entries_per_event() {
         );
         rows.push(Row {
             depth: at,
-            work: sim.work_counters().delta(&before),
+            work: sim.counters().work.delta(&before),
         });
         sim.drain();
         sim.audit().check().expect("audit invariants hold");
