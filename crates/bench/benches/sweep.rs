@@ -14,15 +14,26 @@ use poly_sim::{steady_state, EventQueue, LoadSweep, SimReport, TotalF64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Splitmix-style step: pseudo-random event delta in `[0, 4096)` ms,
-/// deterministic across runs. The wheel's 256 × 2 ms ring covers the
-/// first ~0.5 s of that; later events wait in its overflow heap.
-fn next_delta_ms(state: &mut u64) -> f64 {
+/// One LCG step: 31 pseudo-random bits, deterministic across runs.
+fn next_bits(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6_364_136_223_846_793_005)
         .wrapping_add(1_442_695_040_888_963_407);
-    (*state >> 33) as f64 * (4096.0 / 2_147_483_648.0)
+    *state >> 33
 }
+
+/// Engine-shaped event delta, in ms: 15 of 16 draws land within the
+/// wheel's 256 × 2 ms horizon (device completions, batch wakes, PCIe
+/// transfers: `[0, 256)` ms); the rest reach `[0, 4096)` ms, as request
+/// deadlines and scripted faults do, and mostly wait in the overflow.
+fn next_delta_ms(state: &mut u64) -> f64 {
+    let bits = next_bits(state);
+    let span = if bits & 15 == 0 { 4096.0 } else { 256.0 };
+    (bits >> 4) as f64 * (span / 134_217_728.0)
+}
+
+/// Arrivals in one pre-enqueued interval of the `arrivals` rows.
+const INTERVAL_ARRIVALS: u32 = 10_000;
 
 fn bench_sweep(c: &mut Criterion) {
     let app = asr();
@@ -81,7 +92,8 @@ fn bench_sweep(c: &mut Criterion) {
     });
 
     // Event-core hold pattern: pop the earliest event, schedule a
-    // successor a pseudo-random delta into the future, at a standing
+    // successor an engine-shaped delta into the future (mostly inside
+    // the wheel's horizon, see `next_delta_ms`), at a standing
     // population of 100k events (a 100-node fleet's aggregate in-flight
     // set at the `scale` figure) and 1M events (the ROADMAP's
     // millions-of-users fleet). One iteration = one pop + one push. The
@@ -126,6 +138,47 @@ fn bench_sweep(c: &mut Criterion) {
             })
         });
     }
+
+    // An interval's pre-enqueued arrivals: 10k sorted times 1 ms apart,
+    // starting 1 s past the last popped time (beyond the wheel's
+    // horizon, so the wheel keeps them in its overflow's in-order run),
+    // pushed and then drained. Elements(10k) => per-arrival cost.
+    group.sample_size(20);
+    group.throughput(criterion::Throughput::Elements(u64::from(
+        INTERVAL_ARRIVALS,
+    )));
+    group.bench_function("event_core_wheel_interval_arrivals_10k", |b| {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut now = 0.0;
+        b.iter(|| {
+            for i in 0..INTERVAL_ARRIVALS {
+                q.push(now + 1_000.0 + f64::from(i), black_box(i));
+            }
+            while let Some((t, _, v)) = q.pop() {
+                now = t;
+                black_box(v);
+            }
+        })
+    });
+    group.bench_function("event_core_heap_interval_arrivals_10k", |b| {
+        let mut h: BinaryHeap<Reverse<(TotalF64, u64, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0.0;
+        b.iter(|| {
+            for i in 0..INTERVAL_ARRIVALS {
+                seq += 1;
+                h.push(Reverse((
+                    TotalF64(now + 1_000.0 + f64::from(i)),
+                    seq,
+                    black_box(i),
+                )));
+            }
+            while let Some(Reverse((t, _, v))) = h.pop() {
+                now = t.0;
+                black_box(v);
+            }
+        })
+    });
 
     // CPU-backend kernel execution: the real work `ExecBackend::Cpu`
     // performs when it re-times a policy. One iteration = one sized

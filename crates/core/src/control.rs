@@ -13,6 +13,7 @@
 //! interval, [`ControlLoop::observe`] feeds the measurements back into
 //! the monitor and the model.
 
+use crate::optimizer::Candidates;
 use crate::{retime_policy, AppContext, IntervalObs, Optimizer, PolicyPrediction, SystemMonitor};
 use poly_backend::ExecBackend;
 use poly_sched::Pool;
@@ -43,6 +44,13 @@ pub struct ControlLoop {
     /// Pool the last plan was made against; divergence from the
     /// simulator's available pool forces a re-plan.
     avail: Pool,
+    /// The optimizer's candidate policies for `avail` — the
+    /// load-independent half of a plan. Built by the first plan after
+    /// [`begin`](Self::begin) or a pool change; every other re-plan only
+    /// re-selects among them at the new load.
+    candidates: Option<Candidates>,
+    /// How many times the candidate set was built.
+    candidate_builds: u64,
     /// Whether the last boundary adopted a different policy.
     changed: bool,
     /// Why the last boundary planned the way it did (telemetry).
@@ -67,6 +75,8 @@ impl ControlLoop {
             policy: None,
             predicted: None,
             avail: ctx.setup().pool.clone(),
+            candidates: None,
+            candidate_builds: 0,
             changed: false,
             reason: "initial",
             est_rps: 0.0,
@@ -77,6 +87,13 @@ impl ControlLoop {
     #[must_use]
     pub fn optimizer(&self) -> &Optimizer {
         &self.optimizer
+    }
+
+    /// How many times the loop built the optimizer's candidate set: once
+    /// per [`begin`](Self::begin) that plans and once per pool change.
+    #[must_use]
+    pub fn candidate_builds(&self) -> u64 {
+        self.candidate_builds
     }
 
     /// The monitor's smoothed load estimate, in RPS.
@@ -159,6 +176,7 @@ impl ControlLoop {
         self.backend = backend;
         self.alternates = alternates;
         self.avail = ctx.setup().pool.clone();
+        self.candidates = None;
         self.changed = false;
         self.est_rps = first_rps;
         let (policy, predicted) = match pinned {
@@ -181,17 +199,29 @@ impl ControlLoop {
         policy
     }
 
-    /// Plan on the current pool for `est_rps`, under the cap if any.
+    /// Plan on the current pool for `est_rps`, under the cap if any:
+    /// exactly [`Optimizer::plan_for_load_capped`], with the candidate set
+    /// built only when the pool has changed since it was last built.
     fn plan(&mut self, ctx: &AppContext, est_rps: f64) -> (Policy, PolicyPrediction) {
-        self.optimizer.plan_for_load_capped(
+        let candidates = self.candidates.get_or_insert_with(|| {
+            self.candidate_builds += 1;
+            self.optimizer.candidates(
+                ctx.graph(),
+                ctx.spaces(),
+                &self.avail,
+                &ctx.setup().gpu,
+                ctx.bound_ms(),
+            )
+        });
+        let (chosen, prediction) = self.optimizer.select(
+            candidates,
             ctx.graph(),
-            ctx.spaces(),
             &self.avail,
-            &ctx.setup().gpu,
             ctx.bound_ms(),
             est_rps,
             self.cap_w.unwrap_or(f64::INFINITY),
-        )
+        );
+        (candidates.policies()[chosen].clone(), prediction)
     }
 
     /// Make a planned policy adoptable: attach alternates when enabled,
@@ -228,6 +258,7 @@ impl ControlLoop {
         let degraded = now_avail != self.avail;
         if degraded {
             self.avail = now_avail;
+            self.candidates = None;
         }
         let force = std::mem::take(&mut self.force_replan);
         if self.avail.is_empty() {
@@ -309,6 +340,7 @@ mod tests {
     use super::*;
     use crate::provision::{table_iii, Architecture, Setting};
     use poly_dse::Explorer;
+    use poly_sim::FaultPlan;
 
     fn ctx() -> AppContext {
         let app = poly_apps::asr();
@@ -345,6 +377,100 @@ mod tests {
         // The force is spent by the re-plan that honored it.
         control.replan(&ctx, &mut sim, 10.0);
         assert_ne!(control.reason(), "forced");
+    }
+
+    /// Re-plan `control` at `rps` with the plan adopted unconditionally,
+    /// and check it adopted exactly what a fresh, uncached
+    /// `plan_for_load_capped` picks on the simulator's pool with the
+    /// loop's cap and model state.
+    fn replan_matches_a_fresh_plan(
+        ctx: &AppContext,
+        control: &mut ControlLoop,
+        sim: &mut Simulator,
+        rps: f64,
+    ) {
+        let mut fresh = control.optimizer().clone();
+        let (want, want_pred) = fresh.plan_for_load_capped(
+            ctx.graph(),
+            ctx.spaces(),
+            &sim.available_pool(),
+            &ctx.setup().gpu,
+            ctx.bound_ms(),
+            rps,
+            control.cap_w.unwrap_or(f64::INFINITY),
+        );
+        control.force_replan();
+        control.replan(ctx, sim, rps);
+        assert_eq!(
+            control.policy.as_ref(),
+            Some(&control.adopt(ctx, want)),
+            "at {rps} RPS"
+        );
+        assert_eq!(control.predicted(), Some(&want_pred), "at {rps} RPS");
+    }
+
+    #[test]
+    fn cached_candidates_adopt_what_a_fresh_plan_picks() {
+        let ctx = ctx();
+        let cap = ctx.setup().power_cap_w;
+        let (mut control, mut sim) = started(&ctx, Some(cap));
+        assert_eq!(control.candidate_builds(), 1, "begin builds the set");
+        let sweep = [2.0, 10.0, 25.0, 40.0, 60.0, 80.0, 120.0, 400.0];
+        // A load sweep with the model's correction moving between plans.
+        for (i, &rps) in sweep.iter().enumerate() {
+            replan_matches_a_fresh_plan(&ctx, &mut control, &mut sim, rps);
+            // Feed the model even after a policy change.
+            control.changed = false;
+            control.observe(IntervalObs {
+                duration_ms: 10_000.0,
+                arrived: 100,
+                completed: 100,
+                p99_ms: 40.0 + 30.0 * i as f64,
+                avg_power_w: 100.0,
+                queued: 0,
+            });
+        }
+        // Unforced re-plans (hysteresis) select from the same set.
+        for &rps in &sweep {
+            control.replan(&ctx, &mut sim, rps);
+        }
+        // A cap move re-selects; it does not rebuild.
+        control.set_cap(cap * 0.4);
+        for &rps in &sweep {
+            replan_matches_a_fresh_plan(&ctx, &mut control, &mut sim, rps);
+        }
+        assert_eq!(
+            control.candidate_builds(),
+            1,
+            "a faultless replay builds once"
+        );
+
+        // A fail-stop changes the pool: one rebuild, then selection only.
+        sim.inject_faults(&FaultPlan::new().fail_stop(1_000.0, 0));
+        sim.advance_to(2_000.0);
+        let degraded = sim.available_pool();
+        assert!(degraded != ctx.setup().pool && !degraded.is_empty());
+        for &rps in &sweep {
+            replan_matches_a_fresh_plan(&ctx, &mut control, &mut sim, rps);
+        }
+        assert_eq!(control.candidate_builds(), 2, "the fault builds once more");
+
+        // Recovery changes it back: one more rebuild.
+        sim.inject_faults(&FaultPlan::new().recover(3_000.0, 0));
+        sim.advance_to(4_000.0);
+        assert_eq!(sim.available_pool(), ctx.setup().pool);
+        for &rps in &sweep {
+            replan_matches_a_fresh_plan(&ctx, &mut control, &mut sim, rps);
+        }
+        assert_eq!(
+            control.candidate_builds(),
+            3,
+            "the recovery builds once more"
+        );
+
+        // A fresh replay rebuilds at `begin`.
+        control.begin(&ctx, 10.0, None, ExecBackend::Analytical, false);
+        assert_eq!(control.candidate_builds(), 4);
     }
 
     #[test]

@@ -41,6 +41,37 @@ pub struct SystemModel {
 /// p99 of an M/M/1-ish wait is ≈ `-ln(0.01) ≈ 4.6` mean waits.
 const TAIL_FACTOR: f64 = 4.6;
 
+/// FPGA kernels whose device split [`SystemModel::predict`] computes on
+/// the stack (more fall back to the heap).
+const SPLIT_STACK: usize = 32;
+
+/// Capacity of the FPGA platform when `policy`'s FPGA kernels pin
+/// bitstreams: split the `n_fpga` devices proportionally to demand
+/// (largest remainder, ≥1 per kernel when possible) and return the
+/// slowest kernel's rate. `devs` is scratch, one slot per FPGA kernel.
+fn fpga_split_capacity(policy: &Policy, n_fpga: f64, devs: &mut [f64]) -> f64 {
+    let fpga_impls = || policy.impls().iter().filter(|i| i.kind == DeviceKind::Fpga);
+    let total: f64 = fpga_impls().map(|i| i.service_ms).sum();
+    for (d, i) in devs.iter_mut().zip(fpga_impls()) {
+        *d = (i.service_ms / total * n_fpga).floor().max(1.0);
+    }
+    let mut spare = n_fpga - devs.iter().sum::<f64>();
+    // Hand spare devices to the most loaded kernels.
+    while spare >= 1.0 {
+        let (worst, _) = fpga_impls()
+            .enumerate()
+            .map(|(j, i)| (j, i.service_ms / devs[j]))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty");
+        devs[worst] += 1.0;
+        spare -= 1.0;
+    }
+    fpga_impls()
+        .enumerate()
+        .map(|(j, i)| devs[j] * 1000.0 / i.service_ms)
+        .fold(f64::INFINITY, f64::min)
+}
+
 impl SystemModel {
     /// Fresh model with no correction (factor 1).
     #[must_use]
@@ -88,11 +119,8 @@ impl SystemModel {
             .filter(|i| i.kind == DeviceKind::Gpu)
             .map(|i| i.service_ms)
             .sum();
-        let fpga_impls: Vec<&poly_sim::KernelImpl> = policy
-            .impls()
-            .iter()
-            .filter(|i| i.kind == DeviceKind::Fpga)
-            .collect();
+        let fpga_impls = || policy.impls().iter().filter(|i| i.kind == DeviceKind::Fpga);
+        let n_fpga_kernels = fpga_impls().count();
 
         let gpu_capacity = if gpu_demand > 0.0 {
             if n_gpu == 0.0 {
@@ -104,40 +132,19 @@ impl SystemModel {
             f64::INFINITY
         };
 
-        // FPGA kernels pin bitstreams: split the devices proportionally to
-        // demand (largest remainder, ≥1 per kernel when possible).
-        let fpga_capacity = if fpga_impls.is_empty() {
+        let fpga_capacity = if n_fpga_kernels == 0 {
             f64::INFINITY
         } else if n_fpga == 0.0 {
             0.0
-        } else if fpga_impls.len() as f64 > n_fpga {
+        } else if n_fpga_kernels as f64 > n_fpga {
             // Thrash: every request pays bitstream swaps on top of service.
-            let demand: f64 = fpga_impls.iter().map(|i| i.service_ms).sum();
+            let demand: f64 = fpga_impls().map(|i| i.service_ms).sum();
             let reconfig = 2.0 * 220.0; // pessimistic swap charge
             n_fpga * 1000.0 / (demand + reconfig)
+        } else if n_fpga_kernels <= SPLIT_STACK {
+            fpga_split_capacity(policy, n_fpga, &mut [0.0; SPLIT_STACK][..n_fpga_kernels])
         } else {
-            let total: f64 = fpga_impls.iter().map(|i| i.service_ms).sum();
-            let mut devs: Vec<f64> = fpga_impls
-                .iter()
-                .map(|i| (i.service_ms / total * n_fpga).floor().max(1.0))
-                .collect();
-            let mut spare = n_fpga - devs.iter().sum::<f64>();
-            // Hand spare devices to the most loaded kernels.
-            while spare >= 1.0 {
-                let (worst, _) = fpga_impls
-                    .iter()
-                    .enumerate()
-                    .map(|(j, i)| (j, i.service_ms / devs[j]))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("non-empty");
-                devs[worst] += 1.0;
-                spare -= 1.0;
-            }
-            fpga_impls
-                .iter()
-                .enumerate()
-                .map(|(j, i)| devs[j] * 1000.0 / i.service_ms)
-                .fold(f64::INFINITY, f64::min)
+            fpga_split_capacity(policy, n_fpga, &mut vec![0.0; n_fpga_kernels])
         };
 
         let capacity_rps = gpu_capacity.min(fpga_capacity);

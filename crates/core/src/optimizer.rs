@@ -8,6 +8,7 @@ use poly_dse::{KernelDesignSpace, Tuning};
 use poly_ir::{KernelGraph, KernelId};
 use poly_sched::{Pool, Scheduler};
 use poly_sim::{KernelImpl, Policy};
+use std::cmp::Ordering;
 
 /// Build a simulator [`Policy`] from explicit per-kernel design-point
 /// picks `(kind, impl_index)`.
@@ -50,6 +51,22 @@ pub fn policy_from_points(
         })
         .collect();
     Policy::from_impls(impls)
+}
+
+/// The candidate policies of one plan, built once by
+/// [`Optimizer::candidates`] and re-selected by [`Optimizer::select`] at
+/// every load on the same pool.
+#[derive(Debug)]
+pub(crate) struct Candidates {
+    policies: Vec<Policy>,
+}
+
+impl Candidates {
+    /// The candidate policies, in the order [`Optimizer::select`] indexes.
+    #[must_use]
+    pub(crate) fn policies(&self) -> &[Policy] {
+        &self.policies
+    }
 }
 
 /// The load-aware policy optimizer.
@@ -127,7 +144,13 @@ impl Optimizer {
     /// is never sacrificed to the budget), and under overload the
     /// highest-capacity candidate wins regardless of power — the paper's
     /// "shift to higher performance mode" reaction. A cap of
-    /// `f64::INFINITY` reduces exactly to [`plan_for_load`].
+    /// `f64::INFINITY` reduces exactly to
+    /// [`plan_for_load`](Self::plan_for_load).
+    ///
+    /// The plan is built in two halves: the candidate set, which does not
+    /// depend on the load, the cap or the model's correction, and the
+    /// selection among them at `rps`. The crate's control loop keeps the
+    /// first half across re-plans on an unchanged pool.
     ///
     /// # Panics
     /// Panics if the scheduler cannot produce any plan (mismatched spaces
@@ -144,56 +167,102 @@ impl Optimizer {
         rps: f64,
         power_cap_w: f64,
     ) -> (Policy, PolicyPrediction) {
-        let mut candidates: Vec<Policy> = Vec::new();
+        let candidates = self.candidates(graph, spaces, pool, gpu_model, bound_ms);
+        let (chosen, prediction) =
+            self.select(&candidates, graph, pool, bound_ms, rps, power_cap_w);
+        (candidates.policies()[chosen].clone(), prediction)
+    }
+
+    /// The load-independent half of a plan: every candidate policy for
+    /// `pool` under `bound_ms` (the two-step plan, the latency-only plan
+    /// and the capacity plans). It depends on the graph, the spaces, the
+    /// pool, the GPU model, the bound and the headroom — not on the load,
+    /// the power cap or the model's correction — so it stays valid for as
+    /// long as those do.
+    ///
+    /// # Panics
+    /// Panics if the scheduler cannot produce any plan (mismatched spaces
+    /// or empty pool) — configuration errors, not runtime conditions.
+    #[must_use]
+    pub(crate) fn candidates(
+        &self,
+        graph: &KernelGraph,
+        spaces: &[KernelDesignSpace],
+        pool: &Pool,
+        gpu_model: &GpuModel,
+        bound_ms: f64,
+    ) -> Candidates {
+        let mut policies: Vec<Policy> = Vec::new();
 
         // 1–2: the two-step plan and the latency-only plan.
         if let Ok(plan) = self
             .scheduler
             .plan(graph, spaces, pool, bound_ms * self.headroom)
         {
-            candidates.push(Policy::from_plan(&plan, spaces, gpu_model));
+            policies.push(Policy::from_plan(&plan, spaces, gpu_model));
         }
         if let Ok(plan) = self.scheduler.plan_latency(graph, spaces, pool) {
-            candidates.push(Policy::from_plan(&plan, spaces, gpu_model));
+            policies.push(Policy::from_plan(&plan, spaces, gpu_model));
         }
 
         // 3: capacity plans over all platform assignments.
-        candidates.extend(self.capacity_plans(graph, spaces, pool, gpu_model, bound_ms));
-        assert!(!candidates.is_empty(), "no schedulable candidate policy");
+        policies.extend(self.capacity_plans(graph, spaces, pool, gpu_model, bound_ms));
+        assert!(!policies.is_empty(), "no schedulable candidate policy");
+        Candidates { policies }
+    }
 
-        // --- selection ---------------------------------------------------
-        let preds: Vec<PolicyPrediction> = candidates
-            .iter()
-            .map(|p| self.model.predict(graph, p, pool, rps))
-            .collect();
+    /// The load-dependent half of a plan: predict every candidate on
+    /// `pool` at `rps` with the model's current correction and pick one —
+    /// the lowest-power candidate that keeps QoS within the cap, else the
+    /// lowest-power one that keeps QoS, else the highest-capacity one.
+    /// Returns the chosen index into
+    /// [`Candidates::policies`] and its prediction. `candidates` must have
+    /// been built for the same graph, pool and bound.
+    #[must_use]
+    pub(crate) fn select(
+        &self,
+        candidates: &Candidates,
+        graph: &KernelGraph,
+        pool: &Pool,
+        bound_ms: f64,
+        rps: f64,
+        power_cap_w: f64,
+    ) -> (usize, PolicyPrediction) {
         let ok = |p: &PolicyPrediction| {
             p.p99_ms <= bound_ms * self.headroom && p.bottleneck_util <= self.headroom
         };
-        let capped = |p: &PolicyPrediction| ok(p) && p.avg_power_w <= power_cap_w;
-        let min_power = |filter: &dyn Fn(&PolicyPrediction) -> bool| {
-            candidates
-                .iter()
-                .zip(&preds)
-                .filter(|(_, p)| filter(p))
-                .min_by(|a, b| a.1.avg_power_w.total_cmp(&b.1.avg_power_w))
-                .map(|(c, _)| c)
+        // One pass keeps three running picks. Ties resolve as
+        // `Iterator::min_by` (first minimum) and `max_by` (last maximum).
+        let lower_power = |p: &PolicyPrediction, best: &Option<(usize, PolicyPrediction)>| {
+            best.as_ref()
+                .is_none_or(|(_, b)| p.avg_power_w.total_cmp(&b.avg_power_w) == Ordering::Less)
         };
-        let chosen = if preds.iter().any(&capped) {
-            min_power(&capped)
-        } else if preds.iter().any(ok) {
-            // Nothing fits the budget: keep QoS and get as close to the
-            // cap as the hardware allows.
-            min_power(&ok)
-        } else {
-            candidates
-                .iter()
-                .zip(&preds)
-                .max_by(|a, b| a.1.capacity_rps.total_cmp(&b.1.capacity_rps))
-                .map(|(c, _)| c)
-        };
-        let policy = chosen.expect("non-empty candidates").clone();
-        let prediction = self.model.predict(graph, &policy, pool, rps);
-        (policy, prediction)
+        let mut capped = None;
+        let mut feasible = None;
+        let mut fastest: Option<(usize, PolicyPrediction)> = None;
+        for (i, policy) in candidates.policies.iter().enumerate() {
+            let p = self.model.predict(graph, policy, pool, rps);
+            if ok(&p) {
+                if p.avg_power_w <= power_cap_w && lower_power(&p, &capped) {
+                    capped = Some((i, p.clone()));
+                }
+                if lower_power(&p, &feasible) {
+                    feasible = Some((i, p.clone()));
+                }
+            }
+            if fastest
+                .as_ref()
+                .is_none_or(|(_, b)| p.capacity_rps.total_cmp(&b.capacity_rps) != Ordering::Less)
+            {
+                fastest = Some((i, p));
+            }
+        }
+        // Nothing fits the budget: keep QoS and get as close to the cap
+        // as the hardware allows. Nothing keeps QoS: shift to capacity.
+        capped
+            .or(feasible)
+            .or(fastest)
+            .expect("non-empty candidates")
     }
 
     /// The best *fixed* policy for maximum sustainable throughput under

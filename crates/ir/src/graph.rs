@@ -36,6 +36,33 @@ pub struct KernelGraph {
     kernels: Vec<Kernel>,
     edges: Vec<KernelEdge>,
     by_name: HashMap<String, KernelId>,
+    /// Kahn topological order, computed once when the graph is built
+    /// (which also proves it acyclic).
+    order: Vec<KernelId>,
+}
+
+/// Kahn topological order of `n` kernels under `edges`, lowest ready id
+/// first; `None` if the edges form a cycle.
+fn kahn_order(n: usize, edges: &[KernelEdge]) -> Option<Vec<KernelId>> {
+    let mut indegree = vec![0usize; n];
+    for e in edges {
+        indegree[e.to.0] += 1;
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    // Deterministic order: lowest id first.
+    ready.sort_unstable_by(|a, b| b.cmp(a));
+    let mut order = Vec::with_capacity(n);
+    while let Some(i) = ready.pop() {
+        order.push(KernelId(i));
+        for e in edges.iter().filter(|e| e.from.0 == i) {
+            indegree[e.to.0] -= 1;
+            if indegree[e.to.0] == 0 {
+                ready.push(e.to.0);
+            }
+        }
+        ready.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    (order.len() == n).then_some(order)
 }
 
 impl KernelGraph {
@@ -74,14 +101,16 @@ impl KernelGraph {
                 return Err(IrError::Cycle { graph: name });
             }
         }
-        let g = Self {
+        let Some(order) = kahn_order(kernels.len(), &edges) else {
+            return Err(IrError::Cycle { graph: name });
+        };
+        Ok(Self {
             name,
             kernels,
             edges,
             by_name,
-        };
-        g.topological_order()?;
-        Ok(g)
+            order,
+        })
     }
 
     /// Application name.
@@ -157,58 +186,43 @@ impl KernelGraph {
             .collect()
     }
 
-    /// Kahn topological order.
-    ///
-    /// # Errors
-    /// Returns [`IrError::Cycle`] if the graph is cyclic.
-    pub fn topological_order(&self) -> Result<Vec<KernelId>, IrError> {
-        let n = self.kernels.len();
-        let mut indegree = vec![0usize; n];
-        for e in &self.edges {
-            indegree[e.to.0] += 1;
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        // Deterministic order: lowest id first.
-        ready.sort_unstable_by(|a, b| b.cmp(a));
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = ready.pop() {
-            order.push(KernelId(i));
-            let mut newly = Vec::new();
-            for e in self.edges.iter().filter(|e| e.from.0 == i) {
-                indegree[e.to.0] -= 1;
-                if indegree[e.to.0] == 0 {
-                    newly.push(e.to.0);
-                }
-            }
-            newly.sort_unstable_by(|a, b| b.cmp(a));
-            ready.extend(newly);
-            ready.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        if order.len() == n {
-            Ok(order)
-        } else {
-            Err(IrError::Cycle {
-                graph: self.name.clone(),
-            })
-        }
+    /// Kahn topological order (lowest ready id first), computed once at
+    /// construction.
+    #[must_use]
+    pub fn topological_order(&self) -> &[KernelId] {
+        &self.order
     }
 
     /// Length of the critical path through the graph under per-kernel
     /// weights `node_cost` and per-edge weights `edge_cost`.
     ///
     /// This is the latency lower bound the Step-1 scheduler approximates
-    /// when both devices are always free.
+    /// when both devices are always free. Allocation-free for graphs of
+    /// up to 32 kernels (the per-kernel distances live on the stack).
     pub fn critical_path(
         &self,
+        node_cost: impl FnMut(KernelId) -> f64,
+        edge_cost: impl FnMut(&KernelEdge) -> f64,
+    ) -> f64 {
+        const STACK: usize = 32;
+        let n = self.kernels.len();
+        if n <= STACK {
+            self.critical_path_in(&mut [0.0; STACK][..n], node_cost, edge_cost)
+        } else {
+            self.critical_path_in(&mut vec![0.0; n], node_cost, edge_cost)
+        }
+    }
+
+    /// [`critical_path`](Self::critical_path) with `dist` (zeroed, one slot
+    /// per kernel) as scratch.
+    fn critical_path_in(
+        &self,
+        dist: &mut [f64],
         mut node_cost: impl FnMut(KernelId) -> f64,
         mut edge_cost: impl FnMut(&KernelEdge) -> f64,
     ) -> f64 {
-        let order = self
-            .topological_order()
-            .expect("validated graph is acyclic");
-        let mut dist = vec![0.0_f64; self.kernels.len()];
         let mut best: f64 = 0.0;
-        for id in order {
+        for &id in &self.order {
             let start = self
                 .predecessors(id)
                 .map(|e| dist[e.from.0] + edge_cost(e))
@@ -286,14 +300,14 @@ mod tests {
     #[test]
     fn topo_order_is_deterministic_and_valid() {
         let g = asr_like();
-        let order = g.topological_order().unwrap();
+        let order = g.topological_order();
         assert_eq!(order.len(), 4);
         let pos = |i: usize| order.iter().position(|k| k.0 == i).unwrap();
         assert!(pos(1) < pos(2));
         assert!(pos(2) < pos(3));
         assert!(pos(0) < pos(3));
-        // Deterministic: repeated calls agree.
-        assert_eq!(order, g.topological_order().unwrap());
+        // Deterministic: a rebuilt graph agrees.
+        assert_eq!(order, asr_like().topological_order());
     }
 
     #[test]

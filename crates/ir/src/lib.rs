@@ -31,7 +31,7 @@
 //!     .kernel(lstm.with_name("lstm2"))
 //!     .edge("lstm", "lstm2", 4 << 20)
 //!     .build()?;
-//! assert_eq!(app.topological_order()?.len(), 2);
+//! assert_eq!(app.topological_order().len(), 2);
 //! # Ok(())
 //! # }
 //! ```

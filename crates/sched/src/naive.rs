@@ -25,11 +25,7 @@ pub fn naive_plan(
     pool: &Pool,
     pcie: &PcieLink,
 ) -> Result<SchedulePlan, ScheduleError> {
-    let order = graph
-        .topological_order()
-        .map_err(|_| ScheduleError::SpaceMismatch {
-            detail: "graph must be acyclic".into(),
-        })?;
+    let order = graph.topological_order();
     let mut pins = Vec::with_capacity(graph.len());
     for (kernel, space) in graph.kernels().iter().zip(spaces) {
         let point = [DeviceKind::Gpu, DeviceKind::Fpga]
@@ -42,7 +38,7 @@ pub fn naive_plan(
             })?;
         pins.push((point.kind, point.index));
     }
-    schedule(graph, spaces, pool, pcie, &order, Choice::Pinned(&pins))
+    schedule(graph, spaces, pool, pcie, order, Choice::Pinned(&pins))
 }
 
 #[cfg(test)]

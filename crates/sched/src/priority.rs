@@ -17,9 +17,7 @@ pub fn latency_priorities(
     spaces: &[KernelDesignSpace],
     pcie: &PcieLink,
 ) -> Vec<f64> {
-    let order = graph
-        .topological_order()
-        .expect("validated graph is acyclic");
+    let order = graph.topological_order();
     let mut w = vec![0.0_f64; graph.len()];
     for &id in order.iter().rev() {
         let t_min = spaces[id.0]

@@ -278,10 +278,6 @@ pub struct Simulator {
     /// kernel must start to keep the QoS bound reachable); 0 disables
     /// waiting. Recomputed on policy changes.
     wait_budget: Vec<f64>,
-    /// Cached topological order of the graph (the dynamic chooser's
-    /// downstream-margin pass walks it in reverse on every at-risk
-    /// dispatch).
-    topo_order: Vec<KernelId>,
     /// EWMA arrival rate (requests per ms), for adaptive batching.
     arrival_rate: f64,
     last_arrival_ms: f64,
@@ -359,7 +355,6 @@ impl Simulator {
             completed: 0,
             stats_since: 0.0,
             wait_budget: Vec::new(),
-            topo_order: Vec::new(),
             arrival_rate: 0.0,
             last_arrival_ms: -1.0,
             latencies: Arc::new(Vec::new()),
@@ -411,10 +406,7 @@ impl Simulator {
     /// QoS bound after the downstream critical path at full-batch
     /// latencies. FPGAs and unbatched implementations never wait.
     fn recompute_wait_budgets(&mut self) {
-        let order = self
-            .graph
-            .topological_order()
-            .expect("validated graph is acyclic");
+        let order = self.graph.topological_order();
         let mut remaining = vec![0.0_f64; self.graph.len()];
         for &id in order.iter().rev() {
             let tail = self
@@ -442,7 +434,6 @@ impl Simulator {
                 }
             })
             .collect();
-        self.topo_order = order;
     }
 
     /// Downstream margin for one request of relative input `size` about
@@ -470,11 +461,10 @@ impl Simulator {
                 .iter()
                 .map(|d| (d.busy_until.max(now) - now) + ns_to_ms(d.queue.backlog_ns()) * d.derate),
         );
-        let order = std::mem::take(&mut self.topo_order);
         let mut rem = std::mem::take(&mut self.margin_scratch);
         rem.clear();
         rem.resize(self.graph.len(), 0.0);
-        for &id in order.iter().rev() {
+        for &id in self.graph.topological_order().iter().rev() {
             let mut best = 0.0_f64;
             for e in self.graph.successors(id) {
                 let prim = self.policy.of(e.to);
@@ -517,7 +507,6 @@ impl Simulator {
         let margin = rem[kernel.0];
         self.margin_scratch = rem;
         self.load_scratch = load;
-        self.topo_order = order;
         margin
     }
 

@@ -13,9 +13,13 @@
 //!   `O(1)`, no compares;
 //! - the **current bucket** is sorted once when the cursor reaches it and
 //!   then consumed from the back, so pops are `O(1)` amortized;
-//! - the few far-future events (scripted faults, request deadlines) go
-//!   to a small **overflow heap** and migrate onto the wheel as the
-//!   cursor approaches them.
+//! - far-future events (an interval's pre-enqueued arrivals, request
+//!   deadlines, scripted faults) go to the **overflow** and migrate onto
+//!   the wheel as the cursor approaches them. The overflow is two
+//!   structures: an **in-order run** (a FIFO) takes every far push whose
+//!   `(time, seq)` is at or after the run's back — arrival streams come
+//!   pre-sorted, so they append and migrate in `O(1)` with no compares
+//!   beyond one — and a **heap** takes the out-of-order rest.
 //!
 //! ## Exact heap-order equivalence
 //!
@@ -35,7 +39,7 @@
 //! global order.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of buckets on the wheel. Power of two so the slot index is a
 /// mask, not a division. Kept small so the ring stays cache-resident:
@@ -47,8 +51,8 @@ const BUCKETS: usize = 256;
 /// Bucket width in simulated milliseconds. With [`BUCKETS`] this gives a
 /// ~0.5 s horizon: device completions, batch wakes and PCIe transfers
 /// land on the wheel; an interval's pre-enqueued arrivals, deadlines and
-/// scripted faults go to the overflow heap and migrate as the cursor
-/// reaches them. Narrow buckets keep per-bucket population small, so the
+/// scripted faults go to the overflow (in-order run or heap) and migrate
+/// as the cursor reaches them. Narrow buckets keep per-bucket population small, so the
 /// lazy sort stays in the cheap small-slice regime. Must stay a power of
 /// two so multiplying by [`INV_WIDTH_MS`] is exact (bit-identical to
 /// dividing).
@@ -134,9 +138,14 @@ pub struct EventQueue<T> {
     current: Vec<Entry<T>>,
     /// Absolute bucket number `current` corresponds to.
     cursor: u64,
-    /// Events beyond the wheel horizon, ordered min-first.
+    /// Events beyond the wheel horizon pushed in `(time, seq)` order:
+    /// ascending front to back, so the front is the run's earliest.
+    run: VecDeque<Entry<T>>,
+    /// Events beyond the wheel horizon that arrived out of order (before
+    /// the run's back), ordered min-first.
     overflow: BinaryHeap<Reverse<Far<T>>>,
-    /// Events held in `buckets` (excludes `current` and `overflow`).
+    /// Events held in `buckets` (excludes `current`, `run` and
+    /// `overflow`).
     ring_len: usize,
     /// Total events held.
     len: usize,
@@ -159,6 +168,7 @@ impl<T> EventQueue<T> {
             buckets: std::iter::repeat_with(Vec::new).take(BUCKETS).collect(),
             current: Vec::new(),
             cursor: 0,
+            run: VecDeque::new(),
             overflow: BinaryHeap::new(),
             ring_len: 0,
             len: 0,
@@ -179,8 +189,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Absolute bucket number of time `t`. Saturates for times past
-    /// ~`u64::MAX` buckets, which the overflow heap handles by actual
-    /// time anyway.
+    /// ~`u64::MAX` buckets, which the overflow handles by actual time
+    /// anyway.
     fn bucket_of(&self, t: f64) -> u64 {
         // Negative times (never produced by the engine, but allowed by
         // the API) clamp onto the first bucket. Reciprocal multiply is
@@ -210,6 +220,8 @@ impl<T> EventQueue<T> {
         } else if b < self.cursor + BUCKETS as u64 {
             self.buckets[(b as usize) & (BUCKETS - 1)].push(e);
             self.ring_len += 1;
+        } else if self.run.back().is_none_or(|back| back.key() <= e.key()) {
+            self.run.push_back(e);
         } else {
             self.overflow.push(Reverse(Far(e)));
         }
@@ -222,25 +234,40 @@ impl<T> EventQueue<T> {
         if self.ring_len == 0 {
             // Nothing on the wheel: jump straight to the earliest
             // overflow event's bucket instead of scanning empty slots.
-            let far = self.overflow.peek().expect("len > 0 with empty ring");
-            let b = self.bucket_of(far.0 .0.t());
+            let run = self.run.front().map(|e| self.bucket_of(e.t()));
+            let heap = self.overflow.peek().map(|far| self.bucket_of(far.0 .0.t()));
+            let b = run
+                .into_iter()
+                .chain(heap)
+                .min()
+                .expect("len > 0 with empty ring");
             self.cursor = self.cursor.max(b);
         } else {
             self.cursor += 1;
         }
         // Pull every overflow event that now falls at or before the
-        // cursor bucket. (Entries between cursor and the horizon stay in
-        // the overflow heap; they migrate as the cursor reaches them,
-        // which keeps this a cheap peek per bucket step.)
+        // cursor bucket, from the run and the heap alike. (Entries between
+        // cursor and the horizon stay in the overflow; they migrate as the
+        // cursor reaches them, which keeps this a cheap peek per bucket
+        // step.) The bucket is sorted when loaded below, so the order in
+        // which the two sources land in it cannot change the pop order.
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        while let Some(e) = self.run.front() {
+            if self.bucket_of(e.t()) > self.cursor {
+                break;
+            }
+            let e = self.run.pop_front().expect("peeked");
+            self.buckets[slot].push(e);
+            self.ring_len += 1;
+        }
         while let Some(Reverse(far)) = self.overflow.peek() {
             if self.bucket_of(far.0.t()) > self.cursor {
                 break;
             }
             let Reverse(Far(e)) = self.overflow.pop().expect("peeked");
-            self.buckets[(self.cursor as usize) & (BUCKETS - 1)].push(e);
+            self.buckets[slot].push(e);
             self.ring_len += 1;
         }
-        let slot = (self.cursor as usize) & (BUCKETS - 1);
         if !self.buckets[slot].is_empty() {
             std::mem::swap(&mut self.current, &mut self.buckets[slot]);
             self.ring_len -= self.current.len();
@@ -349,6 +376,27 @@ mod tests {
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("mid"));
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("fault"));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn sorted_far_pushes_take_the_run_and_the_rest_the_heap() {
+        let mut q = EventQueue::new();
+        // An interval's arrivals, pre-sorted and all past the horizon.
+        for i in 0..100u32 {
+            q.push(1_000.0 + f64::from(i) * 7.0, i);
+        }
+        assert_eq!((q.run.len(), q.overflow.len()), (100, 0));
+        // A deadline before the run's back goes to the heap; one at the
+        // back's exact time still appends (its seq is later).
+        q.push(1_100.0, 100);
+        q.push(1_693.0, 101);
+        assert_eq!((q.run.len(), q.overflow.len()), (101, 1));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        let mut want: Vec<u32> = (0..15).collect();
+        want.push(100);
+        want.extend(15..100);
+        want.push(101);
+        assert_eq!(order, want);
     }
 
     #[test]

@@ -237,8 +237,8 @@ impl LatencyStats {
     ///
     /// An empty digest returns `0.0` for figure convenience; callers that
     /// must distinguish "no samples" from a true zero check
-    /// [`is_empty`](Self::is_empty) (or use [`try_quantile`]
-    /// (Self::try_quantile), the `Option` form).
+    /// [`is_empty`](Self::is_empty) (or use
+    /// [`try_quantile`](Self::try_quantile), the `Option` form).
     ///
     /// Grid quantiles (all the ones the framework uses) are answered from
     /// the precomputed digest; anything else is selected once and
@@ -316,8 +316,8 @@ impl LatencyStats {
     }
 
     /// Number of samples strictly above `bound_ms` — the exact exceedance
-    /// count, with no float round-trip through [`violation_ratio`]
-    /// (Self::violation_ratio).
+    /// count, with no float round-trip through
+    /// [`violation_ratio`](Self::violation_ratio).
     #[must_use]
     pub fn violations_over(&self, bound_ms: f64) -> usize {
         self.samples.iter().filter(|&&x| x > bound_ms).count()
