@@ -1,45 +1,56 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `experiments [--jobs N] <id>` where `<id>` is one of
-//! `table1 table2 table3 table45 fig1a fig1b fig1c fig1d fig1ef fig6 fig7
-//! fig8 fig9 fig10 fig11 fig12 fault irregular pipeline cluster chaos
-//! elastic obs backend fig13 fig14
-//! ablations scale all` (or
-//! `quick` for the subset used in smoke tests). Results are printed and
-//! written to `results/<id>.csv`. `all` runs everything except the
-//! `scale` stress figure (invoked explicitly; its size is tunable via
-//! `POLY_SCALE_NODES` / `POLY_SCALE_DAYS` / `POLY_SCALE_MAX_RPS` for
-//! smoke runs) and the `backend` calibration figure (it measures real
-//! CPU wall clock, which `all`'s parallel fan-out would corrupt;
-//! `POLY_BACKEND_TOL` bounds its accepted model error).
+//! Usage: `experiments [verify] [<id>|all] [--jobs N]`, where `<id>` names
+//! one row of [`FIGURES`]: `table45 table3 table1 table2 fig1c fig1ef fig6
+//! fig1a fig1b fig1d fig7 fig8 fig9 fig10 fig11 fig12 fault irregular
+//! pipeline cluster chaos elastic obs backend fig13 fig14 ablations scale`.
+//!
+//! - `experiments <id|all>` prints each figure and writes its outputs to
+//!   `results/<file>`.
+//! - `experiments verify <id|all>` renders each figure at one job and at
+//!   `--jobs`, byte-compares the two renders, compares each committed
+//!   output with `results/<file>`, and writes nothing. It exits with
+//!   status 1 on a mismatch, naming the file and its first differing line.
+//!
+//! `all` runs every figure except `scale` (a 100-node week, sized down for
+//! smoke runs by `POLY_SCALE_NODES` / `POLY_SCALE_DAYS` /
+//! `POLY_SCALE_MAX_RPS`) and `backend` (it measures real CPU wall clock,
+//! which `all`'s figure fan-out would corrupt; `POLY_BACKEND_TOL` bounds
+//! its accepted model error). A knob set to anything but a positive
+//! number, an unknown or second figure, and a `--jobs` value that is not a
+//! positive integer all exit with status 2.
 //!
 //! `--jobs N` (or the `POLY_JOBS` environment variable) sets the worker
 //! thread count; the default is the machine's available parallelism.
-//! Every emitted CSV is byte-identical for every job count: parallelism
-//! only ever spans *independent* simulations (figures, load points,
-//! speculative bisection probes), never a single event loop, and results
-//! are always collected in input order. Design-space exploration is
-//! memoized process-wide, so each (kernel, device-pair) is explored at
-//! most once per run regardless of how many figures need it; the timing
-//! summary reports the cache's hit/miss counts alongside per-figure
-//! wall-clock times.
+//! Every deterministic output is byte-identical for every job count:
+//! parallelism only ever spans *independent* simulations (figures, load
+//! points, speculative bisection probes, cluster nodes within an
+//! interval), and results are always collected in input order.
+//! Design-space exploration is memoized process-wide, so each (kernel,
+//! device-pair) is explored at most once per run; the timing summary
+//! reports the cache's hit/miss counts alongside per-figure wall-clock
+//! times.
 
 use poly_apps::{asr, image_recognition, matrix_factorization, suite, QOS_BOUND_MS};
 use poly_backend::{
     accel_pool, calibrate::calibrate, AnalyticalClient, Client as BackendClient, CpuClient,
     KernelWorkload,
 };
-use poly_bench::csvout::{f2, save_csv, Csv};
+use poly_bench::csvout::{f2, Csv};
+use poly_bench::harness::{Check, Fig, Figure, Knob};
 use poly_bench::System;
 use poly_cluster::{
-    AutoscaleConfig, Cluster, ClusterConfig, ClusterNode, ClusterRunSpec, RoutingPolicy,
+    AutoscaleConfig, BreakerConfig, Cluster, ClusterConfig, ClusterNode, ClusterRunSpec,
+    RoutingPolicy,
 };
 use poly_core::provision::{power_split, table_iii, Architecture, Setting};
 use poly_core::tco::{cost_efficiency, monthly_tco_usd, TcoParams};
-use poly_core::{AppContext, Optimizer, PolyRuntime, RunSpec, RuntimeMode};
+use poly_core::{AppContext, NodeSetup, Optimizer, PolyRuntime, RunSpec, RuntimeMode};
 use poly_device::{catalog, DeviceKind, PcieLink};
-use poly_dse::{pipeline_candidates, DesignSpaceCache, Explorer, PipelineCandidate};
-use poly_ir::{KernelId, DEFAULT_TILES};
+use poly_dse::{
+    pipeline_candidates, DesignSpaceCache, Explorer, KernelDesignSpace, PipelineCandidate,
+};
+use poly_ir::{KernelGraph, KernelId, DEFAULT_TILES};
 use poly_obs::{
     chrome_trace_json, latency_summary, queue_wait_summary, service_summary, Event as ObsEvent,
     MemRecorder,
@@ -52,16 +63,16 @@ use poly_sim::{
     Policy, RetryPolicy,
 };
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 use std::time::Instant;
+use Check::{Committed, Measured, Uncommitted};
 
-/// Append a line to a figure's output buffer (infallible for `String`).
+/// Append a line to a figure's text (or a task's block).
 macro_rules! outln {
     ($out:expr) => { writeln!($out).expect("write to string") };
     ($out:expr, $($arg:tt)*) => { writeln!($out, $($arg)*).expect("write to string") };
 }
 
-/// Append text (no newline) to a figure's output buffer.
+/// Append text (no newline) to a figure's text (or a task's block).
 macro_rules! outp {
     ($out:expr, $($arg:tt)*) => { write!($out, $($arg)*).expect("write to string") };
 }
@@ -72,146 +83,164 @@ const ARCHS: [Architecture; 3] = [
     Architecture::HeterPoly,
 ];
 
-/// Worker-thread budget for this run (set once in `main`).
-static JOBS: OnceLock<usize> = OnceLock::new();
-
-fn jobs() -> usize {
-    *JOBS.get().unwrap_or(&1)
-}
-
 fn cache() -> &'static DesignSpaceCache {
     DesignSpaceCache::global()
 }
 
-type FigFn = fn(&mut String);
+/// Every `(index, arch)` pair for `n` items, index-major: the task list of
+/// a figure that measures each item on each architecture.
+fn with_archs(n: usize) -> Vec<(usize, Architecture)> {
+    (0..n).flat_map(|i| ARCHS.map(|a| (i, a))).collect()
+}
 
-/// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: &[(&str, FigFn)] = &[
-    ("table45", table45),
-    ("table3", table3),
-    ("table1", table1),
-    ("table2", table2),
-    ("fig1c", fig1c),
-    ("fig1ef", fig1ef),
-    ("fig6", fig6),
-    ("fig1a", fig1a),
-    ("fig1b", fig1b),
-    ("fig1d", fig1d),
-    ("fig7", fig7),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("fig10", fig10),
-    ("fig11", fig11),
-    ("fig12", fig12),
-    ("fault", fault),
-    ("irregular", irregular),
-    ("pipeline", pipeline),
-    ("cluster", cluster),
-    ("chaos", chaos),
-    ("elastic", elastic),
-    ("obs", obs),
-    ("backend", backend),
-    ("fig13", fig13),
-    ("fig14", fig14),
-    ("ablations", ablations),
-    ("scale", scale),
+/// The Setting-I node of `arch` and `app`'s design spaces on it.
+fn setting_i(
+    arch: Architecture,
+    app: &KernelGraph,
+    jobs: usize,
+) -> (NodeSetup, Vec<KernelDesignSpace>) {
+    let setup = table_iii(Setting::I, arch);
+    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
+    let spaces = cache().explore_graph(&explorer, app.kernels(), jobs);
+    (setup, spaces)
+}
+
+/// `nodes` Setting-I Heter-Poly nodes serving `app` under a shared budget
+/// of 260 W per node — tighter than the 500 W each is provisioned for, so
+/// the governor has to re-split a budget that actually binds — with a
+/// 40 W node floor.
+fn heter_fleet(
+    app: &KernelGraph,
+    nodes: usize,
+    routing: RoutingPolicy,
+    max_backlog: usize,
+    lifecycle: LifecycleConfig,
+    breaker: Option<BreakerConfig>,
+) -> Cluster {
+    let (setup, spaces) = setting_i(Architecture::HeterPoly, app, 1);
+    let config = ClusterConfig {
+        bound_ms: QOS_BOUND_MS,
+        routing,
+        power_budget_w: 260.0 * nodes as f64,
+        node_floor_w: 40.0,
+        max_backlog,
+        lifecycle,
+        breaker,
+    };
+    Cluster::try_new(app, &spaces, vec![setup; nodes], config).expect("valid cluster configuration")
+}
+
+/// A figure that `all` runs, with every output committed.
+const fn fig(
+    name: &'static str,
+    run: fn(&mut Fig),
+    outputs: &'static [(&'static str, Check)],
+) -> Figure {
+    Figure {
+        name,
+        run,
+        in_all: true,
+        outputs,
+        knobs: &[],
+    }
+}
+
+/// A smoke-run size override of the scale figure.
+const fn scale_knob(var: &'static str, default: f64, integer: bool) -> Knob {
+    Knob {
+        var,
+        default,
+        resizes: true,
+        integer,
+    }
+}
+
+/// Every figure, in the order `all` runs them.
+static FIGURES: &[Figure] = &[
+    fig(
+        "table45",
+        table45,
+        &[
+            ("table4_gpus.csv", Committed),
+            ("table5_fpgas.csv", Committed),
+        ],
+    ),
+    fig("table3", table3, &[("table3_settings.csv", Committed)]),
+    fig("table1", table1, &[("table1_knobs.csv", Committed)]),
+    fig("table2", table2, &[("table2_design_spaces.csv", Committed)]),
+    fig("fig1c", fig1c, &[("fig1c_lstm_pareto.csv", Committed)]),
+    fig("fig1ef", fig1ef, &[("fig1ef_asr_kernels.csv", Committed)]),
+    fig("fig6", fig6, &[("fig6_schedule.csv", Committed)]),
+    fig("fig1a", fig1a, &[("fig1a_asr_tail.csv", Committed)]),
+    fig("fig1b", fig1b, &[("fig1b_asr_ep.csv", Committed)]),
+    fig(
+        "fig1d",
+        fig1d,
+        &[("fig1d_dynamic_efficiency.csv", Committed)],
+    ),
+    fig("fig7", fig7, &[("fig7_tail_latency.csv", Committed)]),
+    fig("fig8", fig8, &[("fig8_max_throughput.csv", Committed)]),
+    fig("fig9", fig9, &[("fig9_power_scaling.csv", Committed)]),
+    fig("fig10", fig10, &[("fig10_ep.csv", Committed)]),
+    fig("fig11", fig11, &[("fig11_trace.csv", Committed)]),
+    fig("fig12", fig12, &[("fig12_trace_power.csv", Committed)]),
+    fig("fault", fault, &[("fault_trace.csv", Committed)]),
+    fig(
+        "irregular",
+        irregular,
+        &[("irregular_trace.csv", Committed)],
+    ),
+    fig("pipeline", pipeline, &[("pipeline_trace.csv", Committed)]),
+    fig("cluster", cluster, &[("cluster_trace.csv", Committed)]),
+    fig("chaos", chaos, &[("chaos_trace.csv", Committed)]),
+    fig("elastic", elastic, &[("elastic_trace.csv", Committed)]),
+    fig(
+        "obs",
+        obs,
+        &[
+            // ~23 MB: compared across job counts, never committed.
+            ("obs_trace.json", Uncommitted),
+            ("obs_summary.csv", Committed),
+            ("obs_intervals.csv", Committed),
+        ],
+    ),
+    // Not in `all`: it times real CPU kernels, which `all`'s figure
+    // fan-out would turn into a measurement of thread contention.
+    Figure {
+        in_all: false,
+        knobs: &[Knob {
+            var: "POLY_BACKEND_TOL",
+            default: 10.0,
+            resizes: false,
+            integer: false,
+        }],
+        ..fig(
+            "backend",
+            backend,
+            &[
+                ("backend_model.csv", Committed),
+                ("backend_calibration.csv", Measured),
+            ],
+        )
+    },
+    fig("fig13", fig13, &[("fig13_power_split.csv", Committed)]),
+    fig("fig14", fig14, &[("fig14_cost_efficiency.csv", Committed)]),
+    fig("ablations", ablations, &[("ablations.csv", Committed)]),
+    // Not in `all`: the full-size week dwarfs every other figure.
+    Figure {
+        in_all: false,
+        knobs: &[
+            scale_knob("POLY_SCALE_NODES", 100.0, true),
+            scale_knob("POLY_SCALE_DAYS", 7.0, false),
+            scale_knob("POLY_SCALE_MAX_RPS", 400.0, false),
+        ],
+        ..fig("scale", scale, &[("scale_trace.csv", Committed)])
+    },
 ];
 
-/// Figures excluded from `all`: the scale stress dwarfs every other
-/// figure's runtime, and the backend calibration measures real CPU
-/// wall clock — running it alongside `all`'s parallel figure fan-out
-/// would time contention, not the kernels. Both are regenerated
-/// explicitly (`experiments scale` / `experiments backend`).
-const NOT_IN_ALL: &[&str] = &["scale", "backend"];
-
-const QUICK: &[&str] = &["table45", "table3", "fig1c", "fig6"];
-
 fn main() {
-    let mut jobs_arg: Option<usize> = None;
-    let mut what: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs_arg = Some(n),
-                None => {
-                    eprintln!("--jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            match v.parse() {
-                Ok(n) => jobs_arg = Some(n),
-                Err(_) => {
-                    eprintln!("--jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            what = Some(a);
-        }
-    }
-    let what = what.unwrap_or_else(|| "all".into());
-    let n_jobs = jobs_arg.unwrap_or_else(poly_par::jobs).max(1);
-    JOBS.set(n_jobs).expect("set once");
-
-    let names: Vec<&str> = match what.as_str() {
-        "all" => EXPERIMENTS
-            .iter()
-            .map(|&(n, _)| n)
-            .filter(|n| !NOT_IN_ALL.contains(n))
-            .collect(),
-        "quick" => QUICK.to_vec(),
-        other => match EXPERIMENTS.iter().find(|&&(n, _)| n == other) {
-            Some(&(n, _)) => vec![n],
-            None => {
-                eprintln!("unknown experiment `{other}`");
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let t0 = Instant::now();
-    let tasks: Vec<(&str, FigFn)> = names
-        .iter()
-        .map(|&n| {
-            *EXPERIMENTS
-                .iter()
-                .find(|&&(name, _)| name == n)
-                .expect("validated above")
-        })
-        .collect();
-    // Figure-level fan-out: each experiment renders into its own buffer;
-    // buffers are printed in the fixed order above, so stdout (like the
-    // CSVs) is independent of the job count and of completion order.
-    let results = par_map(n_jobs, &tasks, |_, &(_, f)| {
-        let t = Instant::now();
-        let mut out = String::new();
-        f(&mut out);
-        (out, t.elapsed().as_secs_f64())
-    });
-    let wall = t0.elapsed().as_secs_f64();
-
-    for (out, _) in &results {
-        print!("{out}");
-    }
-
-    println!("== timing summary (jobs={n_jobs}) ==");
-    let mut busy = 0.0;
-    for (&(name, _), &(_, secs)) in tasks.iter().zip(&results) {
-        println!("  {name:9} {secs:7.1}s");
-        busy += secs;
-    }
-    println!(
-        "  figure time {busy:.1}s over {wall:.1}s wall-clock -> speedup {:.1}x",
-        busy / wall.max(1e-9)
-    );
-    let (hits, misses) = cache().stats();
-    println!(
-        "  design-space cache: {misses} explorations, {hits} hits, {} entries",
-        cache().len()
-    );
-    println!("[{what}] done in {wall:.1}s");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(poly_bench::harness::main(FIGURES, &args));
 }
 
 // ---------------------------------------------------------------------------
@@ -219,13 +248,13 @@ fn main() {
 // ---------------------------------------------------------------------------
 
 /// Table IV/V — device specifications.
-fn table45(out: &mut String) {
-    outln!(out, "== Table IV: GPU platforms ==");
-    let mut rows = Vec::new();
+fn table45(fig: &mut Fig) {
+    outln!(fig, "== Table IV: GPU platforms ==");
+    let mut csv = Csv::new("name,cores,freq_mhz,peak_w,price");
     for g in catalog::all_gpus() {
         let s = g.spec().clone();
         outln!(
-            out,
+            fig,
             "{:22} cores={:5} f={:.0}MHz mem={:.0}GB peak={:.0}W idle={:.0}W ${:.0}",
             s.name,
             s.cores,
@@ -235,27 +264,21 @@ fn table45(out: &mut String) {
             s.idle_power_w,
             s.price_usd
         );
-        rows.push(vec![
-            s.name.clone(),
-            s.cores.to_string(),
-            f2(s.freq_ghz * 1000.0),
-            f2(s.peak_power_w),
-            f2(s.price_usd),
-        ]);
+        csv.row()
+            .s(s.name.clone())
+            .s(s.cores.to_string())
+            .f(s.freq_ghz * 1000.0)
+            .f(s.peak_power_w)
+            .f(s.price_usd);
     }
-    save_csv(
-        out,
-        "table4_gpus",
-        &["name", "cores", "freq_mhz", "peak_w", "price"],
-        &rows,
-    );
+    fig.save("table4_gpus.csv", &csv);
 
-    outln!(out, "== Table V: FPGA platforms ==");
-    let mut rows = Vec::new();
+    outln!(fig, "== Table V: FPGA platforms ==");
+    let mut csv = Csv::new("name,freq_mhz,logic_cells,dsp,peak_w,price");
     for f in catalog::all_fpgas() {
         let s = f.spec().clone();
         outln!(
-            out,
+            fig,
             "{:38} f={:.0}MHz cells={:7} bram={:.1}MB dsp={:5} peak={:.0}W ${:.0}",
             s.name,
             s.peak_freq_mhz,
@@ -265,35 +288,29 @@ fn table45(out: &mut String) {
             s.peak_power_w,
             s.price_usd
         );
-        rows.push(vec![
-            s.name.clone(),
-            f2(s.peak_freq_mhz),
-            s.logic_cells.to_string(),
-            s.dsp_slices.to_string(),
-            f2(s.peak_power_w),
-            f2(s.price_usd),
-        ]);
+        csv.row()
+            .s(s.name.clone())
+            .f(s.peak_freq_mhz)
+            .s(s.logic_cells.to_string())
+            .s(s.dsp_slices.to_string())
+            .f(s.peak_power_w)
+            .f(s.price_usd);
     }
-    save_csv(
-        out,
-        "table5_fpgas",
-        &["name", "freq_mhz", "logic_cells", "dsp", "peak_w", "price"],
-        &rows,
-    );
+    fig.save("table5_fpgas.csv", &csv);
 }
 
 /// Table III — the three hardware settings.
-fn table3(out: &mut String) {
+fn table3(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Table III: heterogeneous system settings (500 W cap) =="
     );
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("setting,arch,gpus,fpgas");
     for setting in Setting::ALL {
         for arch in ARCHS {
             let n = table_iii(setting, arch);
             outln!(
-                out,
+                fig,
                 "{:12} {:11} {} x GPU ({}), {} x FPGA ({})",
                 setting.name(),
                 arch.name(),
@@ -302,67 +319,55 @@ fn table3(out: &mut String) {
                 n.fpgas(),
                 n.fpga.spec().name
             );
-            rows.push(vec![
-                setting.name().into(),
-                arch.name().into(),
-                n.gpus().to_string(),
-                n.fpgas().to_string(),
-            ]);
+            csv.row()
+                .s(setting.name())
+                .s(arch.name())
+                .n(n.gpus())
+                .n(n.fpgas());
         }
     }
-    save_csv(
-        out,
-        "table3_settings",
-        &["setting", "arch", "gpus", "fpgas"],
-        &rows,
-    );
+    fig.save("table3_settings.csv", &csv);
 }
 
 /// Table I — annotation methods and per-platform optimization knobs.
-fn table1(out: &mut String) {
+fn table1(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Table I: parallel patterns, annotations, optimization knobs =="
     );
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("pattern,annotation,gpu_knobs,fpga_knobs");
     for r in poly_dse::knob_table() {
         outln!(
-            out,
+            fig,
             "{:9} {:38} GPU: {:60} FPGA: {}",
             r.pattern,
             r.annotation,
             r.gpu_knobs.join(", "),
             r.fpga_knobs.join(", ")
         );
-        rows.push(vec![
-            r.pattern.into(),
-            r.annotation.into(),
-            r.gpu_knobs.join("+"),
-            r.fpga_knobs.join("+"),
-        ]);
+        csv.row()
+            .s(r.pattern)
+            .s(r.annotation)
+            .s(r.gpu_knobs.join("+"))
+            .s(r.fpga_knobs.join("+"));
     }
-    save_csv(
-        out,
-        "table1_knobs",
-        &["pattern", "annotation", "gpu_knobs", "fpga_knobs"],
-        &rows,
-    );
+    fig.save("table1_knobs.csv", &csv);
 }
 
 /// Table II — benchmarks, kernels, patterns, and design-space sizes.
-fn table2(out: &mut String) {
+fn table2(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Table II: benchmarks and design spaces (Setting-I devices) =="
     );
     let explorer = Explorer::new(catalog::amd_w9100(), catalog::xilinx_7v3());
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("app,kernel,patterns,gpu_designs,fpga_designs");
     for app in suite() {
         for kernel in app.kernels() {
             let space = cache().explore(&explorer, kernel);
             let patterns: Vec<&str> = kernel.patterns().map(|p| p.kind().name()).collect();
             outln!(
-                out,
+                fig,
                 "{:4} {:22} {:48} designs: gpu={:4} fpga={:4} (pareto {:2}/{:2})",
                 app.name(),
                 kernel.name(),
@@ -372,21 +377,15 @@ fn table2(out: &mut String) {
                 space.gpu.len(),
                 space.fpga.len()
             );
-            rows.push(vec![
-                app.name().into(),
-                kernel.name().into(),
-                patterns.join("+"),
-                space.gpu_explored.to_string(),
-                space.fpga_explored.to_string(),
-            ]);
+            csv.row()
+                .s(app.name())
+                .s(kernel.name())
+                .s(patterns.join("+"))
+                .n(space.gpu_explored)
+                .n(space.fpga_explored);
         }
     }
-    save_csv(
-        out,
-        "table2_design_spaces",
-        &["app", "kernel", "patterns", "gpu_designs", "fpga_designs"],
-        &rows,
-    );
+    fig.save("table2_design_spaces.csv", &csv);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,20 +393,20 @@ fn table2(out: &mut String) {
 // ---------------------------------------------------------------------------
 
 /// Fig. 1(c) — the Pareto design space of the LSTM kernel.
-fn fig1c(out: &mut String) {
+fn fig1c(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 1(c): LSTM kernel Pareto frontier (latency vs energy efficiency) =="
     );
     let app = asr();
     let lstm = app.kernel(app.id_of("k1_lstm_fwd").expect("k1 exists"));
     let explorer = Explorer::new(catalog::amd_w9100(), catalog::xilinx_7v3());
     let space = cache().explore(&explorer, lstm);
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("platform,r,latency_ms,power_w,req_per_joule");
     for (platform, points) in [("gpu", &space.gpu), ("fpga", &space.fpga)] {
         for p in points {
             outln!(
-                out,
+                fig,
                 "{platform:4} r={:2} lat={:8.2}ms  P={:7.2}W  req/J={:8.3}  {}",
                 p.index,
                 p.latency_ms(),
@@ -415,33 +414,27 @@ fn fig1c(out: &mut String) {
                 p.estimate.requests_per_joule(),
                 p.tuning.key()
             );
-            rows.push(vec![
-                platform.into(),
-                p.index.to_string(),
-                f2(p.latency_ms()),
-                f2(p.power_w()),
-                f2(p.estimate.requests_per_joule()),
-            ]);
+            csv.row()
+                .s(platform)
+                .n(p.index)
+                .f(p.latency_ms())
+                .f(p.power_w())
+                .f(p.estimate.requests_per_joule());
         }
     }
-    save_csv(
-        out,
-        "fig1c_lstm_pareto",
-        &["platform", "r", "latency_ms", "power_w", "req_per_joule"],
-        &rows,
-    );
+    fig.save("fig1c_lstm_pareto.csv", &csv);
 }
 
 /// Fig. 1(e,f) — per-kernel energy and latency of the most energy
 /// efficient designs per platform.
-fn fig1ef(out: &mut String) {
+fn fig1ef(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 1(e,f): ASR kernel-by-kernel energy and latency =="
     );
     let app = asr();
     let explorer = Explorer::new(catalog::amd_w9100(), catalog::xilinx_7v3());
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("kernel,platform,latency_ms,energy_mj,dynamic_mj");
     for kernel in app.kernels() {
         let space = cache().explore(&explorer, kernel);
         for kind in [DeviceKind::Gpu, DeviceKind::Fpga] {
@@ -450,7 +443,7 @@ fn fig1ef(out: &mut String) {
                 .or_else(|| space.min_latency(kind))
                 .expect("platform has designs");
             outln!(
-                out,
+                fig,
                 "{:14} {:4} lat={:7.2}ms energy={:8.1}mJ dyn={:8.1}mJ",
                 kernel.name(),
                 kind.name(),
@@ -458,53 +451,39 @@ fn fig1ef(out: &mut String) {
                 point.energy_mj(),
                 point.dynamic_energy_mj()
             );
-            rows.push(vec![
-                kernel.name().into(),
-                kind.name().into(),
-                f2(point.latency_ms()),
-                f2(point.energy_mj()),
-                f2(point.dynamic_energy_mj()),
-            ]);
+            csv.row()
+                .s(kernel.name())
+                .s(kind.name())
+                .f(point.latency_ms())
+                .f(point.energy_mj())
+                .f(point.dynamic_energy_mj());
         }
     }
-    save_csv(
-        out,
-        "fig1ef_asr_kernels",
-        &[
-            "kernel",
-            "platform",
-            "latency_ms",
-            "energy_mj",
-            "dynamic_mj",
-        ],
-        &rows,
-    );
+    fig.save("fig1ef_asr_kernels.csv", &csv);
 }
 
 /// Fig. 6 — the two-step schedule of the ASR request.
-fn fig6(out: &mut String) {
+fn fig6(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 6: two-step runtime schedule of ASR (1 GPU + 5 FPGA) =="
     );
     let app = asr();
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-    let spaces = cache().explore_graph(&explorer, app.kernels(), jobs());
+    let (setup, spaces) = setting_i(Architecture::HeterPoly, &app, fig.jobs());
     let sched = Scheduler::new(PcieLink::gen3_x16());
 
     let step1 = sched
         .plan_latency(&app, &spaces, &setup.pool)
         .expect("schedulable");
     outln!(
-        out,
+        fig,
         "-- Step 1 (latency optimization): makespan {:.1} ms",
         step1.makespan_ms
     );
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("step,kernel,impl,platform,start_ms,end_ms");
     for a in &step1.assignments {
         outln!(
-            out,
+            fig,
             "  {}^{} -> {} [{}..{}ms]",
             app.kernel(a.kernel).name(),
             a.impl_index,
@@ -512,26 +491,25 @@ fn fig6(out: &mut String) {
             a.start_ms.round(),
             a.end_ms.round()
         );
-        rows.push(vec![
-            "step1".into(),
-            app.kernel(a.kernel).name().into(),
-            a.impl_index.to_string(),
-            a.kind.name().into(),
-            f2(a.start_ms),
-            f2(a.end_ms),
-        ]);
+        csv.row()
+            .s("step1")
+            .s(app.kernel(a.kernel).name())
+            .n(a.impl_index)
+            .s(a.kind.name())
+            .f(a.start_ms)
+            .f(a.end_ms);
     }
     let step2 = sched
         .plan(&app, &spaces, &setup.pool, QOS_BOUND_MS)
         .expect("schedulable");
     outln!(
-        out,
+        fig,
         "-- Step 2 (energy optimization): makespan {:.1} ms (bound {QOS_BOUND_MS}), dynamic energy {:.0} -> {:.0} mJ",
         step2.makespan_ms, step1.dynamic_mj, step2.dynamic_mj
     );
     for a in &step2.assignments {
         outln!(
-            out,
+            fig,
             "  {}^{} -> {} [{}..{}ms]",
             app.kernel(a.kernel).name(),
             a.impl_index,
@@ -539,14 +517,13 @@ fn fig6(out: &mut String) {
             a.start_ms.round(),
             a.end_ms.round()
         );
-        rows.push(vec![
-            "step2".into(),
-            app.kernel(a.kernel).name().into(),
-            a.impl_index.to_string(),
-            a.kind.name().into(),
-            f2(a.start_ms),
-            f2(a.end_ms),
-        ]);
+        csv.row()
+            .s("step2")
+            .s(app.kernel(a.kernel).name())
+            .n(a.impl_index)
+            .s(a.kind.name())
+            .f(a.start_ms)
+            .f(a.end_ms);
     }
     // Measured counterpart: execute one request under the Step-2 policy in
     // the discrete-event simulator and print the observed Gantt chart.
@@ -558,7 +535,7 @@ fn fig6(out: &mut String) {
     sim.enqueue_arrivals(&[0.0]);
     sim.drain();
     outln!(
-        out,
+        fig,
         "-- Simulated execution of one request (measured Gantt):"
     );
     for sample in rec.samples() {
@@ -578,37 +555,31 @@ fn fig6(out: &mut String) {
         let (start_ms, end_ms) = (sample.t_ms, sample.t_ms + reconfig_ms + exec_ms);
         let name = app.kernel(KernelId(kernel)).name();
         outln!(
-            out,
+            fig,
             "  {name}^{impl_index} on {device_kind} d{device}: {start_ms:.1}..{end_ms:.1} ms (batch {batch}, reconfig {reconfig_ms:.0} ms)"
         );
-        rows.push(vec![
-            "simulated".into(),
-            name.into(),
-            impl_index.to_string(),
-            device_kind.into(),
-            f2(start_ms),
-            f2(end_ms),
-        ]);
+        csv.row()
+            .s("simulated")
+            .s(name)
+            .n(impl_index)
+            .s(device_kind)
+            .f(start_ms)
+            .f(end_ms);
     }
-    save_csv(
-        out,
-        "fig6_schedule",
-        &["step", "kernel", "impl", "platform", "start_ms", "end_ms"],
-        &rows,
-    );
+    fig.save("fig6_schedule.csv", &csv);
 }
 
 /// Fig. 1(a) — ASR tail latency vs request throughput, three systems.
-fn fig1a(out: &mut String) {
-    outln!(out, "== Fig. 1(a): ASR tail latency vs RPS ==");
+fn fig1a(fig: &mut Fig) {
+    outln!(fig, "== Fig. 1(a): ASR tail latency vs RPS ==");
     let app = asr();
+    let jobs = fig.jobs();
     // One task per architecture; each task's measurement sequence is the
     // same as the serial code path, so results match for every job count.
-    let per_arch = par_map(jobs(), &ARCHS, |_, &arch| {
+    let header = "arch,rps,p99_ms,power_w";
+    let (csv, _) = fig.fan_out(ARCHS, header, |arch, block, csv| {
         let mut sys = System::new(&app, Setting::I, arch, QOS_BOUND_MS);
-        let max = sys.max_rps_jobs(jobs());
-        let mut block = String::new();
-        let mut rows = Vec::new();
+        let max = sys.max_rps_jobs(jobs);
         outln!(
             block,
             "{:11} max RPS under {QOS_BOUND_MS} ms = {max:.1}",
@@ -618,58 +589,39 @@ fn fig1a(out: &mut String) {
             let rps = max * 1.2 * f64::from(i) / 10.0;
             let r = sys.measure(rps);
             outln!(block, "  rps={rps:6.1} p99={:8.1}ms", r.latency.p99());
-            rows.push(vec![
-                sys.name.into(),
-                f2(rps),
-                f2(r.latency.p99()),
-                f2(r.avg_power_w),
-            ]);
+            csv.row()
+                .s(sys.name)
+                .f(rps)
+                .f(r.latency.p99())
+                .f(r.avg_power_w);
         }
-        (block, rows)
     });
-    let mut rows = Vec::new();
-    for (block, part) in per_arch {
-        out.push_str(&block);
-        rows.extend(part);
-    }
-    save_csv(
-        out,
-        "fig1a_asr_tail",
-        &["arch", "rps", "p99_ms", "power_w"],
-        &rows,
-    );
+    fig.save("fig1a_asr_tail.csv", &csv);
 }
 
 /// Fig. 1(b) — ASR energy-proportionality curves.
-fn fig1b(out: &mut String) {
-    outln!(out, "== Fig. 1(b): ASR energy proportionality ==");
+fn fig1b(fig: &mut Fig) {
+    outln!(fig, "== Fig. 1(b): ASR energy proportionality ==");
     let app = asr();
-    let per_arch = par_map(jobs(), &ARCHS, |_, &arch| {
+    let jobs = fig.jobs();
+    let (csv, _) = fig.fan_out(ARCHS, "arch,load,power_w", |arch, block, csv| {
         let mut sys = System::new(&app, Setting::I, arch, QOS_BOUND_MS);
-        let max = sys.max_rps_jobs(jobs());
+        let max = sys.max_rps_jobs(jobs);
         let curve = sys.ep_curve(max, 6);
-        let mut block = String::new();
-        let mut rows = Vec::new();
         outln!(block, "{:11} EP = {:.2}", sys.name, curve.ep());
         for p in curve.points() {
-            rows.push(vec![sys.name.into(), f2(p.load), f2(p.power_w)]);
+            csv.row().s(sys.name).f(p.load).f(p.power_w);
         }
-        rows.push(vec![sys.name.into(), "EP".into(), f2(curve.ep())]);
-        (block, rows)
+        csv.row().s(sys.name).s("EP").f(curve.ep());
     });
-    let mut rows = Vec::new();
-    for (block, part) in per_arch {
-        out.push_str(&block);
-        rows.extend(part);
-    }
-    save_csv(out, "fig1b_asr_ep", &["arch", "load", "power_w"], &rows);
+    fig.save("fig1b_asr_ep.csv", &csv);
 }
 
 /// Fig. 1(d) — energy efficiency vs utilization: Poly's dynamic policy
 /// against the two fixed extreme implementations.
-fn fig1d(out: &mut String) {
+fn fig1d(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 1(d): energy efficiency vs utilization (ASR, Heter pool) =="
     );
     let app = asr();
@@ -678,9 +630,7 @@ fn fig1d(out: &mut String) {
 
     // Fixed policies: min-latency and most-efficient (the prior art's two
     // hard choices, Section II-B).
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-    let spaces = cache().explore_graph(&explorer, app.kernels(), jobs());
+    let (setup, spaces) = setting_i(Architecture::HeterPoly, &app, fig.jobs());
     let sched = Scheduler::default();
     let fast_plan = sched
         .plan_latency(&app, &spaces, &setup.pool)
@@ -694,7 +644,7 @@ fn fig1d(out: &mut String) {
     // The fixed-policy runs are pure, so they fan out; the Poly runs stay
     // serial because each feeds the optimizer's model.
     let loads: Vec<f64> = (1..=8).map(|i| f64::from(i) / 8.0).collect();
-    let fixed = par_map(jobs(), &loads, |_, &load| {
+    let fixed = par_map(fig.jobs(), &loads, |_, &load| {
         let rps = max * load;
         let run = |policy: &Policy| {
             poly_sim::steady_state(
@@ -718,34 +668,23 @@ fn fig1d(out: &mut String) {
             0.0
         }
     };
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("load,poly_req_per_j,fixed_fast_req_per_j,fixed_eff_req_per_j");
     for (&load, (fixed_fast, fixed_eff)) in loads.iter().zip(&fixed) {
         let p = poly.measure(max * load);
         outln!(
-            out,
+            fig,
             "load={load:4.2} req/J: poly={:6.3} fixed-fast={:6.3} fixed-eff={:6.3}",
             rpj(&p),
             rpj(fixed_fast),
             rpj(fixed_eff)
         );
-        rows.push(vec![
-            f2(load),
-            f2(rpj(&p)),
-            f2(rpj(fixed_fast)),
-            f2(rpj(fixed_eff)),
-        ]);
+        csv.row()
+            .f(load)
+            .f(rpj(&p))
+            .f(rpj(fixed_fast))
+            .f(rpj(fixed_eff));
     }
-    save_csv(
-        out,
-        "fig1d_dynamic_efficiency",
-        &[
-            "load",
-            "poly_req_per_j",
-            "fixed_fast_req_per_j",
-            "fixed_eff_req_per_j",
-        ],
-        &rows,
-    );
+    fig.save("fig1d_dynamic_efficiency.csv", &csv);
 }
 
 // ---------------------------------------------------------------------------
@@ -753,21 +692,20 @@ fn fig1d(out: &mut String) {
 // ---------------------------------------------------------------------------
 
 /// Fig. 7 — tail latency vs load for all six applications.
-fn fig7(out: &mut String) {
-    outln!(out, "== Fig. 7: tail latency vs load, six applications ==");
+fn fig7(fig: &mut Fig) {
+    outln!(fig, "== Fig. 7: tail latency vs load, six applications ==");
     let apps = suite();
     // Phase 1: capacity search for every (app, arch) pair concurrently.
-    let pairs: Vec<(usize, Architecture)> = (0..apps.len())
-        .flat_map(|ai| ARCHS.iter().map(move |&a| (ai, a)))
-        .collect();
-    let prepped = par_map(jobs(), &pairs, |_, &(ai, arch)| {
+    let pairs = with_archs(apps.len());
+    let prepped = par_map(fig.jobs(), &pairs, |_, &(ai, arch)| {
         let mut sys = System::new(&apps[ai], Setting::I, arch, QOS_BOUND_MS);
         let max = sys.max_rps();
         (sys, max)
     });
     // Phase 2 (needs each app's best capacity): ten-point sweeps, one task
     // per (app, arch); each task's measurements run in request order so
-    // Poly's feedback sequence is preserved.
+    // Poly's feedback sequence is preserved. The first arch of each app
+    // heads its app's group.
     let bests: Vec<f64> = (0..apps.len())
         .map(|ai| {
             prepped[ai * ARCHS.len()..(ai + 1) * ARCHS.len()]
@@ -776,170 +714,137 @@ fn fig7(out: &mut String) {
                 .max(0.5)
         })
         .collect();
-    let swept = poly_par::par_map_owned(jobs(), prepped, |idx, (mut sys, own_max)| {
-        let (ai, _) = pairs[idx];
-        let best = bests[ai];
-        let mut block = String::new();
-        let mut rows = Vec::new();
-        outp!(block, "  {:11}(max {own_max:6.1}) p99:", sys.name);
-        for i in 1..=10 {
-            let rps = best * f64::from(i) / 10.0;
-            let r = sys.measure(rps);
-            outp!(block, " {:7.0}", r.latency.p99());
-            rows.push(vec![
-                apps[ai].name().into(),
-                sys.name.into(),
-                f2(f64::from(i) / 10.0),
-                f2(rps),
-                f2(r.latency.p99()),
-            ]);
-        }
-        outln!(block);
-        (block, rows)
-    });
-    let mut rows = Vec::new();
-    for (ai, app) in apps.iter().enumerate() {
-        outln!(out, "-- {} (100% load = {:.1} RPS)", app.name(), bests[ai]);
-        for (block, part) in &swept[ai * ARCHS.len()..(ai + 1) * ARCHS.len()] {
-            out.push_str(block);
-            rows.extend(part.iter().cloned());
-        }
-    }
-    save_csv(
-        out,
-        "fig7_tail_latency",
-        &["app", "arch", "load", "rps", "p99_ms"],
-        &rows,
+    let header = "app,arch,load,rps,p99_ms";
+    let tasks = prepped.into_iter().zip(&pairs);
+    let (csv, _) = fig.fan_out(
+        tasks,
+        header,
+        |((mut sys, own_max), &(ai, arch)), block, csv| {
+            let (app, best) = (apps[ai].name(), bests[ai]);
+            if arch == ARCHS[0] {
+                outln!(block, "-- {app} (100% load = {best:.1} RPS)");
+            }
+            outp!(block, "  {:11}(max {own_max:6.1}) p99:", sys.name);
+            for i in 1..=10 {
+                let rps = best * f64::from(i) / 10.0;
+                let r = sys.measure(rps);
+                outp!(block, " {:7.0}", r.latency.p99());
+                csv.row()
+                    .s(app)
+                    .s(sys.name)
+                    .f(f64::from(i) / 10.0)
+                    .f(rps)
+                    .f(r.latency.p99());
+            }
+            outln!(block);
+        },
     );
+    fig.save("fig7_tail_latency.csv", &csv);
 }
 
 /// Fig. 8 — maximum system throughput (normalized), six apps + averages.
-fn fig8(out: &mut String) {
+fn fig8(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 8: maximum throughput under QoS (normalized to best) =="
     );
     let apps = suite();
-    let pairs: Vec<(usize, Architecture)> = (0..apps.len())
-        .flat_map(|ai| ARCHS.iter().map(move |&a| (ai, a)))
-        .collect();
-    let maxes_flat = par_map(jobs(), &pairs, |_, &(ai, arch)| {
-        System::new(&apps[ai], Setting::I, arch, QOS_BOUND_MS).max_rps_jobs(jobs())
+    let pairs = with_archs(apps.len());
+    let jobs = fig.jobs();
+    let maxes_flat = par_map(jobs, &pairs, |_, &(ai, arch)| {
+        System::new(&apps[ai], Setting::I, arch, QOS_BOUND_MS).max_rps_jobs(jobs)
     });
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("app,arch,max_rps,normalized_pct");
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for (ai, app) in apps.iter().enumerate() {
         let maxes = &maxes_flat[ai * ARCHS.len()..(ai + 1) * ARCHS.len()];
         let best = maxes.iter().fold(0.0_f64, |a, &b| a.max(b)).max(1e-9);
-        outp!(out, "{:4}", app.name());
+        outp!(fig, "{:4}", app.name());
         for (i, (&m, arch)) in maxes.iter().zip(ARCHS).enumerate() {
             let pct = m / best;
             norm[i].push(pct.max(1e-3));
-            outp!(out, "  {}={:5.1}rps ({:3.0}%)", arch.name(), m, pct * 100.0);
-            rows.push(vec![
-                app.name().into(),
-                arch.name().into(),
-                f2(m),
-                f2(pct * 100.0),
-            ]);
+            outp!(fig, "  {}={:5.1}rps ({:3.0}%)", arch.name(), m, pct * 100.0);
+            csv.row().s(app.name()).s(arch.name()).f(m).f(pct * 100.0);
         }
-        outln!(out);
+        outln!(fig);
     }
     for (i, arch) in ARCHS.iter().enumerate() {
         let avg = norm[i].iter().sum::<f64>() / norm[i].len() as f64;
         let geo = (norm[i].iter().map(|x| x.ln()).sum::<f64>() / norm[i].len() as f64).exp();
         outln!(
-            out,
+            fig,
             "{:11} average={:4.0}% geomean={:4.0}%",
             arch.name(),
             avg * 100.0,
             geo * 100.0
         );
-        rows.push(vec![
-            "summary".into(),
-            arch.name().into(),
-            f2(avg * 100.0),
-            f2(geo * 100.0),
-        ]);
+        csv.row()
+            .s("summary")
+            .s(arch.name())
+            .f(avg * 100.0)
+            .f(geo * 100.0);
     }
-    save_csv(
-        out,
-        "fig8_max_throughput",
-        &["app", "arch", "max_rps", "normalized_pct"],
-        &rows,
-    );
+    fig.save("fig8_max_throughput.csv", &csv);
 }
 
 /// Fig. 9 — power scaling trends for ASR, IR, FQT.
-fn fig9(out: &mut String) {
-    outln!(out, "== Fig. 9: power scaling trends (ASR, IR, FQT) ==");
+fn fig9(fig: &mut Fig) {
+    outln!(fig, "== Fig. 9: power scaling trends (ASR, IR, FQT) ==");
     let names = ["asr", "ir", "fqt"];
-    let pairs: Vec<(usize, Architecture)> = (0..names.len())
-        .flat_map(|ni| ARCHS.iter().map(move |&a| (ni, a)))
-        .collect();
-    let curves = par_map(jobs(), &pairs, |_, &(ni, arch)| {
+    let pairs = with_archs(names.len());
+    let jobs = fig.jobs();
+    let curves = par_map(jobs, &pairs, |_, &(ni, arch)| {
         let app = poly_apps::by_name(names[ni]).expect("known app");
         let mut sys = System::new(&app, Setting::I, arch, QOS_BOUND_MS);
-        let max = sys.max_rps_jobs(jobs());
+        let max = sys.max_rps_jobs(jobs);
         (sys.name, sys.ep_curve(max, 6))
     });
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("app,arch,load,power_w");
     for (ni, name) in names.iter().enumerate() {
-        outln!(out, "-- {name}");
+        outln!(fig, "-- {name}");
         for (sys_name, curve) in &curves[ni * ARCHS.len()..(ni + 1) * ARCHS.len()] {
-            outp!(out, "  {sys_name:11}");
+            outp!(fig, "  {sys_name:11}");
             for p in curve.points() {
-                outp!(out, " {:4.0}W@{:3.0}%", p.power_w, p.load * 100.0);
-                rows.push(vec![
-                    (*name).into(),
-                    (*sys_name).into(),
-                    f2(p.load),
-                    f2(p.power_w),
-                ]);
+                outp!(fig, " {:4.0}W@{:3.0}%", p.power_w, p.load * 100.0);
+                csv.row().s(*name).s(*sys_name).f(p.load).f(p.power_w);
             }
-            outln!(out, "  (peak {:.0}W)", curve.peak_power_w());
+            outln!(fig, "  (peak {:.0}W)", curve.peak_power_w());
         }
     }
-    save_csv(
-        out,
-        "fig9_power_scaling",
-        &["app", "arch", "load", "power_w"],
-        &rows,
-    );
+    fig.save("fig9_power_scaling.csv", &csv);
 }
 
 /// Fig. 10 — energy proportionality for all six applications.
-fn fig10(out: &mut String) {
+fn fig10(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 10: energy proportionality, six applications =="
     );
     let apps = suite();
-    let pairs: Vec<(usize, Architecture)> = (0..apps.len())
-        .flat_map(|ai| ARCHS.iter().map(move |&a| (ai, a)))
-        .collect();
-    let eps = par_map(jobs(), &pairs, |_, &(ai, arch)| {
+    let pairs = with_archs(apps.len());
+    let jobs = fig.jobs();
+    let eps = par_map(jobs, &pairs, |_, &(ai, arch)| {
         let mut sys = System::new(&apps[ai], Setting::I, arch, QOS_BOUND_MS);
-        let max = sys.max_rps_jobs(jobs());
+        let max = sys.max_rps_jobs(jobs);
         sys.ep_curve(max, 6).ep()
     });
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("app,arch,ep");
     let mut sums = [0.0_f64; 3];
     for (ai, app) in apps.iter().enumerate() {
-        outp!(out, "{:4}", app.name());
+        outp!(fig, "{:4}", app.name());
         for (i, arch) in ARCHS.iter().enumerate() {
             let ep = eps[ai * ARCHS.len() + i];
             sums[i] += ep;
-            outp!(out, "  {}={ep:5.2}", arch.name());
-            rows.push(vec![app.name().into(), arch.name().into(), f2(ep)]);
+            outp!(fig, "  {}={ep:5.2}", arch.name());
+            csv.row().s(app.name()).s(arch.name()).f(ep);
         }
-        outln!(out);
+        outln!(fig);
     }
     for (i, arch) in ARCHS.iter().enumerate() {
-        outln!(out, "{:11} mean EP = {:.2}", arch.name(), sums[i] / 6.0);
-        rows.push(vec!["mean".into(), arch.name().into(), f2(sums[i] / 6.0)]);
+        outln!(fig, "{:11} mean EP = {:.2}", arch.name(), sums[i] / 6.0);
+        csv.row().s("mean").s(arch.name()).f(sums[i] / 6.0);
     }
-    save_csv(out, "fig10_ep", &["app", "arch", "ep"], &rows);
+    fig.save("fig10_ep.csv", &csv);
 }
 
 // ---------------------------------------------------------------------------
@@ -965,15 +870,27 @@ fn replay_trace() -> Vec<TracePoint> {
         .collect()
 }
 
+/// Points `range` of [`replay_trace`], re-timed to start at zero.
+fn trace_window(range: std::ops::Range<usize>) -> Vec<TracePoint> {
+    replay_trace()[range]
+        .iter()
+        .enumerate()
+        .map(|(i, p)| TracePoint {
+            start_ms: i as f64 * TRACE_INTERVAL_MS,
+            utilization: p.utilization,
+        })
+        .collect()
+}
+
 /// Fig. 11 — the synthesized 24-hour utilization trace.
-fn fig11(out: &mut String) {
-    outln!(out, "== Fig. 11: 24-hour server utilization trace ==");
+fn fig11(fig: &mut Fig) {
+    outln!(fig, "== Fig. 11: 24-hour server utilization trace ==");
     let trace = google_trace_24h(300_000.0, 2011);
-    let mut csv = Csv::new(&["hour", "utilization"]);
+    let mut csv = Csv::new("hour,utilization");
     for (i, p) in trace.iter().enumerate() {
         if i % 12 == 0 {
             outln!(
-                out,
+                fig,
                 "hour {:5.1}  util {:4.2}",
                 i as f64 / 12.0,
                 p.utilization
@@ -981,23 +898,24 @@ fn fig11(out: &mut String) {
         }
         csv.row().f(i as f64 / 12.0).f(p.utilization);
     }
-    csv.save(out, "fig11_trace");
+    fig.save("fig11_trace.csv", &csv);
 }
 
 /// Fig. 12 + Section VI-C — 24-hour power traces, power savings, QoS
 /// violations, and model prediction error.
-fn fig12(out: &mut String) {
+fn fig12(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 12: trace-driven power comparison (ASR, Setting-I) =="
     );
     let app = asr();
     let trace = replay_trace();
     // The paper "directly use[s] the same utilization value" for all three
     // platforms: each system serves util x its own sustainable capacity.
-    let own_max = par_map(jobs(), &ARCHS, |_, &a| {
+    let jobs = fig.jobs();
+    let own_max = par_map(jobs, &ARCHS, |_, &a| {
         System::new(&app, Setting::I, a, QOS_BOUND_MS)
-            .max_rps_jobs(jobs())
+            .max_rps_jobs(jobs)
             .max(1.0)
     });
     // Pass 1 (the paper's method): same *utilization* — each platform
@@ -1006,20 +924,20 @@ fn fig12(out: &mut String) {
     // overprovisioned idle capacity. The six replays are independent
     // deterministic simulations, so they fan out.
     let common = own_max.iter().fold(f64::INFINITY, |a, &b| a.min(b)) * 0.9;
-    let combos: Vec<(usize, usize)> = (0..2)
-        .flat_map(|pass| (0..ARCHS.len()).map(move |ai| (pass, ai)))
-        .collect();
-    let replays = par_map(jobs(), &combos, |_, &(pass, ai)| {
+    let combos = (0..2).flat_map(|pass| (0..ARCHS.len()).map(move |ai| (pass, ai)));
+    let header = "pass,arch,hour,utilization,power_w,p99_ms";
+    let (csv, summary) = fig.fan_out(combos, header, |(pass, ai), block, csv| {
         let arch = ARCHS[ai];
         let label = if pass == 0 {
             "same-utilization"
         } else {
             "same-load"
         };
+        if ai == 0 {
+            outln!(block, "-- pass: {label}");
+        }
         let max_rps = if pass == 0 { own_max[ai] * 0.9 } else { common };
-        let setup = table_iii(Setting::I, arch);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
+        let (setup, spaces) = setting_i(arch, &app, 1);
         let mode = match arch {
             Architecture::HeterPoly => RuntimeMode::Poly,
             _ => {
@@ -1040,7 +958,6 @@ fn fig12(out: &mut String) {
                 .seed(2011),
         );
         let served: usize = report.intervals.iter().map(|r| r.completed).sum();
-        let mut block = String::new();
         outln!(
             block,
             "{:11} (trace peak {max_rps:5.1} RPS) mean power {:6.1} W  {:6.2} J/request  violations {:5.2}%  model err {:4.1}%",
@@ -1050,10 +967,9 @@ fn fig12(out: &mut String) {
             report.violation_ratio * 100.0,
             report.prediction_error * 100.0
         );
-        let mut part = Csv::new(FIG12_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 4 == 0 {
-                part.row()
+                csv.row()
                     .s(label)
                     .s(arch.name())
                     .f(i as f64 / 12.0)
@@ -1062,23 +978,8 @@ fn fig12(out: &mut String) {
                     .f(r.p99_ms);
             }
         }
-        (block, part, (pass, arch.name(), report.mean_power_w))
+        (pass, arch.name(), report.mean_power_w)
     });
-    let mut csv = Csv::new(FIG12_HEADER);
-    let mut summary = Vec::new();
-    for (pass, label) in [(0, "same-utilization"), (1, "same-load")] {
-        outln!(out, "-- pass: {label}");
-        for (block, part, entry) in replays
-            .iter()
-            .zip(&combos)
-            .filter(|(_, &(p, _))| p == pass)
-            .map(|(r, _)| r)
-        {
-            out.push_str(block);
-            csv.append(part.clone());
-            summary.push(*entry);
-        }
-    }
     if let (Some(gpu), Some(het)) = (
         summary.iter().find(|(p, n, _)| *p == 1 && *n == "Homo-GPU"),
         summary
@@ -1086,23 +987,20 @@ fn fig12(out: &mut String) {
             .find(|(p, n, _)| *p == 1 && *n == "Heter-Poly"),
     ) {
         outln!(
-            out,
+            fig,
             "At equal offered load, Heter-Poly saves {:.0}% power vs Homo-GPU over the trace",
             (1.0 - het.2 / gpu.2) * 100.0
         );
     }
-    csv.save(out, "fig12_trace_power");
+    fig.save("fig12_trace_power.csv", &csv);
 }
-
-/// `fig12_trace_power.csv` columns (shared by the per-task builders).
-const FIG12_HEADER: &[&str] = &["pass", "arch", "hour", "utilization", "power_w", "p99_ms"];
 
 /// Failure trace (DESIGN.md §7) — graceful degradation under injected
 /// device faults: a GPU fail-stop plus an FPGA slowdown over the 24-hour
 /// trace, Poly's degraded-pool re-planning vs a static latency plan.
-fn fault(out: &mut String) {
+fn fault(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Failure trace: fault injection and graceful degradation (ASR, Setting-I Heter) =="
     );
     let app = asr();
@@ -1118,16 +1016,15 @@ fn fault(out: &mut String) {
         .slow_down(hour_ms(16.0), 1, 2.0)
         .recover(hour_ms(19.0), 1);
     outln!(
-        out,
+        fig,
         "faults: GPU fail-stop 06:00-10:00, FPGA0 2x slowdown 16:00-19:00"
     );
     const MAX_RPS: f64 = 20.0;
     let modes = ["Heter-Poly", "Static-latency"];
     // The two replays are independent deterministic simulations.
-    let runs = par_map(jobs(), &modes, |_, &name| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
+    let header = "mode,hour,utilization,p99_ms,power_w,healthy,retried,violations,completed";
+    let (csv, violations) = fig.fan_out(modes, header, |name, block, csv| {
+        let (setup, spaces) = setting_i(Architecture::HeterPoly, &app, 1);
         let mode = if name == "Heter-Poly" {
             RuntimeMode::Poly
         } else {
@@ -1147,7 +1044,6 @@ fn fault(out: &mut String) {
         );
         let violations: usize = report.intervals.iter().map(|r| r.violations).sum();
         let completed: usize = report.intervals.iter().map(|r| r.completed).sum();
-        let mut block = String::new();
         outln!(
             block,
             "{name:14} mean power {:6.1} W  completed {completed:6}  violations {violations:5} ({:5.2}%)  retried {:3}  recovery {:7.0} ms",
@@ -1156,10 +1052,9 @@ fn fault(out: &mut String) {
             report.retry.device_retries,
             report.mean_recovery_ms
         );
-        let mut part = Csv::new(FAULT_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 4 == 0 {
-                part.row()
+                csv.row()
                     .s(name)
                     .f(i as f64 / 12.0)
                     .f(r.utilization)
@@ -1171,59 +1066,40 @@ fn fault(out: &mut String) {
                     .n(r.completed);
             }
         }
-        (block, part, violations)
+        violations
     });
-    let mut csv = Csv::new(FAULT_HEADER);
-    for (block, part, _) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-    }
     outln!(
-        out,
+        fig,
         "violation ratio under faults: Poly {} vs Static {} (Poly re-plans onto survivors; Static strands its GPU kernels)",
-        runs[0].2,
-        runs[1].2
+        violations[0],
+        violations[1]
     );
-    csv.save(out, "fault_trace");
+    fig.save("fault_trace.csv", &csv);
 }
-
-/// `fault_trace.csv` columns (shared by the per-mode builders).
-const FAULT_HEADER: &[&str] = &[
-    "mode",
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "healthy",
-    "retried",
-    "violations",
-    "completed",
-];
 
 /// Irregular-input trace (DESIGN.md §15) — heavy-tailed per-request input
 /// sizes over the 24-hour trace: the purely static interval plan vs the
 /// hybrid layer that adds data-aware per-request dispatch (top-k chooser
 /// + work stealing) on top of the *same* interval planning.
-fn irregular(out: &mut String) {
+fn irregular(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Irregular trace: heavy-tailed input sizes, static plan vs hybrid dynamic dispatch (ASR, Setting-I Heter) =="
     );
     let app = asr();
     let trace = replay_trace();
     let sizes = SizeDist::heavy_tail();
     outln!(
-        out,
+        fig,
         "sizes: lognormal, median 0.7x nominal, sigma 0.9, cap 8x (mean {:.2}x)",
         sizes.mean()
     );
     const MAX_RPS: f64 = 20.0;
     let modes = ["Interval-static", "Hybrid-dynamic"];
     // The two replays are independent deterministic simulations.
-    let runs = par_map(jobs(), &modes, |_, &name| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
+    let header = "mode,hour,utilization,p99_ms,power_w,violations,completed";
+    let (csv, runs) = fig.fan_out(modes, header, |name, block, csv| {
+        let (setup, spaces) = setting_i(Architecture::HeterPoly, &app, 1);
         let mut rt = PolyRuntime::new(AppContext::new(app.clone(), spaces, setup, QOS_BOUND_MS));
         let mut spec = RunSpec::new(&trace, TRACE_INTERVAL_MS, MAX_RPS)
             .seed(2011)
@@ -1234,7 +1110,6 @@ fn irregular(out: &mut String) {
         let report = rt.run(&spec);
         let violations: usize = report.intervals.iter().map(|r| r.violations).sum();
         let completed: usize = report.intervals.iter().map(|r| r.completed).sum();
-        let mut block = String::new();
         outln!(
             block,
             "{name:15} mean power {:6.1} W  energy {:8.0} J  completed {completed:6}  violations {violations:5} ({:5.2}%)  steals {:4}  timed out {:4}",
@@ -1244,10 +1119,9 @@ fn irregular(out: &mut String) {
             report.retry.steals,
             report.timed_out,
         );
-        let mut part = Csv::new(IRREGULAR_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 4 == 0 {
-                part.row()
+                csv.row()
                     .s(name)
                     .f(i as f64 / 12.0)
                     .f(r.utilization)
@@ -1257,33 +1131,16 @@ fn irregular(out: &mut String) {
                     .n(r.completed);
             }
         }
-        (block, part, (violations, report.energy_j))
+        (violations, report.energy_j)
     });
-    let mut csv = Csv::new(IRREGULAR_HEADER);
-    for (block, part, _) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-    }
-    let (static_v, static_j) = runs[0].2;
-    let (hybrid_v, hybrid_j) = runs[1].2;
+    let ((static_v, static_j), (hybrid_v, hybrid_j)) = (runs[0], runs[1]);
     outln!(
-        out,
+        fig,
         "under heavy-tailed inputs the hybrid layer cuts violations {static_v} -> {hybrid_v} at {:.1}% of the static plan's energy",
         hybrid_j / static_j * 100.0
     );
-    csv.save(out, "irregular_trace");
+    fig.save("irregular_trace.csv", &csv);
 }
-
-/// `irregular_trace.csv` columns (shared by the per-mode builders).
-const IRREGULAR_HEADER: &[&str] = &[
-    "mode",
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "violations",
-    "completed",
-];
 
 /// Pipeline (DESIGN.md §18) — cross-kernel pipelined streaming: the DSE's
 /// channel-depth candidates priced and measured on the Heter-Poly node.
@@ -1296,9 +1153,9 @@ const IRREGULAR_HEADER: &[&str] = &[
 /// path — so the deltas in this figure are the frontier widening those
 /// headline numbers stand to gain. The acceptance assert below pins that
 /// at least one app's frontier strictly widens.
-fn pipeline(out: &mut String) {
+fn pipeline(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Pipeline: cross-kernel pipelined streaming, channel-depth frontier (Setting-I Heter) =="
     );
     let setup = table_iii(Setting::I, Architecture::HeterPoly);
@@ -1320,7 +1177,7 @@ fn pipeline(out: &mut String) {
         .collect();
     // One deterministic system per (app, depth) variant; results collect
     // in input order, so the CSV is byte-identical for every job count.
-    let measured = par_map(jobs(), &tasks, |_, (ai, cand)| {
+    let measured = par_map(fig.jobs(), &tasks, |_, (ai, cand)| {
         let mut s = setup.clone();
         s.sim_config.pipeline = PipelineConfig {
             depth: cand.depth,
@@ -1331,15 +1188,7 @@ fn pipeline(out: &mut String) {
         let p99 = sys.measure(PROBE_RPS).latency.p99();
         (max_rps, p99)
     });
-    let mut csv = Csv::new(&[
-        "app",
-        "depth",
-        "tiles",
-        "buffer_bytes",
-        "spill_bytes",
-        "max_rps",
-        "p99_at_probe_ms",
-    ]);
+    let mut csv = Csv::new("app,depth,tiles,buffer_bytes,spill_bytes,max_rps,p99_at_probe_ms");
     let mut widened = false;
     for (ai, app) in apps.iter().enumerate() {
         let rows: Vec<(&PipelineCandidate, (f64, f64))> = tasks
@@ -1349,10 +1198,10 @@ fn pipeline(out: &mut String) {
             .map(|((_, c), &m)| (c, m))
             .collect();
         let (barrier_rps, barrier_p99) = rows[0].1;
-        outln!(out, "-- {} (probe {PROBE_RPS:.0} RPS)", app.name());
+        outln!(fig, "-- {} (probe {PROBE_RPS:.0} RPS)", app.name());
         for (cand, (max_rps, p99)) in &rows {
             outln!(
-                out,
+                fig,
                 "  depth {:2}  buffer {:8} B  spill {:7} B  max {:6.1} RPS ({:+5.1}%)  p99 {:6.1} ms ({:+5.1}%)",
                 cand.depth,
                 cand.buffer_bytes,
@@ -1383,7 +1232,7 @@ fn pipeline(out: &mut String) {
             widened = true;
         }
         outln!(
-            out,
+            fig,
             "  best pipelined: max {:.1} RPS vs barrier {:.1} ({:+.1}%), p99 {:.1} ms vs {:.1}",
             best,
             barrier_rps,
@@ -1398,15 +1247,15 @@ fn pipeline(out: &mut String) {
         widened,
         "no pipelined depth widened any app's frontier (neither max RPS up nor p99 down)"
     );
-    csv.save(out, "pipeline_trace");
+    fig.save("pipeline_trace.csv", &csv);
 }
 
 /// Cluster trace (DESIGN.md §11) — four routing/admission policies over
 /// the 24-hour trace on a 4-node Setting-I Heter fleet with a shared
 /// power budget and a node-level fail-stop at the morning ramp.
-fn cluster(out: &mut String) {
+fn cluster(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Cluster: routing policies, 24 h trace (4 x Setting-I Heter nodes, shared budget) =="
     );
     let app = asr();
@@ -1426,45 +1275,27 @@ fn cluster(out: &mut String) {
         .fail_stop(hour_ms(12.0), 1)
         .recover(hour_ms(16.0), 1);
     outln!(
-        out,
+        fig,
         "fault: node 1 fail-stop 12:00-16:00 (whole node, peak hours)"
     );
     // The four replays are independent deterministic simulations.
-    let policies = RoutingPolicy::ALL;
-    let runs = par_map(jobs(), &policies, |_, &routing| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
-        let setups = vec![setup; NODES];
-        let mut cl = Cluster::try_new(
-            &app,
-            &spaces,
-            setups,
-            ClusterConfig {
-                bound_ms: QOS_BOUND_MS,
-                routing,
-                // Tighter than 4 provisioned 500 W nodes: the governor
-                // has to re-split a budget that actually binds.
-                power_budget_w: 260.0 * NODES as f64,
-                node_floor_w: 40.0,
-                max_backlog: 512,
-                lifecycle: LifecycleConfig::default(),
-                breaker: None,
-            },
-        )
-        .expect("valid cluster configuration");
+    let jobs = fig.jobs();
+    let header = "policy,hour,utilization,p99_ms,power_w,nodes_up,shed,redistributed,violations,completed,skew";
+    let (csv, _) = fig.fan_out(RoutingPolicy::ALL, header, |routing, block, csv| {
+        let lifecycle = LifecycleConfig::default();
+        let mut cl = heter_fleet(&app, NODES, routing, 512, lifecycle, None);
         // Per-interval node stepping fans out over the worker budget;
-        // the CSV is byte-identical for every job count (CI diffs it).
+        // the CSV is byte-identical for every job count (`verify` diffs
+        // it).
         let report = cl
             .run(
                 ClusterRunSpec::new(&trace, TRACE_INTERVAL_MS, CLUSTER_MAX_RPS)
                     .seed(2011)
                     .faults(node_faults.clone())
-                    .jobs(jobs()),
+                    .jobs(jobs),
             )
             .expect("valid cluster run");
         let violations: usize = report.intervals.iter().map(|r| r.violations).sum();
-        let mut block = String::new();
         outln!(
             block,
             "{:19} p99 {:7.1} ms  energy {:8.0} J  violations {violations:5} ({:5.2}%)  shed {:5}  redistributed {:3}  skew {:.2}",
@@ -1476,10 +1307,9 @@ fn cluster(out: &mut String) {
             report.retry.redistributed,
             report.mean_util_skew
         );
-        let mut part = Csv::new(CLUSTER_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 4 == 0 {
-                part.row()
+                csv.row()
                     .s(routing.name())
                     .f(i as f64 / 12.0)
                     .f(r.utilization)
@@ -1493,30 +1323,9 @@ fn cluster(out: &mut String) {
                     .f(r.util_skew);
             }
         }
-        (block, part)
     });
-    let mut csv = Csv::new(CLUSTER_HEADER);
-    for (block, part) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-    }
-    csv.save(out, "cluster_trace");
+    fig.save("cluster_trace.csv", &csv);
 }
-
-/// `cluster_trace.csv` columns (shared by the per-policy builders).
-const CLUSTER_HEADER: &[&str] = &[
-    "policy",
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "nodes_up",
-    "shed",
-    "redistributed",
-    "violations",
-    "completed",
-    "skew",
-];
 
 /// Chaos campaign (DESIGN.md §12) — a seeded random node-level fault
 /// campaign against a 3-node fleet, replayed under four request-lifecycle
@@ -1525,9 +1334,9 @@ const CLUSTER_HEADER: &[&str] = &[
 /// request reaches exactly one terminal state, refunded busy-energy never
 /// exceeds booked). The full stack must strictly beat the no-lifecycle
 /// baseline on QoS violations under the *same* faults and seed.
-fn chaos(out: &mut String) {
+fn chaos(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Chaos: request-lifecycle configs under a random fault campaign (3 x Setting-I Heter nodes) =="
     );
     let app = asr();
@@ -1535,14 +1344,7 @@ fn chaos(out: &mut String) {
     // The afternoon-peak 8 hours of the diurnal trace, re-timed to start
     // at zero: high enough load that a faulted node's share genuinely
     // overloads the survivors.
-    let trace: Vec<TracePoint> = replay_trace()[96..192]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| TracePoint {
-            start_ms: i as f64 * TRACE_INTERVAL_MS,
-            utilization: p.utilization,
-        })
-        .collect();
+    let trace = trace_window(96..192);
     let duration_ms = trace.len() as f64 * TRACE_INTERVAL_MS;
     // ~47 RPS/node at trace peak vs ~75 RPS single-node capacity: the
     // healthy fleet absorbs it, a two-node fleet is pressed hard.
@@ -1554,7 +1356,7 @@ fn chaos(out: &mut String) {
         .validate()
         .expect("campaign must be well-formed");
     outln!(
-        out,
+        fig,
         "campaign seed 0xC4A05: {} node-level fault events over {:.0} min",
         node_faults.events().len(),
         duration_ms / 60_000.0
@@ -1568,51 +1370,31 @@ fn chaos(out: &mut String) {
         retry: RetryPolicy::Backoff(BackoffPolicy::default()),
         ..LifecycleConfig::default()
     };
-    let full = LifecycleConfig {
-        deadline_factor: Some(2.0),
-        retry: RetryPolicy::Backoff(BackoffPolicy::default()),
-        hedge: Some(HedgeConfig::default()),
-    };
-    let configs: [(&str, LifecycleConfig, Option<poly_cluster::BreakerConfig>); 4] = [
+    let configs: [(&str, LifecycleConfig, Option<BreakerConfig>); 4] = [
         ("no-lifecycle", LifecycleConfig::default(), None),
         ("deadline-cancel", deadline, None),
         ("deadline+retry", retry, None),
         (
             "full-lifecycle",
-            full,
-            Some(poly_cluster::BreakerConfig::default()),
+            full_lifecycle(),
+            Some(BreakerConfig::default()),
         ),
     ];
     // The four replays are independent deterministic simulations.
-    let runs = par_map(jobs(), &configs, |_, (name, lifecycle, breaker)| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
-        let setups = vec![setup; NODES];
-        let mut cl = Cluster::try_new(
-            &app,
-            &spaces,
-            setups,
-            ClusterConfig {
-                bound_ms: QOS_BOUND_MS,
-                // Plain shortest-queue: no QoS-aware shedding, so the
-                // lifecycle machinery (not admission control) does the
-                // protective work and the configs separate cleanly.
-                routing: RoutingPolicy::JoinShortestQueue,
-                power_budget_w: 260.0 * NODES as f64,
-                node_floor_w: 40.0,
-                max_backlog: 512,
-                lifecycle: lifecycle.clone(),
-                breaker: *breaker,
-            },
-        )
-        .expect("valid cluster configuration");
+    let jobs = fig.jobs();
+    let header = "config,hour,utilization,p99_ms,power_w,nodes_up,shed,redistributed,timed_out,violations,completed";
+    let (csv, runs) = fig.fan_out(configs, header, |(name, lifecycle, breaker), block, csv| {
+        // Plain shortest-queue: no QoS-aware shedding, so the lifecycle
+        // machinery (not admission control) does the protective work and
+        // the configs separate cleanly.
+        let routing = RoutingPolicy::JoinShortestQueue;
+        let mut cl = heter_fleet(&app, NODES, routing, 512, lifecycle, breaker);
         let report = cl
             .run(
                 ClusterRunSpec::new(&trace, TRACE_INTERVAL_MS, CHAOS_MAX_RPS)
                     .seed(2029)
                     .faults(node_faults.clone())
-                    .jobs(jobs()),
+                    .jobs(jobs),
             )
             .expect("valid chaos run");
         // Invariant audit: conservation must hold on every node.
@@ -1625,7 +1407,6 @@ fn chaos(out: &mut String) {
             .check()
             .unwrap_or_else(|e| panic!("{name}: merged audit failed: {e}"));
         let violations: usize = report.intervals.iter().map(|r| r.violations).sum();
-        let mut block = String::new();
         outln!(
             block,
             "{name:16} p99 {:7.1} ms  completed {:6}  violations {violations:5} ({:5.2}%)  timed-out {:5}  retried {:4}  exhausted {:3}  hedges {:3} (won {:3})  redistributed {:3}",
@@ -1639,11 +1420,10 @@ fn chaos(out: &mut String) {
             report.retry.hedge_wins,
             report.retry.redistributed
         );
-        let mut part = Csv::new(CHAOS_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 2 == 0 {
-                part.row()
-                    .s(*name)
+                csv.row()
+                    .s(name)
                     .f(i as f64 / 12.0)
                     .f(r.utilization)
                     .f(r.p99_ms)
@@ -1656,40 +1436,29 @@ fn chaos(out: &mut String) {
                     .n(r.completed);
             }
         }
-        (block, part, violations, report.completed)
+        violations
     });
-    let mut csv = Csv::new(CHAOS_HEADER);
-    for (block, part, _, _) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-    }
-    let (baseline, full_stack) = (runs[0].2, runs[3].2);
+    let (baseline, full_stack) = (runs[0], runs[3]);
     assert!(
         full_stack < baseline,
         "full lifecycle must strictly reduce violations: {full_stack} !< {baseline}"
     );
     outln!(
-        out,
+        fig,
         "violations under chaos: no-lifecycle {baseline} vs full-lifecycle {full_stack} ({:.0}% fewer); all audits green",
         (1.0 - full_stack as f64 / baseline as f64) * 100.0
     );
-    csv.save(out, "chaos_trace");
+    fig.save("chaos_trace.csv", &csv);
 }
 
-/// `chaos_trace.csv` columns (shared by the per-config builders).
-const CHAOS_HEADER: &[&str] = &[
-    "config",
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "nodes_up",
-    "shed",
-    "redistributed",
-    "timed_out",
-    "violations",
-    "completed",
-];
+/// Deadline cancellation, retries with backoff and hedging, all on.
+fn full_lifecycle() -> LifecycleConfig {
+    LifecycleConfig {
+        deadline_factor: Some(2.0),
+        retry: RetryPolicy::Backoff(BackoffPolicy::default()),
+        hedge: Some(HedgeConfig::default()),
+    }
+}
 
 /// Elastic fleet (DESIGN.md §17) — multi-tenant QoS classes, elastic
 /// autoscaling, and preemptible spot capacity over the 24 h diurnal
@@ -1709,9 +1478,9 @@ const CHAOS_HEADER: &[&str] = &[
 /// with notice and at least one without; the noticed elastic fleet stays
 /// within noise of the fixed fleet's violation ratio at measurably lower
 /// energy and node-hours.
-fn elastic(out: &mut String) {
+fn elastic(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Elastic: QoS classes + autoscaler + spot nodes, 24 h trace (4 x Setting-I Heter nodes, 2 tenants/node) =="
     );
     let strict_app = asr();
@@ -1750,7 +1519,7 @@ fn elastic(out: &mut String) {
         ..AutoscaleConfig::default()
     };
     outln!(
-        out,
+        fig,
         "spot schedule: node 3 revoked 02:00 + {NOTICE_MS:.0} ms notice (back 08:00), node 2 revoked 20:00 (back 23:00)"
     );
     let configs: [(&str, FaultPlan, Option<AutoscaleConfig>); 3] = [
@@ -1759,11 +1528,11 @@ fn elastic(out: &mut String) {
         ("spot-surprise", surprise, Some(autoscale)),
     ];
     // The three replays are independent deterministic simulations.
-    let runs = par_map(jobs(), &configs, |_, (name, faults, autoscale)| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let strict_spaces = cache().explore_graph(&explorer, strict_app.kernels(), 1);
-        let lenient_spaces = cache().explore_graph(&explorer, lenient_app.kernels(), 1);
+    let jobs = fig.jobs();
+    let header = "config,hour,utilization,p99_ms,power_w,nodes_up,nodes_active,shed,redistributed,violations,completed";
+    let (csv, runs) = fig.fan_out(configs, header, |(name, faults, autoscale), block, csv| {
+        let (setup, strict_spaces) = setting_i(Architecture::HeterPoly, &strict_app, 1);
+        let (_, lenient_spaces) = setting_i(Architecture::HeterPoly, &lenient_app, 1);
         let strict_ctx = AppContext::new(
             strict_app.clone(),
             strict_spaces,
@@ -1793,20 +1562,20 @@ fn elastic(out: &mut String) {
                 node_floor_w: 40.0,
                 max_backlog: 512,
                 lifecycle: LifecycleConfig::default(),
-                breaker: Some(poly_cluster::BreakerConfig::default()),
+                breaker: Some(BreakerConfig::default()),
             },
         )
         .expect("valid cluster");
         let mut spec = ClusterRunSpec::new(&trace, TRACE_INTERVAL_MS, ELASTIC_MAX_RPS)
             .seed(2017)
-            .faults(faults.clone())
+            .faults(faults)
             .traffic_mix(vec![0.75, 0.25])
             // Idle platform draw per powered-on node — the term elastic
             // scale-down saves. ~30% of the mean loaded draw, in line
             // with modern servers' idle-to-peak ratios.
             .node_static_w(80.0)
-            .jobs(jobs());
-        if let Some(autoscale) = autoscale.clone() {
+            .jobs(jobs);
+        if let Some(autoscale) = autoscale {
             spec = spec.autoscale(autoscale);
         }
         let report = cl.run(spec).expect("valid elastic run");
@@ -1831,7 +1600,6 @@ fn elastic(out: &mut String) {
         let tco_node_hour =
             monthly_tco_usd(&setup, mean_power_per_node, &TcoParams::default()) / 730.0;
         let cost = report.node_hours * tco_node_hour;
-        let mut block = String::new();
         outln!(
             block,
             "{name:13} p99 {:6.1} ms  violations {:5.2}%  energy {:8.0} J  node-hours {:5.2} (of {:.2})  cost ${cost:6.2}  trips {}  shed {:5}  redistributed {:4}",
@@ -1856,11 +1624,10 @@ fn elastic(out: &mut String) {
                 }
             );
         }
-        let mut part = Csv::new(ELASTIC_HEADER);
         for (i, r) in report.intervals.iter().enumerate() {
             if i % 4 == 0 {
-                part.row()
-                    .s(*name)
+                csv.row()
+                    .s(name)
                     .f(i as f64 / 12.0)
                     .f(r.utilization)
                     .f(r.p99_ms)
@@ -1874,28 +1641,21 @@ fn elastic(out: &mut String) {
             }
         }
         (
-            block,
-            part,
             report.breaker_trips,
             report.violation_ratio,
             report.energy_j,
             report.node_hours,
         )
     });
-    let mut csv = Csv::new(ELASTIC_HEADER);
-    for (block, part, ..) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-    }
-    let (fixed_vr, fixed_energy, fixed_hours) = (runs[0].3, runs[0].4, runs[0].5);
-    let (notice_trips, notice_vr, notice_energy, notice_hours) =
-        (runs[1].2, runs[1].3, runs[1].4, runs[1].5);
+    let (_, fixed_vr, fixed_energy, fixed_hours) = runs[0];
+    let (notice_trips, notice_vr, notice_energy, notice_hours) = runs[1];
+    let surprise_trips = runs[2].0;
     assert_eq!(
         notice_trips, 0,
         "noticed revocations must never trip a breaker"
     );
     assert!(
-        runs[2].2 > 0,
+        surprise_trips > 0,
         "surprise fail-stops must trip at least one breaker"
     );
     assert!(
@@ -1911,7 +1671,7 @@ fn elastic(out: &mut String) {
         "elastic+spot must stay within noise of the fixed fleet's violation ratio: {notice_vr} vs {fixed_vr}"
     );
     outln!(
-        out,
+        fig,
         "elastic+spot vs fixed: violations {:.2}% vs {:.2}%, energy {:.0} J vs {:.0} J ({:.0}% saved), node-hours {:.2} vs {:.2}; notice prevents all breaker trips ({} under surprise)",
         notice_vr * 100.0,
         fixed_vr * 100.0,
@@ -1920,25 +1680,10 @@ fn elastic(out: &mut String) {
         (1.0 - notice_energy / fixed_energy) * 100.0,
         notice_hours,
         fixed_hours,
-        runs[2].2
+        surprise_trips
     );
-    csv.save(out, "elastic_trace");
+    fig.save("elastic_trace.csv", &csv);
 }
-
-/// `elastic_trace.csv` columns (shared by the per-config builders).
-const ELASTIC_HEADER: &[&str] = &[
-    "config",
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "nodes_up",
-    "nodes_active",
-    "shed",
-    "redistributed",
-    "violations",
-    "completed",
-];
 
 /// Observability flamechart (DESIGN.md §13) — replays a shortened chaos
 /// campaign with a [`MemRecorder`] attached to every layer (simulator
@@ -1946,10 +1691,10 @@ const ELASTIC_HEADER: &[&str] = &[
 /// governor events) and exports the full-lifecycle run as a Chrome
 /// `trace_event` JSON plus a per-config event/histogram summary CSV.
 /// Recording must not perturb the simulation, and the exported trace is
-/// byte-identical for every `--jobs` count (CI diffs it).
-fn obs(out: &mut String) {
+/// byte-identical for every `--jobs` count (`verify` diffs it).
+fn obs(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Observability: structured telemetry of the chaos campaign (3 x Setting-I Heter nodes) =="
     );
     let app = asr();
@@ -1957,66 +1702,39 @@ fn obs(out: &mut String) {
     // The first 4 afternoon-peak hours of the chaos window (§12),
     // re-timed to zero — enough activity for a representative
     // flamechart at half the chaos runtime.
-    let trace: Vec<TracePoint> = replay_trace()[96..144]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| TracePoint {
-            start_ms: i as f64 * TRACE_INTERVAL_MS,
-            utilization: p.utilization,
-        })
-        .collect();
+    let trace = trace_window(96..144);
     let duration_ms = trace.len() as f64 * TRACE_INTERVAL_MS;
     const OBS_MAX_RPS: f64 = 140.0;
     let node_faults = FaultPlan::random_campaign(0xC4A05, NODES, duration_ms, 4);
     node_faults
         .validate()
         .expect("campaign must be well-formed");
-    let full = LifecycleConfig {
-        deadline_factor: Some(2.0),
-        retry: RetryPolicy::Backoff(BackoffPolicy::default()),
-        hedge: Some(HedgeConfig::default()),
-    };
-    let configs: [(&str, LifecycleConfig, Option<poly_cluster::BreakerConfig>); 2] = [
+    let configs: [(&str, LifecycleConfig, Option<BreakerConfig>); 2] = [
         ("no-lifecycle", LifecycleConfig::default(), None),
         (
             "full-lifecycle",
-            full,
-            Some(poly_cluster::BreakerConfig::default()),
+            full_lifecycle(),
+            Some(BreakerConfig::default()),
         ),
     ];
     // Independent deterministic replays, one MemRecorder each.
-    let runs = par_map(jobs(), &configs, |_, (name, lifecycle, breaker)| {
-        let setup = table_iii(Setting::I, Architecture::HeterPoly);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
-        let setups = vec![setup; NODES];
-        let mut cl = Cluster::try_new(
-            &app,
-            &spaces,
-            setups,
-            ClusterConfig {
-                bound_ms: QOS_BOUND_MS,
-                routing: RoutingPolicy::JoinShortestQueue,
-                power_budget_w: 260.0 * NODES as f64,
-                node_floor_w: 40.0,
-                max_backlog: 512,
-                lifecycle: lifecycle.clone(),
-                breaker: *breaker,
-            },
-        )
-        .expect("valid cluster configuration");
+    let jobs = fig.jobs();
+    let header = "config,events,exec_spans,intervals,replans,faults,hedges,routes,shed_events,breaker_transitions,governor_splits,latency_p50_ms,latency_p99_ms,queue_wait_p99_ms,service_p99_ms";
+    let (csv, runs) = fig.fan_out(configs, header, |(name, lifecycle, breaker), block, csv| {
+        let routing = RoutingPolicy::JoinShortestQueue;
+        let mut cl = heter_fleet(&app, NODES, routing, 512, lifecycle, breaker);
         let rec = MemRecorder::new();
         // With the recorder attached the cluster steps its nodes
         // serially regardless of the job budget (telemetry sequence
         // numbers are emission-ordered); setting jobs anyway exercises
-        // that fallback in CI's jobs-1-vs-N diff.
+        // that fallback in `verify`'s jobs-1-vs-N diff.
         let report = cl
             .run(
                 ClusterRunSpec::new(&trace, TRACE_INTERVAL_MS, OBS_MAX_RPS)
                     .seed(2029)
                     .faults(node_faults.clone())
                     .recorder(Box::new(rec.clone()))
-                    .jobs(jobs()),
+                    .jobs(jobs),
             )
             .expect("valid obs run");
         let samples = rec.samples();
@@ -2038,7 +1756,6 @@ fn obs(out: &mut String) {
         let latency = latency_summary(&samples);
         let queue = queue_wait_summary(&samples, None);
         let service = service_summary(&samples, None);
-        let mut block = String::new();
         outln!(
             block,
             "{name:14} {:6} events  spans {:5}  intervals {:3} (replans {:2})  faults {:2}  hedges {:3}  breaker moves {:2}  completed {:6}",
@@ -2051,9 +1768,8 @@ fn obs(out: &mut String) {
             count("breaker"),
             report.completed,
         );
-        let mut part = Csv::new(OBS_HEADER);
-        part.row()
-            .s(*name)
+        csv.row()
+            .s(name)
             .n(samples.len())
             .n(count("exec-start"))
             .n(count("interval"))
@@ -2089,7 +1805,7 @@ fn obs(out: &mut String) {
             {
                 ivals
                     .row()
-                    .s(*name)
+                    .s(name)
                     .n(s.track as usize)
                     .n(index)
                     .s(reason)
@@ -2103,19 +1819,16 @@ fn obs(out: &mut String) {
                     .n(violations);
             }
         }
-        (block, part, ivals, samples)
+        (ivals, samples)
     });
-    let mut csv = Csv::new(OBS_HEADER);
     let mut ivals = Csv::new(OBS_INTERVAL_HEADER);
-    for (block, part, part_ivals, _) in &runs {
-        out.push_str(block);
-        csv.append(part.clone());
-        ivals.append(part_ivals.clone());
+    for (part, _) in &runs {
+        ivals.append(part.clone());
     }
     // Flamechart of the full-lifecycle run: every exec span on its
     // node/device row, control-plane re-plans and cluster events on
     // dedicated tracks.
-    let json = chrome_trace_json(&runs[1].3);
+    let json = chrome_trace_json(&runs[1].1);
     assert!(
         json.starts_with("{\"traceEvents\":["),
         "invalid trace shell"
@@ -2124,68 +1837,29 @@ fn obs(out: &mut String) {
         json.contains("\"ph\":\"X\"") && json.contains("\"process_name\""),
         "trace must contain spans and track metadata"
     );
-    std::fs::create_dir_all("results").expect("create results directory");
-    std::fs::write("results/obs_trace.json", &json).expect("write obs trace");
-    outln!(
-        out,
-        "  -> wrote results/obs_trace.json ({} bytes)",
-        json.len()
-    );
-    csv.save(out, "obs_summary");
-    ivals.save(out, "obs_intervals");
+    fig.save_text("obs_trace.json", json);
+    fig.save("obs_summary.csv", &csv);
+    fig.save("obs_intervals.csv", &ivals);
 }
 
-/// `obs_summary.csv` columns (shared by the per-config builders).
-const OBS_HEADER: &[&str] = &[
-    "config",
-    "events",
-    "exec_spans",
-    "intervals",
-    "replans",
-    "faults",
-    "hedges",
-    "routes",
-    "shed_events",
-    "breaker_transitions",
-    "governor_splits",
-    "latency_p50_ms",
-    "latency_p99_ms",
-    "queue_wait_p99_ms",
-    "service_p99_ms",
-];
-
 /// `obs_intervals.csv` columns: the control-plane interval stream.
-const OBS_INTERVAL_HEADER: &[&str] = &[
-    "config",
-    "track",
-    "interval",
-    "reason",
-    "policy_changed",
-    "offered_rps",
-    "load_est_rps",
-    "predicted_p99_ms",
-    "observed_p99_ms",
-    "power_w",
-    "completed",
-    "violations",
-];
+const OBS_INTERVAL_HEADER: &str =
+    "config,track,interval,reason,policy_changed,offered_rps,load_est_rps,predicted_p99_ms,observed_p99_ms,power_w,completed,violations";
 
 // ---------------------------------------------------------------------------
 // Scalability and cost (Figs. 13–14)
 // ---------------------------------------------------------------------------
 
 /// Ablations (DESIGN.md §6): quality deltas of the design choices.
-fn ablations(out: &mut String) {
+fn ablations(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Ablations: value of each design choice (ASR, Setting-I Heter) =="
     );
     let app = asr();
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-    let spaces = cache().explore_graph(&explorer, app.kernels(), jobs());
+    let (setup, spaces) = setting_i(Architecture::HeterPoly, &app, fig.jobs());
     let sched = Scheduler::default();
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("ablation,before,after");
 
     // 1. Energy step: dynamic energy with and without Step 2.
     let fast = sched
@@ -2195,7 +1869,7 @@ fn ablations(out: &mut String) {
         .plan(&app, &spaces, &setup.pool, QOS_BOUND_MS)
         .expect("plan");
     outln!(
-        out,
+        fig,
         "energy step: dynamic energy {:.0} -> {:.0} mJ ({:.0}% less), makespan {:.0} -> {:.0} ms",
         fast.dynamic_mj,
         tuned.dynamic_mj,
@@ -2203,27 +1877,25 @@ fn ablations(out: &mut String) {
         fast.makespan_ms,
         tuned.makespan_ms
     );
-    rows.push(vec![
-        "energy_step_dynamic_mj".into(),
-        f2(fast.dynamic_mj),
-        f2(tuned.dynamic_mj),
-    ]);
+    csv.row()
+        .s("energy_step_dynamic_mj")
+        .f(fast.dynamic_mj)
+        .f(tuned.dynamic_mj);
 
     // 2. Fusion: off-chip traffic saved by global optimization.
     for kernel in app.kernels() {
         let p = kernel.profile();
         outln!(
-            out,
+            fig,
             "fusion: {:14} off-chip {:6.1} -> {:6.1} MB per invocation",
             kernel.name(),
             p.unfused_bytes as f64 / 1e6,
             p.min_bytes as f64 / 1e6
         );
-        rows.push(vec![
-            format!("fusion_bytes_{}", kernel.name()),
-            f2(p.unfused_bytes as f64 / 1e6),
-            f2(p.min_bytes as f64 / 1e6),
-        ]);
+        csv.row()
+            .s(format!("fusion_bytes_{}", kernel.name()))
+            .f(p.unfused_bytes as f64 / 1e6)
+            .f(p.min_bytes as f64 / 1e6);
     }
 
     // 3. Heterogeneity: best homogeneous plan vs heterogeneous plan for
@@ -2235,31 +1907,29 @@ fn ablations(out: &mut String) {
         .plan_latency(&app, &spaces, &poly_sched::Pool::heterogeneous(0, 5))
         .expect("plan");
     outln!(
-        out,
+        fig,
         "heterogeneity: single-request makespan het {:.0} ms vs gpu-only {:.0} ms vs fpga-only {:.0} ms",
         fast.makespan_ms, gpu_only.makespan_ms, fpga_only.makespan_ms
     );
-    rows.push(vec![
-        "single_request_makespan".into(),
-        f2(fast.makespan_ms),
-        f2(gpu_only.makespan_ms.min(fpga_only.makespan_ms)),
-    ]);
+    csv.row()
+        .s("single_request_makespan")
+        .f(fast.makespan_ms)
+        .f(gpu_only.makespan_ms.min(fpga_only.makespan_ms));
 
     // 4. Priority list: HEFT-style W_L ordering vs naive topological
     //    order with min-latency implementations.
     let naive =
         poly_sched::naive_plan(&app, &spaces, &setup.pool, &PcieLink::gen3_x16()).expect("plan");
     outln!(
-        out,
+        fig,
         "priority list: makespan {:.0} ms (W_L ordered) vs {:.0} ms (naive topo order)",
         fast.makespan_ms,
         naive.makespan_ms
     );
-    rows.push(vec![
-        "priority_list_makespan".into(),
-        f2(naive.makespan_ms),
-        f2(fast.makespan_ms),
-    ]);
+    csv.row()
+        .s("priority_list_makespan")
+        .f(naive.makespan_ms)
+        .f(fast.makespan_ms);
 
     // 5. Feedback: model correction value after one observed interval.
     let mut opt = Optimizer::new();
@@ -2291,14 +1961,13 @@ fn ablations(out: &mut String) {
     );
     let after = (measured.latency.p99() - pred.p99_ms).abs() / measured.latency.p99();
     outln!(
-        out,
+        fig,
         "feedback: model p99 error {:.0}% -> {:.0}% after one correction",
         before * 100.0,
         after * 100.0
     );
-    rows.push(vec!["model_p99_error".into(), f2(before), f2(after)]);
-
-    save_csv(out, "ablations", &["ablation", "before", "after"], &rows);
+    csv.row().s("model_p99_error").f(before).f(after);
+    fig.save("ablations.csv", &csv);
 }
 
 /// Backend calibration (DESIGN.md §16) — validates the pluggable
@@ -2313,14 +1982,14 @@ fn ablations(out: &mut String) {
 ///    latency error distribution.
 ///
 /// Two CSVs: `backend_model.csv` is committed and fully deterministic
-/// (micro-kernel sizing, result checksums, analytical latencies — CI
-/// diffs it across `--jobs` counts); `backend_calibration.csv` carries
-/// the measured wall-clock figures and is gitignored (they vary run to
-/// run by design). `POLY_BACKEND_TOL` bounds the accepted max relative
+/// (micro-kernel sizing, result checksums, analytical latencies —
+/// `verify` diffs it across `--jobs` counts and against the committed
+/// copy); `backend_calibration.csv` carries the measured wall-clock
+/// figures and is gitignored (they vary run to run by design). `POLY_BACKEND_TOL` bounds the accepted max relative
 /// error (generous default: the point is the report, not a hard gate).
-fn backend(out: &mut String) {
+fn backend(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Backend: capability pools, analytical bit-equivalence, CPU calibration =="
     );
 
@@ -2341,7 +2010,7 @@ fn backend(out: &mut String) {
         }
     }
     outln!(
-        out,
+        fig,
         "capability pools: {layouts}/9 Table III layouts reproduced from device advertisements"
     );
 
@@ -2386,13 +2055,13 @@ fn backend(out: &mut String) {
         }
     }
     outln!(
-        out,
+        fig,
         "analytical backend: {points_checked} design points bit-identical to the explorer"
     );
 
     // 3. CPU calibration sweep over the whole suite (names are
     //    app-qualified: the client caches measurements by name).
-    let cpu = CpuClient::new(jobs().clamp(1, 4));
+    let cpu = CpuClient::new(fig.jobs().clamp(1, 4));
     let kernels: Vec<(String, poly_ir::KernelProfile)> = suite()
         .iter()
         .flat_map(|app| {
@@ -2404,10 +2073,10 @@ fn backend(out: &mut String) {
         .collect();
     let summary = calibrate(&cpu, &kernels);
     for (class, gflops) in &summary.class_gflops {
-        outln!(out, "reference {class:7} sustained {gflops:6.2} Gflop/s");
+        outln!(fig, "reference {class:7} sustained {gflops:6.2} Gflop/s");
     }
     outln!(
-        out,
+        fig,
         "{:24} {:7} {:>12} {:>12} {:>7} {:>7}",
         "kernel",
         "class",
@@ -2418,7 +2087,7 @@ fn backend(out: &mut String) {
     );
     for c in &summary.per_kernel {
         outln!(
-            out,
+            fig,
             "{:24} {:7} {:>10.1}ms {:>10.1}ms {:>6.1}% {:>7.2}",
             c.kernel,
             c.class,
@@ -2429,7 +2098,7 @@ fn backend(out: &mut String) {
         );
     }
     outln!(
-        out,
+        fig,
         "model error: mean {:.1}%  median {:.1}%  max {:.1}%",
         summary.mean_rel_err * 100.0,
         summary.median_rel_err * 100.0,
@@ -2438,7 +2107,7 @@ fn backend(out: &mut String) {
 
     // Committed, deterministic: micro-kernel sizing, result checksums
     // (thread-count independent), and the analytical primary latencies.
-    let mut model_rows = Vec::new();
+    let mut model = Csv::new("kernel,class,total_flops,elements,iterations,micro_dim,micro_repeats,checksum,gpu_min_latency_ms,fpga_min_latency_ms");
     for app in suite() {
         for kernel in app.kernels() {
             let name = format!("{}/{}", app.name(), kernel.name());
@@ -2455,71 +2124,37 @@ fn backend(out: &mut String) {
                     .min_latency(kind)
                     .map_or_else(|| "-".to_string(), |p| f2(p.latency_ms()))
             };
-            model_rows.push(vec![
-                name,
-                c.class.to_string(),
-                format!("{:.0}", profile.total_flops()),
-                profile.elements.to_string(),
-                profile.iterations.to_string(),
-                micro.dim.to_string(),
-                micro.repeats.to_string(),
-                format!("{:e}", c.checksum),
-                lat_of(DeviceKind::Gpu),
-                lat_of(DeviceKind::Fpga),
-            ]);
+            model
+                .row()
+                .s(name)
+                .s(c.class.to_string())
+                .s(format!("{:.0}", profile.total_flops()))
+                .s(profile.elements.to_string())
+                .s(profile.iterations.to_string())
+                .s(micro.dim.to_string())
+                .s(micro.repeats.to_string())
+                .s(format!("{:e}", c.checksum))
+                .s(lat_of(DeviceKind::Gpu))
+                .s(lat_of(DeviceKind::Fpga));
         }
     }
-    save_csv(
-        out,
-        "backend_model",
-        &[
-            "kernel",
-            "class",
-            "total_flops",
-            "elements",
-            "iterations",
-            "micro_dim",
-            "micro_repeats",
-            "checksum",
-            "gpu_min_latency_ms",
-            "fpga_min_latency_ms",
-        ],
-        &model_rows,
-    );
+    fig.save("backend_model.csv", &model);
 
     // Measured wall-clock figures: gitignored, they vary run to run.
-    let cal_rows: Vec<Vec<String>> = summary
-        .per_kernel
-        .iter()
-        .map(|c| {
-            vec![
-                c.kernel.clone(),
-                c.class.to_string(),
-                f2(c.predicted_ms),
-                f2(c.measured_ms),
-                f2(c.rel_err),
-                f2(c.gflops),
-            ]
-        })
-        .collect();
-    save_csv(
-        out,
-        "backend_calibration",
-        &[
-            "kernel",
-            "class",
-            "predicted_ms",
-            "measured_ms",
-            "rel_err",
-            "gflops",
-        ],
-        &cal_rows,
-    );
+    let mut measured = Csv::new("kernel,class,predicted_ms,measured_ms,rel_err,gflops");
+    for c in &summary.per_kernel {
+        measured
+            .row()
+            .s(c.kernel.clone())
+            .s(c.class.to_string())
+            .f(c.predicted_ms)
+            .f(c.measured_ms)
+            .f(c.rel_err)
+            .f(c.gflops);
+    }
+    fig.save("backend_calibration.csv", &measured);
 
-    let tol: f64 = std::env::var("POLY_BACKEND_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let tol = fig.knob("POLY_BACKEND_TOL");
     assert!(
         summary.max_rel_err <= tol,
         "calibration error {:.2} exceeds tolerance {tol}",
@@ -2528,9 +2163,9 @@ fn backend(out: &mut String) {
 }
 
 /// Fig. 13 — max throughput vs GPU/FPGA power split (1000 W cap).
-fn fig13(out: &mut String) {
+fn fig13(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 13: architecture scalability (power split, 1000 W) =="
     );
     let app = asr();
@@ -2539,39 +2174,34 @@ fn fig13(out: &mut String) {
         .iter()
         .flat_map(|&s| SPLITS.iter().map(move |&x| (s, x)))
         .collect();
-    let measured = par_map(jobs(), &combos, |_, &(setting, split)| {
+    let jobs = fig.jobs();
+    let measured = par_map(jobs, &combos, |_, &(setting, split)| {
         let setup = power_split(setting, 1000.0, split);
         let label = format!("{}g{}f", setup.gpus(), setup.fpgas());
         let mut sys = System::with_setup(&app, setup, QOS_BOUND_MS);
-        (label, sys.max_rps_jobs(jobs()))
+        (label, sys.max_rps_jobs(jobs))
     });
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("setting,gpu_share,devices,max_rps");
     for (si, setting) in Setting::ALL.iter().enumerate() {
-        outp!(out, "{:12}", setting.name());
+        outp!(fig, "{:12}", setting.name());
         for (xi, &split) in SPLITS.iter().enumerate() {
             let (label, max) = &measured[si * SPLITS.len() + xi];
-            outp!(out, "  {:3.0}%:{max:6.1}({label})", split * 100.0);
-            rows.push(vec![
-                setting.name().into(),
-                f2(split),
-                label.clone(),
-                f2(*max),
-            ]);
+            outp!(fig, "  {:3.0}%:{max:6.1}({label})", split * 100.0);
+            csv.row()
+                .s(setting.name())
+                .f(split)
+                .s(label.clone())
+                .f(*max);
         }
-        outln!(out);
+        outln!(fig);
     }
-    save_csv(
-        out,
-        "fig13_power_split",
-        &["setting", "gpu_share", "devices", "max_rps"],
-        &rows,
-    );
+    fig.save("fig13_power_split.csv", &csv);
 }
 
 /// Fig. 14 — cost efficiency under the three settings.
-fn fig14(out: &mut String) {
+fn fig14(fig: &mut Fig) {
     outln!(
-        out,
+        fig,
         "== Fig. 14: cost efficiency (max RPS / monthly TCO) =="
     );
     let app = asr();
@@ -2580,45 +2210,33 @@ fn fig14(out: &mut String) {
         .iter()
         .flat_map(|&s| ARCHS.iter().map(move |&a| (s, a)))
         .collect();
-    let measured = par_map(jobs(), &combos, |_, &(setting, arch)| {
+    let jobs = fig.jobs();
+    let measured = par_map(jobs, &combos, |_, &(setting, arch)| {
         let mut sys = System::new(&app, setting, arch, QOS_BOUND_MS);
-        let max = sys.max_rps_jobs(jobs());
+        let max = sys.max_rps_jobs(jobs);
         // Operate at 70% load for the power term.
         let power = sys.measure((max * 0.7).max(0.01)).avg_power_w;
         let tco = monthly_tco_usd(&sys.setup, power, &params);
         let ce = cost_efficiency(max, tco) * 1000.0; // RPS per k$/month
         (max, power, tco, ce)
     });
-    let mut rows = Vec::new();
+    let mut csv = Csv::new("setting,arch,max_rps,power_w,tco_usd_month,rps_per_kusd");
     for (si, setting) in Setting::ALL.iter().enumerate() {
-        outp!(out, "{:12}", setting.name());
+        outp!(fig, "{:12}", setting.name());
         for (ai, arch) in ARCHS.iter().enumerate() {
             let (max, power, tco, ce) = measured[si * ARCHS.len() + ai];
-            outp!(out, "  {}={ce:6.2}", arch.name());
-            rows.push(vec![
-                setting.name().into(),
-                arch.name().into(),
-                f2(max),
-                f2(power),
-                f2(tco),
-                f2(ce),
-            ]);
+            outp!(fig, "  {}={ce:6.2}", arch.name());
+            csv.row()
+                .s(setting.name())
+                .s(arch.name())
+                .f(max)
+                .f(power)
+                .f(tco)
+                .f(ce);
         }
-        outln!(out);
+        outln!(fig);
     }
-    save_csv(
-        out,
-        "fig14_cost_efficiency",
-        &[
-            "setting",
-            "arch",
-            "max_rps",
-            "power_w",
-            "tco_usd_month",
-            "rps_per_kusd",
-        ],
-        &rows,
-    );
+    fig.save("fig14_cost_efficiency.csv", &csv);
 }
 
 // ---------------------------------------------------------------------------
@@ -2628,31 +2246,21 @@ fn fig14(out: &mut String) {
 /// Scale-figure trace interval: 10 simulated minutes per point.
 const SCALE_INTERVAL_MS: f64 = 600_000.0;
 
-/// Positive-number environment override for the scale figure's size
-/// (CI's reduced smoke run); falls back to `default` when unset,
-/// unparsable, or non-positive.
-fn env_knob(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|&x| x > 0.0)
-        .unwrap_or(default)
-}
-
 /// Scale stress (DESIGN.md §14) — a week-long diurnal replay on a
 /// 100-node fleet, ~10^8 requests end to end, exercising the timer-wheel
 /// event core, the arena-compacted request state, and the
 /// interval-barrier parallel node stepping at production scale. Not part
-/// of `all` (it dwarfs every other figure); CI smoke-runs it with the
-/// `POLY_SCALE_NODES` / `POLY_SCALE_DAYS` / `POLY_SCALE_MAX_RPS` knobs
-/// and diffs `--jobs 1` against `--jobs 4`. The CSV is byte-identical
+/// of `all` (it dwarfs every other figure); CI smoke-runs
+/// `verify scale` with the `POLY_SCALE_NODES` / `POLY_SCALE_DAYS` /
+/// `POLY_SCALE_MAX_RPS` knobs, which diffs `--jobs 1` against `--jobs 4`
+/// but not against the committed full-size copy. The CSV is byte-identical
 /// for every job count; wall-clock and throughput go to stderr only.
-fn scale(out: &mut String) {
-    let nodes = env_knob("POLY_SCALE_NODES", 100.0) as usize;
-    let days = env_knob("POLY_SCALE_DAYS", 7.0);
-    let max_rps = env_knob("POLY_SCALE_MAX_RPS", 400.0);
+fn scale(fig: &mut Fig) {
+    let nodes = fig.knob("POLY_SCALE_NODES") as usize;
+    let days = fig.knob("POLY_SCALE_DAYS");
+    let max_rps = fig.knob("POLY_SCALE_MAX_RPS");
     outln!(
-        out,
+        fig,
         "== Scale: {nodes}-node fleet, {days:.2}-day diurnal trace, {max_rps:.0} RPS peak =="
     );
     let app = asr();
@@ -2672,38 +2280,28 @@ fn scale(out: &mut String) {
         .map(|p| p.utilization * max_rps * SCALE_INTERVAL_MS / 1000.0)
         .sum();
     outln!(
-        out,
+        fig,
         "{} intervals of {:.0} s, ~{:.2e} requests offered fleet-wide",
         trace.len(),
         SCALE_INTERVAL_MS / 1000.0,
         offered
     );
 
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-    let spaces = cache().explore_graph(&explorer, app.kernels(), 1);
-    let setups = vec![setup; nodes];
-    let mut cl = Cluster::try_new(
+    let lifecycle = LifecycleConfig::default();
+    let mut cl = heter_fleet(
         &app,
-        &spaces,
-        setups,
-        ClusterConfig {
-            bound_ms: QOS_BOUND_MS,
-            routing: RoutingPolicy::QosAware,
-            power_budget_w: 260.0 * nodes as f64,
-            node_floor_w: 40.0,
-            max_backlog: 512 * nodes,
-            lifecycle: LifecycleConfig::default(),
-            breaker: None,
-        },
-    )
-    .expect("valid cluster configuration");
+        nodes,
+        RoutingPolicy::QosAware,
+        512 * nodes,
+        lifecycle,
+        None,
+    );
     let t = Instant::now();
     let report = cl
         .run(
             ClusterRunSpec::new(&trace, SCALE_INTERVAL_MS, max_rps)
                 .seed(2011)
-                .jobs(jobs()),
+                .jobs(fig.jobs()),
         )
         .expect("valid scale run");
     let wall = t.elapsed().as_secs_f64();
@@ -2714,12 +2312,12 @@ fn scale(out: &mut String) {
         report.completed,
         report.completed as f64 / wall.max(1e-9),
         trace.len() as f64 * SCALE_INTERVAL_MS / 1000.0 / wall.max(1e-9),
-        jobs()
+        fig.jobs()
     );
 
     let violations: usize = report.intervals.iter().map(|r| r.violations).sum();
     outln!(
-        out,
+        fig,
         "completed {}  p99 {:.1} ms  violations {violations} ({:.3}%)  shed {}  energy {:.3e} J",
         report.completed,
         report.p99_ms,
@@ -2729,7 +2327,7 @@ fn scale(out: &mut String) {
     );
     // One CSV row per 4 simulated hours (every 24th interval) plus the
     // totals row — compact enough to commit, dense enough to plot.
-    let mut csv = Csv::new(SCALE_HEADER);
+    let mut csv = Csv::new("hour,utilization,p99_ms,power_w,nodes_up,shed,violations,completed");
     for (i, r) in report.intervals.iter().enumerate() {
         if i % 24 == 0 {
             csv.row()
@@ -2753,17 +2351,72 @@ fn scale(out: &mut String) {
         .n(report.shed)
         .n(violations)
         .n(report.completed);
-    csv.save(out, "scale_trace");
+    fig.save("scale_trace.csv", &csv);
 }
 
-/// `scale_trace.csv` columns.
-const SCALE_HEADER: &[&str] = &[
-    "hour",
-    "utilization",
-    "p99_ms",
-    "power_w",
-    "nodes_up",
-    "shed",
-    "violations",
-    "completed",
-];
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The files under `results/` that git tracks, or every file there
+    /// when the tree is not a git checkout.
+    fn committed_results() -> BTreeSet<String> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let git = std::process::Command::new("git")
+            .args(["ls-files", "--", "results"])
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success() && !o.stdout.is_empty());
+        match git {
+            Some(o) => String::from_utf8(o.stdout)
+                .expect("utf-8 paths")
+                .lines()
+                .filter_map(|l| l.strip_prefix("results/"))
+                .map(String::from)
+                .collect(),
+            None => std::fs::read_dir(format!("{root}/results"))
+                .expect("results directory")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn every_committed_csv_is_declared_by_exactly_one_figure() {
+        let committed = committed_results();
+        for file in committed.iter().filter(|f| f.ends_with(".csv")) {
+            let owners: Vec<&str> = FIGURES
+                .iter()
+                .filter(|f| f.outputs.iter().any(|(o, _)| o == file))
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(owners.len(), 1, "results/{file} is declared by {owners:?}");
+        }
+        for f in FIGURES {
+            for (file, check) in f.outputs {
+                if *check == Committed {
+                    assert!(
+                        committed.contains(*file),
+                        "{}: results/{file} is not committed",
+                        f.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn figure_and_output_names_are_unique() {
+        let mut outputs = BTreeSet::new();
+        for f in FIGURES {
+            for (file, _) in f.outputs {
+                assert!(outputs.insert(*file), "{file} is declared twice");
+            }
+        }
+        let names: BTreeSet<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), FIGURES.len(), "a figure name repeats");
+        assert!(!names.contains("all") && !names.contains("verify"));
+    }
+}

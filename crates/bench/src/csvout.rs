@@ -1,55 +1,7 @@
-//! Minimal CSV emission for experiment results (hand-rolled to keep the
-//! dependency set at the workspace's approved list).
-
-use std::fs;
-use std::io::Write as _;
-use std::path::Path;
-
-fn render(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut text = String::new();
-    text.push_str(&header.join(","));
-    text.push('\n');
-    for row in rows {
-        text.push_str(&row.join(","));
-        text.push('\n');
-    }
-    text
-}
-
-fn persist(name: &str, text: &str) -> String {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir).expect("create results directory");
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path).expect("create results file");
-    f.write_all(text.as_bytes()).expect("write results file");
-    path.display().to_string()
-}
-
-/// Write `rows` under `header` to `results/<name>.csv`, creating the
-/// directory if needed. Also returns the rendered text.
-///
-/// # Panics
-/// Panics on I/O errors — experiment harness code treats an unwritable
-/// results directory as fatal.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let text = render(header, rows);
-    let path = persist(name, &text);
-    println!("  -> wrote {path}");
-    text
-}
-
-/// [`write_csv`], but appending the confirmation line to a caller-owned
-/// buffer instead of printing it — for experiment drivers that run
-/// figures concurrently and print each figure's output as one block.
-///
-/// # Panics
-/// Panics on I/O errors, like [`write_csv`].
-pub fn save_csv(out: &mut String, name: &str, header: &[&str], rows: &[Vec<String>]) {
-    use std::fmt::Write as _;
-    let text = render(header, rows);
-    let path = persist(name, &text);
-    writeln!(out, "  -> wrote {path}").expect("write to string");
-}
+//! Minimal CSV rendering for experiment results (hand-rolled to keep the
+//! dependency set at the workspace's approved list). Figures build their
+//! tables with [`Csv`] and hand the text to the harness, which alone
+//! writes `results/` (see [`crate::harness`]).
 
 /// Format a float with 2 decimals for CSV cells.
 #[must_use]
@@ -62,21 +14,20 @@ pub fn f2(x: f64) -> String {
 }
 
 /// Incremental CSV builder: a fixed header plus typed row emission, so
-/// figures stop hand-assembling `Vec<Vec<String>>` cells. Rows render
-/// through the same path as [`write_csv`]/[`save_csv`], cell for cell —
-/// a converted figure's file is byte-identical to the hand-rolled one.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// figures never hand-assemble cells or text.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csv {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Csv {
-    /// Builder for rows under `header`.
+    /// Builder for rows under `header`, the file's comma-separated first
+    /// line.
     #[must_use]
-    pub fn new(header: &[&str]) -> Self {
+    pub fn new(header: &str) -> Self {
         Self {
-            header: header.iter().map(ToString::to_string).collect(),
+            header: header.split(',').map(String::from).collect(),
             rows: Vec::new(),
         }
     }
@@ -100,34 +51,26 @@ impl Csv {
         self.rows.extend(other.rows);
     }
 
-    /// Rows committed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no row has been committed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Write to `results/<name>.csv` via [`save_csv`], appending the
-    /// confirmation line to `out`.
+    /// The file text: the comma-joined header, then one comma-joined line
+    /// per row, each ending in `\n`.
     ///
     /// # Panics
-    /// Panics if any row's width differs from the header's, or on I/O
-    /// errors.
-    pub fn save(&self, out: &mut String, name: &str) {
+    /// Panics if any row's width differs from the header's.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut text = self.header.join(",");
+        text.push('\n');
         for (i, row) in self.rows.iter().enumerate() {
             assert_eq!(
                 row.len(),
                 self.header.len(),
-                "row {i} width mismatches header in {name}"
+                "row {i} width mismatches header {:?}",
+                self.header
             );
+            text.push_str(&row.join(","));
+            text.push('\n');
         }
-        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
-        save_csv(out, name, &header, &self.rows);
+        text
     }
 }
 
@@ -168,47 +111,32 @@ mod tests {
 
     #[test]
     fn renders_header_and_rows() {
-        let text = write_csv(
-            "test_csvout",
-            &["a", "b"],
-            &[
-                vec!["1".into(), "2".into()],
-                vec![f2(1.23456), f2(f64::INFINITY)],
-            ],
-        );
-        assert_eq!(text, "a,b\n1,2\n1.23,inf\n");
-        std::fs::remove_file("results/test_csvout.csv").ok();
+        let mut csv = Csv::new("a,b");
+        csv.row().s("1").s("2");
+        csv.row().f(1.23456).f(f64::INFINITY);
+        assert_eq!(csv.render(), "a,b\n1,2\n1.23,inf\n");
     }
 
     #[test]
-    fn builder_matches_hand_rolled_emission() {
-        let mut csv = Csv::new(&["a", "b", "c"]);
+    fn appended_builders_render_in_order() {
+        let mut csv = Csv::new("a,b,c");
         csv.row().s("x").f(1.23456).n(7);
-        let mut other = Csv::new(&["a", "b", "c"]);
+        let mut other = Csv::new("a,b,c");
         other.row().s("y").f(f64::INFINITY).n(0);
         csv.append(other);
-        assert_eq!(csv.len(), 2);
-        let mut out = String::new();
-        csv.save(&mut out, "test_csvout_builder");
-        let text = std::fs::read_to_string("results/test_csvout_builder.csv").unwrap();
-        assert_eq!(text, "a,b,c\nx,1.23,7\ny,inf,0\n");
-        std::fs::remove_file("results/test_csvout_builder.csv").ok();
+        assert_eq!(csv.render(), "a,b,c\nx,1.23,7\ny,inf,0\n");
     }
 
     #[test]
     #[should_panic(expected = "width mismatches header")]
     fn builder_rejects_ragged_rows() {
-        let mut csv = Csv::new(&["a", "b"]);
+        let mut csv = Csv::new("a,b");
         csv.row().s("only-one");
-        csv.save(&mut String::new(), "test_csvout_ragged");
+        let _ = csv.render();
     }
 
     #[test]
-    fn save_csv_buffers_the_confirmation() {
-        let mut out = String::new();
-        save_csv(&mut out, "test_csvout_buf", &["a"], &[vec!["1".into()]]);
-        assert!(out.contains("-> wrote"));
-        assert!(out.contains("test_csvout_buf.csv"));
-        std::fs::remove_file("results/test_csvout_buf.csv").ok();
+    fn an_empty_table_renders_its_header() {
+        assert_eq!(Csv::new("a").render(), "a\n");
     }
 }

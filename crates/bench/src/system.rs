@@ -3,7 +3,7 @@
 //! Poly optimizer with feedback).
 
 use poly_core::provision::{table_iii, Architecture, Setting};
-use poly_core::{NodeSetup, Optimizer};
+use poly_core::{Candidates, NodeSetup, Optimizer};
 use poly_dse::{DesignSpaceCache, Explorer, KernelDesignSpace};
 use poly_ir::KernelGraph;
 use poly_sim::{
@@ -18,7 +18,18 @@ enum Source {
     /// Fixed policy for every load level (the homogeneous baselines).
     Static(Policy),
     /// Poly: pick a policy per load, with one feedback round per decision.
-    Poly(Box<Optimizer>),
+    Poly(Box<Feedback>),
+}
+
+/// The Poly source's state: the optimizer whose model the probes
+/// correct, and its candidate policies for the node's pool. The
+/// candidates depend on neither the load nor the model's correction, so
+/// they are built on the first decision and re-selected at every later
+/// one, as [`poly_core::ControlLoop`] does.
+struct Feedback {
+    optimizer: Optimizer,
+    candidates: Option<Candidates>,
+    builds: u64,
 }
 
 /// One application on one architecture, ready to measure.
@@ -54,7 +65,11 @@ impl System {
         let spaces: Vec<KernelDesignSpace> =
             DesignSpaceCache::global().explore_graph(&explorer, app.kernels(), 1);
         let source = match setup.architecture {
-            Architecture::HeterPoly => Source::Poly(Box::new(Optimizer::new())),
+            Architecture::HeterPoly => Source::Poly(Box::new(Feedback {
+                optimizer: Optimizer::new(),
+                candidates: None,
+                builds: 0,
+            })),
             Architecture::HomoGpu | Architecture::HomoFpga => {
                 let policy = Optimizer::new().max_capacity_policy(
                     app,
@@ -87,40 +102,45 @@ impl System {
     /// systems this runs one short probe simulation and feeds the result
     /// back into the model (the Fig. 2 feedback loop) before deciding.
     pub fn policy_at(&mut self, rps: f64) -> Policy {
-        match &mut self.source {
-            Source::Static(p) => p.clone(),
-            Source::Poly(opt) => {
-                let (policy, pred) = opt.plan_for_load(
-                    &self.app,
-                    &self.spaces,
-                    &self.setup.pool,
-                    &self.setup.gpu,
-                    self.bound_ms,
-                    rps,
-                );
-                let probe = steady_state(
-                    &self.app,
-                    &self.setup.pool,
-                    &policy,
-                    &self.setup.sim_config,
-                    rps,
-                    2_000.0,
-                    8_000.0,
-                    self.seed ^ 0x5eed,
-                );
-                if probe.completed > 0 && pred.p99_ms.is_finite() {
-                    opt.model_mut().observe(pred.p99_ms, probe.latency.p99());
-                }
-                let (policy, _) = opt.plan_for_load(
-                    &self.app,
-                    &self.spaces,
-                    &self.setup.pool,
-                    &self.setup.gpu,
-                    self.bound_ms,
-                    rps,
-                );
-                policy
-            }
+        let fb = match &mut self.source {
+            Source::Static(p) => return p.clone(),
+            Source::Poly(fb) => fb,
+        };
+        let (app, pool, bound_ms) = (&self.app, &self.setup.pool, self.bound_ms);
+        let candidates = fb.candidates.get_or_insert_with(|| {
+            fb.builds += 1;
+            fb.optimizer
+                .candidates(app, &self.spaces, pool, &self.setup.gpu, bound_ms)
+        });
+        let select =
+            |opt: &Optimizer| opt.select(candidates, app, pool, bound_ms, rps, f64::INFINITY);
+        let (chosen, pred) = select(&fb.optimizer);
+        let probe = steady_state(
+            app,
+            pool,
+            &candidates.policies()[chosen],
+            &self.setup.sim_config,
+            rps,
+            2_000.0,
+            8_000.0,
+            self.seed ^ 0x5eed,
+        );
+        if probe.completed > 0 && pred.p99_ms.is_finite() {
+            fb.optimizer
+                .model_mut()
+                .observe(pred.p99_ms, probe.latency.p99());
+        }
+        let (chosen, _) = select(&fb.optimizer);
+        candidates.policies()[chosen].clone()
+    }
+
+    /// How many times a Poly system built its optimizer's candidate set:
+    /// once, on its first decision (always 0 for a static baseline).
+    #[must_use]
+    pub fn candidate_builds(&self) -> u64 {
+        match &self.source {
+            Source::Static(_) => 0,
+            Source::Poly(fb) => fb.builds,
         }
     }
 
@@ -219,6 +239,81 @@ mod tests {
         let b = s.policy_at(100.0);
         assert_eq!(a, b, "static baseline never re-plans");
         assert_eq!(s.name, "Homo-FPGA");
+    }
+
+    /// The decision `policy_at` made before the candidates were cached:
+    /// plan, probe, feed the probe back, and plan again from scratch.
+    fn planned_from_scratch(opt: &mut Optimizer, sys: &System, rps: f64) -> Policy {
+        let plan = |opt: &mut Optimizer| {
+            opt.plan_for_load(
+                &sys.app,
+                &sys.spaces,
+                &sys.setup.pool,
+                &sys.setup.gpu,
+                sys.bound_ms,
+                rps,
+            )
+        };
+        let (policy, pred) = plan(opt);
+        let probe = steady_state(
+            &sys.app,
+            &sys.setup.pool,
+            &policy,
+            &sys.setup.sim_config,
+            rps,
+            2_000.0,
+            8_000.0,
+            sys.seed ^ 0x5eed,
+        );
+        if probe.completed > 0 && pred.p99_ms.is_finite() {
+            opt.model_mut().observe(pred.p99_ms, probe.latency.p99());
+        }
+        plan(opt).0
+    }
+
+    /// Each probe of a capacity search picks what a from-scratch
+    /// `plan_for_load` picks after the same feedback, and the whole
+    /// search builds the candidates once. On FQT the feedback round
+    /// changes some picks, so a decision that skipped the re-plan after
+    /// the probe fails here.
+    #[test]
+    fn poly_capacity_search_builds_candidates_once_and_plans_as_from_scratch() {
+        for app in [poly_apps::asr(), poly_apps::fqt()] {
+            let new = || System::new(&app, Setting::I, Architecture::HeterPoly, 200.0);
+            let mut sys = new();
+            let mut reference = Optimizer::new();
+            let mut probes = 0;
+            let searched = max_rps_under_qos(
+                |rps| {
+                    probes += 1;
+                    let want = planned_from_scratch(&mut reference, &sys, rps);
+                    let policy = sys.policy_at(rps);
+                    assert_eq!(policy, want, "{} probe {probes} at {rps} RPS", app.name());
+                    steady_state(
+                        &sys.app,
+                        &sys.setup.pool,
+                        &policy,
+                        &sys.setup.sim_config,
+                        rps,
+                        WARMUP_MS,
+                        WINDOW_MS,
+                        sys.seed,
+                    )
+                },
+                200.0,
+                0.5,
+                400.0,
+                0.03,
+            );
+            assert!(probes > 5, "a real bisection: {probes} probes");
+            assert_eq!(sys.candidate_builds(), 1);
+
+            let mut fresh = new();
+            assert_eq!(fresh.max_rps().to_bits(), searched.to_bits());
+            assert_eq!(fresh.candidate_builds(), 1, "max_rps plans once per pool");
+        }
+        let homo = System::new(&poly_apps::asr(), Setting::I, Architecture::HomoGpu, 200.0);
+        assert_eq!(homo.candidate_builds(), 0, "a static baseline never plans");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! interval, [`ControlLoop::observe`] feeds the measurements back into
 //! the monitor and the model.
 
-use crate::optimizer::Candidates;
-use crate::{retime_policy, AppContext, IntervalObs, Optimizer, PolicyPrediction, SystemMonitor};
+use crate::{
+    retime_policy, AppContext, Candidates, IntervalObs, Optimizer, PolicyPrediction, SystemMonitor,
+};
 use poly_backend::ExecBackend;
 use poly_sched::Pool;
 use poly_sim::{Policy, Simulator};

@@ -45,7 +45,7 @@ pub use control::ControlLoop;
 pub use framework::Poly;
 pub use model::{PolicyPrediction, SystemModel};
 pub use monitor::{IntervalObs, SystemMonitor};
-pub use optimizer::{policy_from_points, Optimizer};
+pub use optimizer::{policy_from_points, Candidates, Optimizer};
 pub use provision::{Architecture, NodeSetup, Setting};
 pub use runtime::{
     retime_policy, validate_load, IntervalRecord, PolyRuntime, RunSpec, RunSpecError, RuntimeMode,

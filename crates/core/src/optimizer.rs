@@ -57,14 +57,14 @@ pub fn policy_from_points(
 /// [`Optimizer::candidates`] and re-selected by [`Optimizer::select`] at
 /// every load on the same pool.
 #[derive(Debug)]
-pub(crate) struct Candidates {
+pub struct Candidates {
     policies: Vec<Policy>,
 }
 
 impl Candidates {
     /// The candidate policies, in the order [`Optimizer::select`] indexes.
     #[must_use]
-    pub(crate) fn policies(&self) -> &[Policy] {
+    pub fn policies(&self) -> &[Policy] {
         &self.policies
     }
 }
@@ -149,8 +149,8 @@ impl Optimizer {
     ///
     /// The plan is built in two halves: the candidate set, which does not
     /// depend on the load, the cap or the model's correction, and the
-    /// selection among them at `rps`. The crate's control loop keeps the
-    /// first half across re-plans on an unchanged pool.
+    /// selection among them at `rps`. [`ControlLoop`](crate::ControlLoop)
+    /// keeps the first half across re-plans on an unchanged pool.
     ///
     /// # Panics
     /// Panics if the scheduler cannot produce any plan (mismatched spaces
@@ -184,7 +184,7 @@ impl Optimizer {
     /// Panics if the scheduler cannot produce any plan (mismatched spaces
     /// or empty pool) — configuration errors, not runtime conditions.
     #[must_use]
-    pub(crate) fn candidates(
+    pub fn candidates(
         &self,
         graph: &KernelGraph,
         spaces: &[KernelDesignSpace],
@@ -219,7 +219,7 @@ impl Optimizer {
     /// [`Candidates::policies`] and its prediction. `candidates` must have
     /// been built for the same graph, pool and bound.
     #[must_use]
-    pub(crate) fn select(
+    pub fn select(
         &self,
         candidates: &Candidates,
         graph: &KernelGraph,

@@ -8,7 +8,7 @@ use poly::core::provision::{table_iii, Architecture, Setting};
 use poly::core::Optimizer;
 use poly::dse::{DesignSpaceCache, Explorer};
 use poly::sim::{max_rps_under_qos, max_rps_under_qos_par, steady_state, LoadSweep, SimReport};
-use poly_bench::csvout::{f2, write_csv};
+use poly_bench::csvout::Csv;
 use proptest::prelude::*;
 
 /// A pure (load -> report) evaluator: fixed static policy, fixed seed —
@@ -49,27 +49,16 @@ fn sweep_is_identical_for_any_job_count() {
 fn sweep_csv_bytes_are_identical_for_any_job_count() {
     let eval = static_eval();
     let loads: Vec<f64> = (1..=5).map(|i| f64::from(i) * 15.0).collect();
-    let rows = |sweep: &LoadSweep| -> Vec<Vec<String>> {
-        sweep
-            .points
-            .iter()
-            .map(|p| vec![f2(p.rps), f2(p.p99_ms), f2(p.avg_power_w)])
-            .collect()
+    let render = |sweep: &LoadSweep| {
+        let mut csv = Csv::new("rps,p99_ms,power_w");
+        for p in &sweep.points {
+            csv.row().f(p.rps).f(p.p99_ms).f(p.avg_power_w);
+        }
+        csv.render()
     };
-    let header = ["rps", "p99_ms", "power_w"];
-    let serial = write_csv(
-        "test_det_serial",
-        &header,
-        &rows(&LoadSweep::run(&loads, &eval)),
-    );
-    let par = write_csv(
-        "test_det_par",
-        &header,
-        &rows(&LoadSweep::run_par(8, &loads, &eval)),
-    );
+    let serial = render(&LoadSweep::run(&loads, &eval));
+    let par = render(&LoadSweep::run_par(8, &loads, &eval));
     assert_eq!(serial.into_bytes(), par.into_bytes());
-    std::fs::remove_file("results/test_det_serial.csv").ok();
-    std::fs::remove_file("results/test_det_par.csv").ok();
 }
 
 #[test]
