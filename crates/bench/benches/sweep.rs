@@ -57,7 +57,7 @@ fn bench_sweep(c: &mut Criterion) {
         )
     };
     let loads: Vec<f64> = (1..=8).map(|i| f64::from(i) * 10.0).collect();
-    let jobs = poly_par::jobs();
+    let jobs = poly_par::jobs().unwrap_or_else(|e| panic!("{e}"));
 
     let mut group = c.benchmark_group("sweep");
     group.sample_size(10);

@@ -21,7 +21,9 @@
 //! positive integer all exit with status 2.
 //!
 //! `--jobs N` (or the `POLY_JOBS` environment variable) sets the worker
-//! thread count; the default is the machine's available parallelism.
+//! thread count; the default is the machine's available parallelism. A
+//! `POLY_JOBS` that is not a positive integer exits with status 2, naming
+//! the variable.
 //! Every deterministic output is byte-identical for every job count:
 //! parallelism only ever spans *independent* simulations (figures, load
 //! points, speculative bisection probes, cluster nodes within an

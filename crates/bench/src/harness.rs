@@ -304,14 +304,16 @@ impl Plan {
 /// over `figures`; returns the process exit status.
 #[must_use]
 pub fn main(figures: &'static [Figure], args: &[String]) -> i32 {
-    let parsed = parse_args(args, figures, poly_par::jobs()).and_then(|cmd| {
-        let plans = cmd
-            .figures
-            .iter()
-            .map(|f| Plan::new(f))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((cmd, plans))
-    });
+    let parsed = poly_par::jobs()
+        .and_then(|default_jobs| parse_args(args, figures, default_jobs))
+        .and_then(|cmd| {
+            let plans = cmd
+                .figures
+                .iter()
+                .map(|f| Plan::new(f))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((cmd, plans))
+        });
     match parsed {
         Ok((cmd, plans)) if cmd.verify => verify(&cmd, &plans),
         Ok((cmd, plans)) => run(&cmd, &plans),

@@ -18,15 +18,27 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Default worker count: `POLY_JOBS` if set to a positive integer,
-/// otherwise the machine's available parallelism.
-#[must_use]
-pub fn jobs() -> usize {
-    match std::env::var("POLY_JOBS") {
-        Ok(s) => s.trim().parse().ok().filter(|&n| n >= 1),
-        Err(_) => None,
+/// Default worker count: `POLY_JOBS` if set, otherwise the machine's
+/// available parallelism.
+///
+/// # Errors
+/// Names the variable when it is set but not a positive integer (`0`,
+/// `abc` and the empty string included) instead of silently falling
+/// back.
+pub fn jobs() -> Result<usize, String> {
+    let raw = std::env::var_os("POLY_JOBS").map(|v| v.to_string_lossy().into_owned());
+    jobs_from(raw.as_deref())
+}
+
+/// [`jobs`] given `POLY_JOBS`'s raw value (`None` = unset).
+fn jobs_from(raw: Option<&str>) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(default_jobs());
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("POLY_JOBS=`{raw}` is not a positive integer")),
     }
-    .unwrap_or_else(default_jobs)
 }
 
 fn default_jobs() -> usize {
@@ -272,6 +284,12 @@ mod tests {
     fn jobs_env_override_is_respected() {
         // jobs() itself reads the environment; exercise the parser on
         // representative values without mutating the test process env.
-        assert!(jobs() >= 1);
+        assert_eq!(jobs_from(Some("3")), Ok(3));
+        assert_eq!(jobs_from(Some(" 2\n")), Ok(2));
+        assert_eq!(jobs_from(None), Ok(default_jobs()));
+        for bad in ["0", "abc", "", "-1", "1.5"] {
+            let e = jobs_from(Some(bad)).unwrap_err();
+            assert!(e.contains("POLY_JOBS"), "{e}");
+        }
     }
 }

@@ -1,24 +1,38 @@
-//! Struct-of-arrays request-state arena for the discrete-event engine.
+//! Record-per-request state arena for the discrete-event engine.
 //!
-//! The engine previously kept one `ReqState` per request, each owning
-//! four heap `Vec`s (`remaining_preds`, `done`, `attempt`, `hedged`) —
-//! four allocations *per arrival* on the hot path, and unbounded growth
-//! over a long replay because settled requests were never reclaimed.
+//! The engine first kept one `ReqState` per request, each owning four
+//! heap `Vec`s — four allocations *per arrival* on the hot path, and
+//! unbounded growth over a long replay because settled requests were
+//! never reclaimed. [`ReqArena`] holds that state in two flat ring
+//! buffers indexed by global request number:
 //!
-//! [`ReqArena`] flattens that state into parallel flat arrays indexed by
-//! `request * n_kernels` (per-kernel state) or `request` (per-request
-//! scalars). Admitting a request is a handful of slice extends from a
-//! precomputed predecessor-count template — no per-request allocation in
-//! steady state — and a prefix of *settled* requests can be compacted
-//! away at measurement boundaries without renumbering: request indices
-//! are global and monotone (a `base` offset maps them into the live
-//! window), which matters because the backoff-jitter key and the audit
-//! trail are derived from those indices.
+//! - `reqs`: one 32-byte [`Req`] record per request (arrival, deadline,
+//!   size, kernels left, outcome);
+//! - `stages`: one 8-byte [`Stage`] per `(request, kernel)` (attempt,
+//!   remaining predecessors, done/hedged/streamed flags), a request's
+//!   stages contiguous at `(req - base) * k`.
 //!
-//! The arrays are ring buffers (`VecDeque`), so dropping a settled
-//! prefix costs what it drops: an overloaded node keeps tens of
-//! thousands of requests in flight, and shifting that live suffix down
-//! at every boundary would cost a copy of the whole window each time.
+//! Handling one event touches one request, so keeping that request's
+//! fields side by side means one or two cache lines per event. The
+//! earlier structure-of-arrays layout (eleven parallel deques) spread the
+//! same fields over up to eight lines, and under deep queues the request
+//! at a lane's front was admitted long ago, so each of those lines was a
+//! miss (DESIGN.md §25).
+//!
+//! Admitting a request is one record push and one copy of a precomputed
+//! stage template — no per-request allocation in steady state — and a
+//! prefix of *settled* requests can be compacted away at measurement
+//! boundaries without renumbering: request indices are global and
+//! monotone (a `base` offset maps them into the live window), which
+//! matters because the backoff-jitter key and the audit trail are derived
+//! from those indices. The buffers are `VecDeque`s, so dropping a settled
+//! prefix costs what it drops: an overloaded node keeps tens of thousands
+//! of requests in flight, and shifting that live suffix down at every
+//! boundary would copy the whole window each time.
+//!
+//! Stream floors (pipelined streaming only) live in a third buffer that
+//! exists only when the arena is built with streaming on; without it
+//! every floor reads `NEG_INFINITY` and nothing is stored.
 //!
 //! Compaction safety rests on one invariant, checked by every engine
 //! access path: a compacted request is **settled** (its `outcome` left
@@ -31,8 +45,8 @@
 use std::collections::VecDeque;
 
 /// The largest request index one simulator admits: indices fit `u32`, the
-/// width the device queues key requests by, so a simulator admits at
-/// most 2^32 requests over its life (compacted ones included).
+/// width the device queues and events key requests by, so a simulator
+/// admits at most 2^32 requests over its life (compacted ones included).
 pub(crate) const MAX_REQ_INDEX: usize = u32::MAX as usize;
 
 /// Where a request ended up. `InFlight` until exactly one terminal
@@ -46,7 +60,42 @@ pub(crate) enum Outcome {
     Cancelled,
 }
 
-/// Struct-of-arrays request state with global (never reused) indices.
+/// Per-request scalars.
+#[derive(Debug, Clone, Copy)]
+struct Req {
+    arrival_ms: f64,
+    deadline_ms: f64,
+    /// Relative input size (1.0 = the nominal profile the models were
+    /// evaluated against).
+    size: f64,
+    kernels_left: u32,
+    outcome: Outcome,
+}
+
+/// Per-`(request, kernel)` state.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    attempt: u32,
+    remaining_preds: u16,
+    /// [`DONE`] | [`HEDGED`] | [`STREAMED`].
+    flags: u8,
+}
+
+/// The stage completed (first completion wins; later copies are stale).
+const DONE: u8 = 1;
+/// A hedge copy was fired for the stage (one hedge per stage).
+const HEDGED: u8 = 1 << 1;
+/// Pipelined streaming: the stage was dispatched early on its producer's
+/// first tile (its final predecessor count was consumed at stream time,
+/// so the producer's completion must not decrement it again). Never set
+/// under barrier semantics.
+const STREAMED: u8 = 1 << 2;
+
+const _: () = assert!(std::mem::size_of::<Req>() == 32);
+const _: () = assert!(std::mem::size_of::<Stage>() == 8);
+
+/// Request state with global (never reused) indices: one [`Req`] per
+/// request and its stages contiguous in one [`Stage`] buffer.
 #[derive(Debug, Clone)]
 pub(crate) struct ReqArena {
     /// Kernels per request (the DAG size).
@@ -54,59 +103,55 @@ pub(crate) struct ReqArena {
     /// Global index of the first request still held; everything below is
     /// compacted (and was settled).
     base: usize,
-    /// Per-kernel predecessor counts of the DAG — the initial value of
-    /// each new request's `remaining_preds` window.
-    pred_template: Vec<u16>,
-    // --- per-request scalars (index: req - base) --------------------------
-    arrival_ms: VecDeque<f64>,
-    deadline_ms: VecDeque<f64>,
-    /// Relative input size (1.0 = the nominal profile the models were
-    /// evaluated against).
-    size: VecDeque<f64>,
-    kernels_left: VecDeque<u32>,
-    outcome: VecDeque<Outcome>,
-    // --- per-kernel state (index: (req - base) * k + kernel) --------------
-    remaining_preds: VecDeque<u16>,
-    done: VecDeque<bool>,
-    attempt: VecDeque<u32>,
-    hedged: VecDeque<bool>,
-    /// Pipelined streaming: the stage was dispatched early on its
-    /// producer's first tile (its final predecessor count was consumed at
-    /// stream time, so the producer's completion must not decrement it
-    /// again). Never set under barrier semantics.
-    streamed: VecDeque<bool>,
-    /// Earliest time the streamed stage can see its producer's **last**
+    /// Fresh stages of one request: attempt 0, no flags, and the DAG's
+    /// per-kernel predecessor counts.
+    stage_template: Vec<Stage>,
+    /// Index: `req - base`.
+    reqs: VecDeque<Req>,
+    /// Index: `(req - base) * k + kernel`.
+    stages: VecDeque<Stage>,
+    /// Earliest time a streamed stage can see its producer's **last**
     /// tile; the consumer's completion is floored at this plus one of its
-    /// own tile times. `NEG_INFINITY` = no streaming producer.
-    stream_floor: VecDeque<f64>,
+    /// own tile times. `NEG_INFINITY` = no streaming producer. Indexed as
+    /// `stages`; `None` when streaming is off.
+    stream_floor: Option<VecDeque<f64>>,
 }
 
 impl ReqArena {
-    /// Arena for requests walking a `k`-kernel DAG whose per-kernel
-    /// predecessor counts are `pred_template`.
+    /// Streaming-capable arena for requests walking a `k`-kernel DAG
+    /// whose per-kernel predecessor counts are `pred_template`. (Test
+    /// convenience — the engine goes through
+    /// [`with_streaming`](Self::with_streaming).)
+    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn new(pred_template: Vec<u16>) -> Self {
+        Self::with_streaming(pred_template, true)
+    }
+
+    /// Arena for requests walking a `k`-kernel DAG whose per-kernel
+    /// predecessor counts are `pred_template`; stream floors are stored
+    /// only when `streaming` (pipelined streaming is enabled).
+    pub(crate) fn with_streaming(pred_template: Vec<u16>, streaming: bool) -> Self {
         Self {
             k: pred_template.len(),
             base: 0,
-            pred_template,
-            arrival_ms: VecDeque::new(),
-            deadline_ms: VecDeque::new(),
-            size: VecDeque::new(),
-            kernels_left: VecDeque::new(),
-            outcome: VecDeque::new(),
-            remaining_preds: VecDeque::new(),
-            done: VecDeque::new(),
-            attempt: VecDeque::new(),
-            hedged: VecDeque::new(),
-            streamed: VecDeque::new(),
-            stream_floor: VecDeque::new(),
+            stage_template: pred_template
+                .into_iter()
+                .map(|remaining_preds| Stage {
+                    attempt: 0,
+                    remaining_preds,
+                    flags: 0,
+                })
+                .collect(),
+            reqs: VecDeque::new(),
+            stages: VecDeque::new(),
+            stream_floor: streaming.then(VecDeque::new),
         }
     }
 
     /// Total requests ever admitted (compacted ones included): the next
     /// request's global index.
     pub(crate) fn len(&self) -> usize {
-        self.base + self.arrival_ms.len()
+        self.base + self.reqs.len()
     }
 
     /// Global indices of the retained (non-compacted) window.
@@ -134,19 +179,17 @@ impl ReqArena {
             req <= MAX_REQ_INDEX,
             "a simulator admits at most 2^32 requests (request indices are u32)"
         );
-        self.arrival_ms.push_back(arrival_ms);
-        self.deadline_ms.push_back(deadline_ms);
-        self.size.push_back(size);
-        self.kernels_left
-            .push_back(u32::try_from(self.k).expect("kernel count fits u32"));
-        self.outcome.push_back(Outcome::InFlight);
-        self.remaining_preds.extend(&self.pred_template);
-        self.done.extend(std::iter::repeat_n(false, self.k));
-        self.attempt.extend(std::iter::repeat_n(0u32, self.k));
-        self.hedged.extend(std::iter::repeat_n(false, self.k));
-        self.streamed.extend(std::iter::repeat_n(false, self.k));
-        self.stream_floor
-            .extend(std::iter::repeat_n(f64::NEG_INFINITY, self.k));
+        self.reqs.push_back(Req {
+            arrival_ms,
+            deadline_ms,
+            size,
+            kernels_left: u32::try_from(self.k).expect("kernel count fits u32"),
+            outcome: Outcome::InFlight,
+        });
+        self.stages.extend(&self.stage_template);
+        if let Some(floors) = &mut self.stream_floor {
+            floors.extend(std::iter::repeat_n(f64::NEG_INFINITY, self.k));
+        }
         req
     }
 
@@ -170,10 +213,28 @@ impl ReqArena {
         self.at(req) * self.k + kernel
     }
 
+    fn req(&self, req: usize) -> &Req {
+        &self.reqs[self.at(req)]
+    }
+
+    fn req_mut(&mut self, req: usize) -> &mut Req {
+        let i = self.at(req);
+        &mut self.reqs[i]
+    }
+
+    fn stage(&self, req: usize, kernel: usize) -> &Stage {
+        &self.stages[self.kat(req, kernel)]
+    }
+
+    fn stage_mut(&mut self, req: usize, kernel: usize) -> &mut Stage {
+        let i = self.kat(req, kernel);
+        &mut self.stages[i]
+    }
+
     /// Whether `req` reached a terminal outcome (compacted requests are
     /// settled by construction).
     pub(crate) fn is_settled(&self, req: usize) -> bool {
-        req < self.base || self.outcome[req - self.base] != Outcome::InFlight
+        req < self.base || self.reqs[req - self.base].outcome != Outcome::InFlight
     }
 
     /// Terminal (or in-flight) outcome of a *retained* request. The
@@ -181,120 +242,125 @@ impl ReqArena {
     /// ([`is_settled`](Self::is_settled)); tests assert exact outcomes.
     #[cfg(test)]
     pub(crate) fn outcome(&self, req: usize) -> Outcome {
-        self.outcome[self.at(req)]
+        self.req(req).outcome
     }
 
     pub(crate) fn set_outcome(&mut self, req: usize, outcome: Outcome) {
-        let i = self.at(req);
-        self.outcome[i] = outcome;
+        self.req_mut(req).outcome = outcome;
     }
 
     pub(crate) fn arrival_ms(&self, req: usize) -> f64 {
-        self.arrival_ms[self.at(req)]
+        self.req(req).arrival_ms
     }
 
     pub(crate) fn deadline_ms(&self, req: usize) -> f64 {
-        self.deadline_ms[self.at(req)]
+        self.req(req).deadline_ms
     }
 
     /// Relative input size of a retained request (1.0 = nominal).
     pub(crate) fn size(&self, req: usize) -> f64 {
-        self.size[self.at(req)]
+        self.req(req).size
     }
 
     #[cfg(test)]
     pub(crate) fn kernels_left(&self, req: usize) -> u32 {
-        self.kernels_left[self.at(req)]
+        self.req(req).kernels_left
     }
 
     /// Decrement `kernels_left`, returning the new value.
     pub(crate) fn dec_kernels_left(&mut self, req: usize) -> u32 {
-        let i = self.at(req);
-        self.kernels_left[i] -= 1;
-        self.kernels_left[i]
+        let r = self.req_mut(req);
+        r.kernels_left -= 1;
+        r.kernels_left
     }
 
     pub(crate) fn done(&self, req: usize, kernel: usize) -> bool {
-        self.done[self.kat(req, kernel)]
+        self.stage(req, kernel).flags & DONE != 0
     }
 
     pub(crate) fn set_done(&mut self, req: usize, kernel: usize) {
-        let i = self.kat(req, kernel);
-        self.done[i] = true;
+        self.stage_mut(req, kernel).flags |= DONE;
     }
 
     pub(crate) fn attempt(&self, req: usize, kernel: usize) -> u32 {
-        self.attempt[self.kat(req, kernel)]
+        self.stage(req, kernel).attempt
     }
 
     pub(crate) fn bump_attempt(&mut self, req: usize, kernel: usize) {
-        let i = self.kat(req, kernel);
-        self.attempt[i] += 1;
+        self.stage_mut(req, kernel).attempt += 1;
     }
 
     /// Bump every stage's attempt (stale-ifies all scheduled completions
     /// of the request).
     pub(crate) fn bump_all_attempts(&mut self, req: usize) {
         let i = self.at(req) * self.k;
-        for a in self.attempt.range_mut(i..i + self.k) {
-            *a += 1;
+        for s in self.stages.range_mut(i..i + self.k) {
+            s.attempt += 1;
         }
     }
 
     pub(crate) fn hedged(&self, req: usize, kernel: usize) -> bool {
-        self.hedged[self.kat(req, kernel)]
+        self.stage(req, kernel).flags & HEDGED != 0
     }
 
     pub(crate) fn set_hedged(&mut self, req: usize, kernel: usize) {
-        let i = self.kat(req, kernel);
-        self.hedged[i] = true;
+        self.stage_mut(req, kernel).flags |= HEDGED;
     }
 
     /// Decrement a successor's remaining-predecessor count, returning the
     /// new value.
     pub(crate) fn dec_remaining_preds(&mut self, req: usize, kernel: usize) -> u16 {
-        let i = self.kat(req, kernel);
-        self.remaining_preds[i] -= 1;
-        self.remaining_preds[i]
+        let s = self.stage_mut(req, kernel);
+        s.remaining_preds -= 1;
+        s.remaining_preds
     }
 
     /// Remaining undone predecessors of a stage (read-only — the streaming
     /// producer checks it is the *last* one before dispatching early).
     pub(crate) fn remaining_preds(&self, req: usize, kernel: usize) -> u16 {
-        self.remaining_preds[self.kat(req, kernel)]
+        self.stage(req, kernel).remaining_preds
     }
 
     /// Whether the stage was already dispatched early by a streaming
     /// producer (its predecessor count was consumed at stream time).
     pub(crate) fn streamed(&self, req: usize, kernel: usize) -> bool {
-        self.streamed[self.kat(req, kernel)]
+        self.stage(req, kernel).flags & STREAMED != 0
     }
 
     /// Mark the stage as stream-dispatched. Never cleared: a killed or
     /// hedged producer must not re-dispatch (or re-decrement) the stage.
     pub(crate) fn set_streamed(&mut self, req: usize, kernel: usize) {
-        let i = self.kat(req, kernel);
-        self.streamed[i] = true;
+        self.stage_mut(req, kernel).flags |= STREAMED;
     }
 
     /// Last-tile availability floor of a streamed stage (`NEG_INFINITY`
-    /// when nothing streams into it).
+    /// when nothing streams into it, and always without streaming).
     pub(crate) fn stream_floor(&self, req: usize, kernel: usize) -> f64 {
-        self.stream_floor[self.kat(req, kernel)]
+        match &self.stream_floor {
+            Some(floors) => floors[self.kat(req, kernel)],
+            None => f64::NEG_INFINITY,
+        }
     }
 
     /// Record when the streaming producer's last tile reaches the stage.
+    ///
+    /// # Panics
+    /// Panics if the arena was built without streaming.
     pub(crate) fn set_stream_floor(&mut self, req: usize, kernel: usize, floor_ms: f64) {
         let i = self.kat(req, kernel);
-        self.stream_floor[i] = floor_ms;
+        let floors = self
+            .stream_floor
+            .as_mut()
+            .expect("stream floors are stored only with streaming on");
+        floors[i] = floor_ms;
     }
 
     /// Retained requests still in flight (the audit's `pending` count;
     /// compacted requests are settled and contribute zero).
     pub(crate) fn pending(&self) -> usize {
-        self.outcome
+        self.reqs
             .iter()
-            .filter(|&&o| o == Outcome::InFlight)
+            .filter(|r| r.outcome == Outcome::InFlight)
             .count()
     }
 
@@ -304,25 +370,19 @@ impl ReqArena {
     /// stays bounded by the in-flight population, not the trace length.
     pub(crate) fn compact(&mut self) {
         let settled = self
-            .outcome
+            .reqs
             .iter()
-            .take_while(|&&o| o != Outcome::InFlight)
+            .take_while(|r| r.outcome != Outcome::InFlight)
             .count();
         if settled == 0 {
             return;
         }
         self.base += settled;
-        self.arrival_ms.drain(..settled);
-        self.deadline_ms.drain(..settled);
-        self.size.drain(..settled);
-        self.kernels_left.drain(..settled);
-        self.outcome.drain(..settled);
-        self.remaining_preds.drain(..settled * self.k);
-        self.done.drain(..settled * self.k);
-        self.attempt.drain(..settled * self.k);
-        self.hedged.drain(..settled * self.k);
-        self.streamed.drain(..settled * self.k);
-        self.stream_floor.drain(..settled * self.k);
+        self.reqs.drain(..settled);
+        self.stages.drain(..settled * self.k);
+        if let Some(floors) = &mut self.stream_floor {
+            floors.drain(..settled * self.k);
+        }
     }
 }
 
@@ -438,5 +498,76 @@ mod tests {
         a.bump_all_attempts(r0);
         assert_eq!((a.attempt(r0, 0), a.attempt(r0, 1)), (1, 1));
         assert_eq!((a.attempt(r1, 0), a.attempt(r1, 1)), (1, 0));
+    }
+
+    #[test]
+    fn without_streaming_no_floors_are_stored_and_all_read_neg_infinity() {
+        let mut a = ReqArena::with_streaming(vec![0, 1], false);
+        let r0 = a.push(0.0, f64::INFINITY);
+        let r1 = a.push(1.0, f64::INFINITY);
+        assert!(
+            a.stream_floor.is_none(),
+            "no floor buffer without streaming"
+        );
+        for r in [r0, r1] {
+            for k in 0..2 {
+                assert_eq!(a.stream_floor(r, k), f64::NEG_INFINITY);
+            }
+        }
+        a.set_outcome(r0, Outcome::Completed);
+        a.compact();
+        assert!(a.stream_floor.is_none());
+        assert_eq!(a.stream_floor(r1, 1), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn compaction_drops_whole_records_and_keeps_stages_aligned() {
+        // Three-kernel fan-in: kernel 2 waits on kernels 0 and 1.
+        let mut a = ReqArena::new(vec![0, 0, 2]);
+        for i in 0..6 {
+            a.push_sized(i as f64, 100.0 + i as f64, 1.0 + i as f64);
+        }
+        // Give every retained stage a distinct signature: request r's
+        // kernel k carries attempt r * 3 + k.
+        for r in 0..6 {
+            for k in 0..3 {
+                for _ in 0..r * 3 + k {
+                    a.bump_attempt(r, k);
+                }
+            }
+            if r % 2 == 1 {
+                a.set_done(r, 1);
+            }
+            a.set_stream_floor(r, 2, 10.0 * r as f64);
+        }
+        for r in 0..4 {
+            a.set_outcome(r, Outcome::Completed);
+        }
+        a.compact();
+        assert_eq!(a.live_range(), 4..6);
+        assert_eq!(
+            (a.reqs.len(), a.stages.len()),
+            (2, 6),
+            "whole records dropped"
+        );
+        assert_eq!(a.stream_floor.as_ref().map(VecDeque::len), Some(6));
+        for r in 4..6 {
+            assert_eq!(a.arrival_ms(r), r as f64);
+            assert_eq!(a.deadline_ms(r), 100.0 + r as f64);
+            assert_eq!(a.size(r), 1.0 + r as f64);
+            assert_eq!(a.kernels_left(r), 3);
+            for k in 0..3 {
+                assert_eq!(a.attempt(r, k), (r * 3 + k) as u32, "stage ({r}, {k})");
+            }
+            assert_eq!(a.done(r, 1), r % 2 == 1);
+            assert!(!a.done(r, 0) && !a.done(r, 2));
+            assert_eq!(a.remaining_preds(r, 2), 2);
+            assert_eq!(a.stream_floor(r, 2), 10.0 * r as f64);
+        }
+        // A request admitted after compaction starts from the template.
+        let r6 = a.push(6.0, f64::INFINITY);
+        assert_eq!((a.attempt(r6, 0), a.remaining_preds(r6, 2)), (0, 2));
+        assert!(!a.done(r6, 1) && !a.hedged(r6, 1) && !a.streamed(r6, 2));
+        assert_eq!(a.stream_floor(r6, 2), f64::NEG_INFINITY);
     }
 }

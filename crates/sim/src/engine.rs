@@ -127,45 +127,60 @@ impl Default for DynamicDispatch {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One scheduled event. Request, kernel, device and fault indices are
+/// stored `u32`-wide (requests fit by the arena's admission bound, the
+/// rest are small by construction): the payload is 16 bytes, so a queue
+/// entry is 32 and two share a cache line. [`ix`] narrows an index where
+/// an event is built and `handle` widens it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Arrival {
-        req: usize,
+        req: u32,
     },
     Dispatch {
-        req: usize,
-        kernel: KernelId,
+        req: u32,
+        kernel: u32,
     },
     DeviceFree {
-        dev: usize,
+        dev: u32,
     },
     /// `attempt` invalidates completions of executions killed by a device
     /// fail-stop: a stale event whose attempt no longer matches the
     /// request's counter is ignored. `hedge` marks completions of hedge
     /// copies (win attribution only).
     Complete {
-        req: usize,
-        kernel: KernelId,
+        req: u32,
+        kernel: u32,
         attempt: u32,
         hedge: bool,
     },
     /// Scripted fault (index into `Simulator::faults`).
     Fault {
-        idx: usize,
+        idx: u32,
     },
     /// The request's deadline: if it is still incomplete, every copy of
     /// its work is cancelled and it is marked timed out.
     Deadline {
-        req: usize,
+        req: u32,
     },
     /// Hedge check scheduled at dispatch + hedge delay: if the stage is
     /// still outstanding under the same attempt, fire a second copy on
     /// another device.
     HedgeFire {
-        req: usize,
-        kernel: KernelId,
+        req: u32,
+        kernel: u32,
         attempt: u32,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
+const _: () = assert!(crate::equeue::entry_size::<EventKind>() == 32);
+
+/// Narrow an engine index to an event field. Every index the engine
+/// schedules fits `u32`: requests by [`crate::arena::MAX_REQ_INDEX`],
+/// kernels, devices and faults by far.
+fn ix(i: usize) -> u32 {
+    u32::try_from(i).expect("event indices fit u32")
 }
 
 /// Per-kernel execution breakdown over a simulation window.
@@ -261,14 +276,17 @@ impl std::fmt::Display for SimReport {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     graph: KernelGraph,
+    /// The graph's entry kernels, dispatched on every arrival.
+    sources: Vec<KernelId>,
     policy: Policy,
     config: SimConfig,
     devices: Vec<DeviceState>,
     /// Timer-wheel event queue; stamps each event with a monotone
     /// sequence number and pops in exact `(time, seq)` order.
     events: EventQueue<EventKind>,
-    /// Struct-of-arrays request state with global, never-reused indices
-    /// (settled prefixes compact away at accounting resets).
+    /// One record per request (plus its contiguous stages) with global,
+    /// never-reused indices (settled prefixes compact away at accounting
+    /// resets).
     requests: ReqArena,
     now: f64,
     arrived: usize,
@@ -343,13 +361,15 @@ impl Simulator {
                     .expect("predecessor count fits u16")
             })
             .collect();
+        let streaming = config.pipeline.enabled();
         let mut sim = Self {
+            sources: graph.sources(),
             graph,
             policy,
             config,
             devices,
             events: EventQueue::new(),
-            requests: ReqArena::new(pred_template),
+            requests: ReqArena::with_streaming(pred_template, streaming),
             now: 0.0,
             arrived: 0,
             completed: 0,
@@ -670,9 +690,9 @@ impl Simulator {
         });
         let req = self.requests.push_sized(arrival_ms, deadline_ms, size);
         self.counters.admitted += 1;
-        self.push(arrival_ms, EventKind::Arrival { req });
+        self.push(arrival_ms, EventKind::Arrival { req: ix(req) });
         if deadline_ms.is_finite() {
-            self.push(deadline_ms, EventKind::Deadline { req });
+            self.push(deadline_ms, EventKind::Deadline { req: ix(req) });
         }
         if self.recording() {
             self.obs_at(arrival_ms, ObsEvent::ReqEnqueue { req, deadline_ms });
@@ -715,6 +735,7 @@ impl Simulator {
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrival { req } => {
+                let req = req as usize;
                 // A request cancelled before its arrival event fired (node
                 // drain between enqueue and arrival) never enters.
                 if self.requests.is_settled(req) {
@@ -726,17 +747,16 @@ impl Simulator {
                     self.arrival_rate = 0.9 * self.arrival_rate + 0.1 / interval;
                 }
                 self.last_arrival_ms = self.now;
-                for source in self.graph.sources() {
-                    self.push(
-                        self.now,
-                        EventKind::Dispatch {
-                            req,
-                            kernel: source,
-                        },
-                    );
+                for &source in &self.sources {
+                    let dispatch = EventKind::Dispatch {
+                        req: ix(req),
+                        kernel: ix(source.0),
+                    };
+                    self.events.push(self.now, dispatch);
                 }
             }
             EventKind::Dispatch { req, kernel } => {
+                let (req, kernel) = (req as usize, KernelId(kernel as usize));
                 // The request is already settled (hedge twin finished
                 // the stage, or a terminal transition happened while
                 // this dispatch was in flight).
@@ -814,6 +834,7 @@ impl Simulator {
                 }
             }
             EventKind::DeviceFree { dev } => {
+                let dev = dev as usize;
                 if self.devices[dev].healthy && self.devices[dev].busy_until <= self.now + 1e-12 {
                     self.devices[dev].executing = false;
                     self.try_start(dev);
@@ -829,9 +850,10 @@ impl Simulator {
                 kernel,
                 attempt,
                 hedge,
-            } => self.complete(req, kernel, attempt, hedge),
-            EventKind::Fault { idx } => self.apply_fault(idx),
+            } => self.complete(req as usize, KernelId(kernel as usize), attempt, hedge),
+            EventKind::Fault { idx } => self.apply_fault(idx as usize),
             EventKind::Deadline { req } => {
+                let req = req as usize;
                 if !self.requests.is_settled(req) {
                     self.abort_request(req, Outcome::TimedOut);
                 }
@@ -840,7 +862,7 @@ impl Simulator {
                 req,
                 kernel,
                 attempt,
-            } => self.hedge_fire(req, kernel, attempt),
+            } => self.hedge_fire(req as usize, KernelId(kernel as usize), attempt),
         }
     }
 
@@ -860,8 +882,8 @@ impl Simulator {
         self.push(
             at,
             EventKind::HedgeFire {
-                req,
-                kernel,
+                req: ix(req),
+                kernel: ix(kernel.0),
                 attempt,
             },
         );
@@ -1362,7 +1384,7 @@ impl Simulator {
                 if now + fill_ms <= deadline {
                     let wake = (now + 1.2 * fill_ms).min(deadline);
                     self.devices[dev].executing = false;
-                    self.push(wake, EventKind::DeviceFree { dev });
+                    self.push(wake, EventKind::DeviceFree { dev: ix(dev) });
                     return;
                 }
             }
@@ -1441,7 +1463,7 @@ impl Simulator {
         d.executing = true;
         d.busy_until = busy_until;
 
-        self.push(busy_until, EventKind::DeviceFree { dev });
+        self.push(busy_until, EventKind::DeviceFree { dev: ix(dev) });
         if self.recording() {
             self.obs(ObsEvent::ExecStart {
                 device: dev,
@@ -1491,8 +1513,8 @@ impl Simulator {
             self.push(
                 completion,
                 EventKind::Complete {
-                    req: item.req,
-                    kernel: item.kernel,
+                    req: ix(item.req),
+                    kernel: ix(item.kernel.0),
                     attempt,
                     hedge: item.hedge,
                 },
@@ -1609,8 +1631,8 @@ impl Simulator {
                         self.push(
                             jit,
                             EventKind::Dispatch {
-                                req: it.req,
-                                kernel: succ,
+                                req: ix(it.req),
+                                kernel: ix(succ.0),
                             },
                         );
                     }
@@ -1673,7 +1695,13 @@ impl Simulator {
                 } else {
                     self.config.pcie.transfer_ms(bytes)
                 };
-                self.push(now + transfer, EventKind::Dispatch { req, kernel: succ });
+                self.push(
+                    now + transfer,
+                    EventKind::Dispatch {
+                        req: ix(req),
+                        kernel: ix(succ.0),
+                    },
+                );
             }
         }
         succs.clear();
@@ -1819,7 +1847,7 @@ impl Simulator {
         }
         d.executing = false;
         d.busy_until = now;
-        self.push(now, EventKind::DeviceFree { dev });
+        self.push(now, EventKind::DeviceFree { dev: ix(dev) });
     }
 
     /// Discard all statistics gathered so far (latencies, counters, and
@@ -1885,7 +1913,7 @@ impl Simulator {
                 },
                 _ => event,
             };
-            let idx = self.faults.len();
+            let idx = ix(self.faults.len());
             self.faults.push(event);
             self.push(event.at_ms.max(self.now), EventKind::Fault { idx });
         }
@@ -1967,8 +1995,8 @@ impl Simulator {
             self.push(
                 now,
                 EventKind::Dispatch {
-                    req: item.req,
-                    kernel: item.kernel,
+                    req: ix(item.req),
+                    kernel: ix(item.kernel.0),
                 },
             );
         }
@@ -2045,8 +2073,8 @@ impl Simulator {
                             self.push(
                                 now,
                                 EventKind::Dispatch {
-                                    req: item.req,
-                                    kernel: item.kernel,
+                                    req: ix(item.req),
+                                    kernel: ix(item.kernel.0),
                                 },
                             );
                         }
@@ -2075,8 +2103,8 @@ impl Simulator {
                             self.push(
                                 now + delay,
                                 EventKind::Dispatch {
-                                    req: item.req,
-                                    kernel: item.kernel,
+                                    req: ix(item.req),
+                                    kernel: ix(item.kernel.0),
                                 },
                             );
                         }
@@ -2125,7 +2153,7 @@ impl Simulator {
                     }
                 }
                 self.redispatch_stranded();
-                self.push(now, EventKind::DeviceFree { dev: device });
+                self.push(now, EventKind::DeviceFree { dev: ix(device) });
             }
             // Revocations are lowered to FailStop at injection time
             // (`inject_faults`); one can never reach the queue.

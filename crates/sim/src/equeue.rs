@@ -13,13 +13,21 @@
 //!   `O(1)`, no compares;
 //! - the **current bucket** is sorted once when the cursor reaches it and
 //!   then consumed from the back, so pops are `O(1)` amortized;
+//! - a 256-bit **occupancy bitmap** marks the non-empty buckets, so the
+//!   cursor moves straight to the next occupied one (a few word scans)
+//!   instead of stepping through empty 2 ms buckets one at a time — on an
+//!   overloaded fleet three steps in five used to land on an empty
+//!   bucket;
 //! - far-future events (an interval's pre-enqueued arrivals, request
 //!   deadlines, scripted faults) go to the **overflow** and migrate onto
 //!   the wheel as the cursor approaches them. The overflow is two
 //!   structures: an **in-order run** (a FIFO) takes every far push whose
 //!   `(time, seq)` is at or after the run's back — arrival streams come
 //!   pre-sorted, so they append and migrate in `O(1)` with no compares
-//!   beyond one — and a **heap** takes the out-of-order rest.
+//!   beyond one — and a **heap** takes the out-of-order rest. The queue
+//!   keeps the bucket of the earliest overflow event (`far_bucket`), so a
+//!   cursor move is one compare against the ring's next occupied bucket,
+//!   and the overflow is only touched when the cursor reaches it.
 //!
 //! ## Exact heap-order equivalence
 //!
@@ -31,7 +39,11 @@
 //! which the simulator's determinism contract (byte-identical reference
 //! CSVs) depends on. The property test in `tests/equeue_order.rs` checks
 //! pop-for-pop equality against the heap over randomized event streams,
-//! including dense same-timestamp ties and pushes interleaved with pops.
+//! including dense same-timestamp ties, pushes interleaved with pops, and
+//! sparse streams whose cursor jumps land on bucket and horizon edges
+//! and wrap the ring. Skipping empty buckets cannot reorder pops: the
+//! cursor stops at the earliest non-empty bucket (ring or overflow), and
+//! every bucket is still sorted whole when loaded.
 //!
 //! Events may be pushed at or before the current cursor time (the engine
 //! schedules same-instant dispatches while draining); such entries are
@@ -58,6 +70,8 @@ const BUCKETS: usize = 256;
 /// dividing).
 const WIDTH_MS: f64 = 2.0;
 const INV_WIDTH_MS: f64 = 1.0 / WIDTH_MS;
+/// Occupancy bitmap words (one bit per bucket).
+const WORDS: usize = BUCKETS / 64;
 
 /// Monotone `u64` image of `f64::total_cmp` order (the transform
 /// `total_cmp` applies per comparison, done once per event instead):
@@ -79,7 +93,8 @@ fn time_of_bits(k: u64) -> f64 {
     })
 }
 
-/// Event record: 24 bytes for a `u32` payload. The timestamp is stored
+/// Event record: 16 bytes plus the payload (the engine's 16-byte event
+/// payload makes it 32, two to a cache line). The timestamp is stored
 /// only as its [`order_bits`] image, so the bucket sort and the
 /// binary-insertion path compare two plain `u64`s per element and the
 /// exact `f64` is reconstructed on pop.
@@ -88,6 +103,11 @@ struct Entry<T> {
     kt: u64,
     seq: u64,
     payload: T,
+}
+
+/// Size of one queued event carrying a `T` payload (for layout asserts).
+pub(crate) const fn entry_size<T>() -> usize {
+    std::mem::size_of::<Entry<T>>()
 }
 
 impl<T> Entry<T> {
@@ -131,8 +151,12 @@ impl<T> Ord for Far<T> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     /// Future buckets, indexed by absolute bucket number masked onto the
-    /// ring. Unsorted; sorted lazily when the cursor reaches them.
+    /// ring. Unsorted; sorted lazily when the cursor reaches them. They
+    /// hold absolute buckets `cursor + 1 .. cursor + BUCKETS`, so no two
+    /// live buckets share a slot.
     buckets: Vec<Vec<Entry<T>>>,
+    /// Bit `s` is set iff `buckets[s]` is non-empty.
+    occupied: [u64; WORDS],
     /// The bucket the cursor currently drains, sorted *descending* by
     /// `(time, seq)` so the next event pops from the back in `O(1)`.
     current: Vec<Entry<T>>,
@@ -144,14 +168,18 @@ pub struct EventQueue<T> {
     /// Events beyond the wheel horizon that arrived out of order (before
     /// the run's back), ordered min-first.
     overflow: BinaryHeap<Reverse<Far<T>>>,
-    /// Events held in `buckets` (excludes `current`, `run` and
-    /// `overflow`).
-    ring_len: usize,
+    /// Bucket number of the earliest event in `run` and `overflow`
+    /// (`u64::MAX` when both are empty). Always past `cursor` between
+    /// calls: overflow events are pushed past the horizon and migrate
+    /// when the cursor reaches their bucket.
+    far_bucket: u64,
     /// Total events held.
     len: usize,
     /// Monotone stamp; pre-incremented so the first event gets seq 1
     /// (matching the engine's original counter).
     seq: u64,
+    /// Buckets loaded into `current` so far (see [`loads`](Self::loads)).
+    loads: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -166,13 +194,15 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         Self {
             buckets: std::iter::repeat_with(Vec::new).take(BUCKETS).collect(),
+            occupied: [0; WORDS],
             current: Vec::new(),
             cursor: 0,
             run: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            ring_len: 0,
+            far_bucket: u64::MAX,
             len: 0,
             seq: 0,
+            loads: 0,
         }
     }
 
@@ -186,6 +216,14 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Buckets the cursor has loaded so far. Every load holds at least
+    /// one event, so over a drained stream this never exceeds the number
+    /// of pops: the cursor never stops on an empty bucket.
+    #[must_use]
+    pub fn loads(&self) -> u64 {
+        self.loads
     }
 
     /// Absolute bucket number of time `t`. Saturates for times past
@@ -217,68 +255,90 @@ impl<T> EventQueue<T> {
             let key = e.key();
             let pos = self.current.partition_point(|x| x.key() > key);
             self.current.insert(pos, e);
-        } else if b < self.cursor + BUCKETS as u64 {
-            self.buckets[(b as usize) & (BUCKETS - 1)].push(e);
-            self.ring_len += 1;
-        } else if self.run.back().is_none_or(|back| back.key() <= e.key()) {
-            self.run.push_back(e);
+        } else if b < self.cursor.saturating_add(BUCKETS as u64) {
+            let slot = (b as usize) & (BUCKETS - 1);
+            self.buckets[slot].push(e);
+            self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            self.overflow.push(Reverse(Far(e)));
+            self.far_bucket = self.far_bucket.min(b);
+            if self.run.back().is_none_or(|back| back.key() <= e.key()) {
+                self.run.push_back(e);
+            } else {
+                self.overflow.push(Reverse(Far(e)));
+            }
         }
     }
 
-    /// Move the cursor to the next bucket holding events and load it into
+    /// Absolute number of the earliest non-empty ring bucket, if any: the
+    /// first set bit at or after the cursor's successor slot, wrapping
+    /// once around the bitmap.
+    fn next_ring_bucket(&self) -> Option<u64> {
+        let start = (self.cursor.wrapping_add(1) as usize) & (BUCKETS - 1);
+        let (w0, b0) = (start / 64, start % 64);
+        // The start word's bits at and after `start`, then the other
+        // words in ring order, then the start word's bits before `start`.
+        let words = std::iter::once(self.occupied[w0] & (!0u64 << b0))
+            .chain((1..WORDS).map(|i| self.occupied[(w0 + i) % WORDS]))
+            .chain(std::iter::once(self.occupied[w0] & !(!0u64 << b0)));
+        for (i, bits) in words.enumerate() {
+            if bits != 0 {
+                let slot = ((w0 + i) % WORDS) * 64 + bits.trailing_zeros() as usize;
+                let dist = slot.wrapping_sub(start) & (BUCKETS - 1);
+                return Some(self.cursor + 1 + dist as u64);
+            }
+        }
+        None
+    }
+
+    /// Move the cursor to the next bucket holding events — the earlier of
+    /// the ring's next occupied bucket and `far_bucket` — and load it into
     /// `current`. Caller guarantees `current` is empty and `len > 0`.
     fn advance_bucket(&mut self) {
         debug_assert!(self.current.is_empty() && self.len > 0);
-        if self.ring_len == 0 {
-            // Nothing on the wheel: jump straight to the earliest
-            // overflow event's bucket instead of scanning empty slots.
+        debug_assert!(self.far_bucket > self.cursor);
+        let ring = self.next_ring_bucket().unwrap_or(u64::MAX);
+        self.cursor = ring.min(self.far_bucket);
+        self.loads += 1;
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        if ring == self.cursor {
+            std::mem::swap(&mut self.current, &mut self.buckets[slot]);
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+        if self.far_bucket <= self.cursor {
+            // Pull every overflow event of the cursor bucket, from the run
+            // and the heap alike. (Later overflow events stay put and
+            // migrate as the cursor reaches them.) The bucket is sorted
+            // below, so the order in which the two sources land in it
+            // cannot change the pop order.
+            while let Some(e) = self.run.front() {
+                if self.bucket_of(e.t()) > self.cursor {
+                    break;
+                }
+                let e = self.run.pop_front().expect("peeked");
+                self.current.push(e);
+            }
+            while let Some(Reverse(far)) = self.overflow.peek() {
+                if self.bucket_of(far.0.t()) > self.cursor {
+                    break;
+                }
+                let Reverse(Far(e)) = self.overflow.pop().expect("peeked");
+                self.current.push(e);
+            }
             let run = self.run.front().map(|e| self.bucket_of(e.t()));
             let heap = self.overflow.peek().map(|far| self.bucket_of(far.0 .0.t()));
-            let b = run
-                .into_iter()
-                .chain(heap)
-                .min()
-                .expect("len > 0 with empty ring");
-            self.cursor = self.cursor.max(b);
-        } else {
-            self.cursor += 1;
+            self.far_bucket = run.into_iter().chain(heap).min().unwrap_or(u64::MAX);
         }
-        // Pull every overflow event that now falls at or before the
-        // cursor bucket, from the run and the heap alike. (Entries between
-        // cursor and the horizon stay in the overflow; they migrate as the
-        // cursor reaches them, which keeps this a cheap peek per bucket
-        // step.) The bucket is sorted when loaded below, so the order in
-        // which the two sources land in it cannot change the pop order.
-        let slot = (self.cursor as usize) & (BUCKETS - 1);
-        while let Some(e) = self.run.front() {
-            if self.bucket_of(e.t()) > self.cursor {
-                break;
-            }
-            let e = self.run.pop_front().expect("peeked");
-            self.buckets[slot].push(e);
-            self.ring_len += 1;
-        }
-        while let Some(Reverse(far)) = self.overflow.peek() {
-            if self.bucket_of(far.0.t()) > self.cursor {
-                break;
-            }
-            let Reverse(Far(e)) = self.overflow.pop().expect("peeked");
-            self.buckets[slot].push(e);
-            self.ring_len += 1;
-        }
-        if !self.buckets[slot].is_empty() {
-            std::mem::swap(&mut self.current, &mut self.buckets[slot]);
-            self.ring_len -= self.current.len();
-            // Sort descending; pops come off the back in ascending order.
-            self.current.sort_unstable_by_key(|e| Reverse(e.key()));
-        }
+        debug_assert!(
+            !self.current.is_empty(),
+            "the cursor stopped on an empty bucket"
+        );
+        // Sort descending; pops come off the back in ascending order.
+        self.current.sort_unstable_by_key(|e| Reverse(e.key()));
     }
 
-    /// Time of the next event without removing it. Advances the cursor
-    /// over empty buckets (hence `&mut`), which is invisible to callers:
-    /// no event is skipped or reordered.
+    /// Time of the next event without removing it. May move the cursor
+    /// to the next occupied bucket (hence `&mut`), which is invisible to
+    /// callers: no event is skipped or reordered.
     pub fn peek_time(&mut self) -> Option<f64> {
         loop {
             if let Some(e) = self.current.last() {

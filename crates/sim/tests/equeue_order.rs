@@ -3,13 +3,21 @@
 //! replaced — `(time, insertion seq)` lexicographic, ties broken by
 //! arrival order — over random interleaved push/pop streams whose times
 //! span ties, the wheel's in-ring horizon, and the far-future overflow
-//! path — both its in-order run and its heap.
+//! path — both its in-order run and its heap — plus sparse streams
+//! that jump the cursor across empty buckets, bucket and horizon edges
+//! and ring wrap-arounds. A count gate keeps the cursor from stepping
+//! through empty buckets one at a time.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use poly_sim::{EventQueue, TotalF64};
+
+/// The wheel's bucket width (ms) and bucket count: the horizon is
+/// `BUCKETS * WIDTH_MS` = 512 ms past the cursor's bucket.
+const WIDTH_MS: f64 = 2.0;
+const BUCKETS: u32 = 256;
 
 type RefHeap = BinaryHeap<Reverse<(TotalF64, u64, u32)>>;
 
@@ -149,4 +157,103 @@ proptest! {
         }
         prop_assert_eq!(q.pop(), None);
     }
+
+    #[test]
+    fn sparse_streams_across_edges_and_wraps_match_heap(
+        // (op, a, b): op 0 pops `a % 4 + 1` events; op 1 pushes one event
+        // `a % 600` buckets past the bucket of the last popped time, at
+        // offset `b % 3` of {exact edge, mid-bucket, the last float below
+        // the next edge} — so 255/256/257 buckets (the horizon's edge),
+        // exact bucket starts and ring slots one revolution apart all
+        // occur; op 2 pushes one event a gap of `a % 5` seconds ahead
+        // (gaps past the horizon, sparse rings); op 3 pushes a sorted run
+        // of `b % 8 + 1` events one second apart (the in-order overflow
+        // run), interleaved with the pops of op 0.
+        ops in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 1..300)
+    ) {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut h: RefHeap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0.0f64;
+        let mut n = 0u32;
+        let mut push = |q: &mut EventQueue<u32>, h: &mut RefHeap, t: f64| {
+            n += 1;
+            q.push(t, n);
+            ref_push(h, &mut seq, t, n);
+        };
+        for (op, a, b) in ops {
+            match op {
+                0 => {
+                    for _ in 0..a % 4 + 1 {
+                        let got = q.pop();
+                        prop_assert_eq!(got, ref_pop(&mut h));
+                        if let Some((t, _, _)) = got {
+                            now = t;
+                        }
+                    }
+                }
+                1 => {
+                    let bucket = (now / WIDTH_MS).floor() + f64::from(a % (BUCKETS * 2 + 88));
+                    let edge = bucket * WIDTH_MS;
+                    let t = match b % 3 {
+                        0 => edge,
+                        1 => edge + WIDTH_MS / 2.0,
+                        _ => f64::from_bits((edge + WIDTH_MS).to_bits() - 1),
+                    };
+                    push(&mut q, &mut h, t);
+                }
+                2 => push(&mut q, &mut h, now + f64::from(a % 5) * 1_000.0),
+                _ => {
+                    for i in 0..b % 8 + 1 {
+                        push(&mut q, &mut h, now + 1_000.0 * f64::from(i + 1));
+                    }
+                }
+            }
+        }
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got, ref_pop(&mut h));
+            if got.is_none() {
+                prop_assert!(q.is_empty());
+                break;
+            }
+        }
+    }
+}
+
+/// An interval of sparse arrivals one second apart (each past the
+/// wheel's 0.5 s horizon when pushed), each spawning a completion
+/// 300 ms later and a deadline 900 ms later, so the ring is never empty
+/// but mostly holds empty buckets between its few events. The cursor
+/// must jump to the next occupied bucket: every bucket it loads yields
+/// at least one pop. Stepping through the empty 2 ms buckets instead
+/// would load ~150 per arrival.
+#[test]
+fn sparse_stream_loads_at_most_one_bucket_per_pop() {
+    let mut q: EventQueue<u8> = EventQueue::new();
+    let (mut h, mut seq): (RefHeap, u64) = (BinaryHeap::new(), 0);
+    const ARRIVAL: u8 = 0;
+    for k in 0..200 {
+        let t = f64::from(k) * 1_000.0;
+        q.push(t, ARRIVAL);
+        ref_push(&mut h, &mut seq, t, 0);
+    }
+    let mut pops = 0u64;
+    while let Some((t, s, kind)) = q.pop() {
+        assert_eq!(ref_pop(&mut h), Some((t, s, u32::from(kind))));
+        pops += 1;
+        if kind == ARRIVAL {
+            for (dt, next) in [(300.0, 1), (900.0, 2)] {
+                q.push(t + dt, next);
+                ref_push(&mut h, &mut seq, t + dt, u32::from(next));
+            }
+        }
+    }
+    assert_eq!(pops, 600);
+    assert!(h.is_empty());
+    assert!(
+        q.loads() <= pops,
+        "{} bucket loads for {pops} pops: the cursor stopped on empty buckets",
+        q.loads()
+    );
 }
