@@ -200,8 +200,11 @@ static FIGURES: &[Figure] = &[
         "obs",
         obs,
         &[
-            // ~23 MB: compared across job counts, never committed.
+            // ~24 MB: compared across job counts, never committed...
             ("obs_trace.json", Uncommitted),
+            // ...but its length and hash are, so every engine event is
+            // checked against the committed results.
+            ("obs_trace.fnv", Committed),
             ("obs_summary.csv", Committed),
             ("obs_intervals.csv", Committed),
         ],
@@ -1839,7 +1842,13 @@ fn obs(fig: &mut Fig) {
         json.contains("\"ph\":\"X\"") && json.contains("\"process_name\""),
         "trace must contain spans and track metadata"
     );
+    let digest = format!(
+        "bytes,fnv1a64\n{},{:016x}\n",
+        json.len(),
+        poly_dse::fnv1a(json.as_bytes())
+    );
     fig.save_text("obs_trace.json", json);
+    fig.save_text("obs_trace.fnv", digest);
     fig.save("obs_summary.csv", &csv);
     fig.save("obs_intervals.csv", &ivals);
 }

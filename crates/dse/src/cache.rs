@@ -18,7 +18,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// FNV-1a over a byte string: a stable, process-independent hash (the
 /// standard library's `DefaultHasher` is randomly seeded per process, so
 /// it cannot serve as a reproducible fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -39,7 +39,7 @@ mod pareto;
 mod space;
 mod table;
 
-pub use cache::{explorer_fingerprint, kernel_fingerprint, DesignSpaceCache};
+pub use cache::{explorer_fingerprint, fnv1a, kernel_fingerprint, DesignSpaceCache};
 pub use explorer::{Explorer, ExplorerConfig};
 pub use global::{pipeline_candidates, realizable_fractions, FusionPlan, PipelineCandidate};
 pub use knobs::{FpgaKnobs, GpuKnobs};

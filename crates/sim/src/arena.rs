@@ -118,15 +118,6 @@ pub(crate) struct ReqArena {
 }
 
 impl ReqArena {
-    /// Streaming-capable arena for requests walking a `k`-kernel DAG
-    /// whose per-kernel predecessor counts are `pred_template`. (Test
-    /// convenience — the engine goes through
-    /// [`with_streaming`](Self::with_streaming).)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(pred_template: Vec<u16>) -> Self {
-        Self::with_streaming(pred_template, true)
-    }
-
     /// Arena for requests walking a `k`-kernel DAG whose per-kernel
     /// predecessor counts are `pred_template`; stream floors are stored
     /// only when `streaming` (pipelined streaming is enabled).
@@ -157,14 +148,6 @@ impl ReqArena {
     /// Global indices of the retained (non-compacted) window.
     pub(crate) fn live_range(&self) -> std::ops::Range<usize> {
         self.base..self.len()
-    }
-
-    /// Admit a nominal-size request; returns its global index. (Test
-    /// convenience — the engine always goes through
-    /// [`push_sized`](Self::push_sized).)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn push(&mut self, arrival_ms: f64, deadline_ms: f64) -> usize {
-        self.push_sized(arrival_ms, deadline_ms, 1.0)
     }
 
     /// Admit a request with relative input size `size`; returns its
@@ -237,14 +220,6 @@ impl ReqArena {
         req < self.base || self.reqs[req - self.base].outcome != Outcome::InFlight
     }
 
-    /// Terminal (or in-flight) outcome of a *retained* request. The
-    /// engine itself only ever needs the settled/in-flight distinction
-    /// ([`is_settled`](Self::is_settled)); tests assert exact outcomes.
-    #[cfg(test)]
-    pub(crate) fn outcome(&self, req: usize) -> Outcome {
-        self.req(req).outcome
-    }
-
     pub(crate) fn set_outcome(&mut self, req: usize, outcome: Outcome) {
         self.req_mut(req).outcome = outcome;
     }
@@ -260,11 +235,6 @@ impl ReqArena {
     /// Relative input size of a retained request (1.0 = nominal).
     pub(crate) fn size(&self, req: usize) -> f64 {
         self.req(req).size
-    }
-
-    #[cfg(test)]
-    pub(crate) fn kernels_left(&self, req: usize) -> u32 {
-        self.req(req).kernels_left
     }
 
     /// Decrement `kernels_left`, returning the new value.
@@ -392,21 +362,21 @@ mod tests {
 
     fn arena2() -> ReqArena {
         // Two-kernel chain: kernel 0 has no predecessors, kernel 1 has 1.
-        ReqArena::new(vec![0, 1])
+        ReqArena::with_streaming(vec![0, 1], true)
     }
 
     #[test]
     fn push_initializes_from_template() {
         let mut a = arena2();
-        let r = a.push(5.0, 100.0);
+        let r = a.push_sized(5.0, 100.0, 1.0);
         assert_eq!(r, 0);
         assert_eq!(a.arrival_ms(r), 5.0);
         assert_eq!(a.deadline_ms(r), 100.0);
         assert_eq!(a.size(r).to_bits(), 1.0f64.to_bits());
         let r2 = a.push_sized(6.0, 100.0, 2.5);
         assert_eq!(a.size(r2), 2.5);
-        assert_eq!(a.kernels_left(r), 2);
-        assert_eq!(a.outcome(r), Outcome::InFlight);
+        assert_eq!(a.req(r).kernels_left, 2);
+        assert_eq!(a.req(r).outcome, Outcome::InFlight);
         assert!(!a.done(r, 0) && !a.done(r, 1));
         assert_eq!(a.attempt(r, 0), 0);
         assert!(!a.hedged(r, 1));
@@ -420,18 +390,18 @@ mod tests {
         // Stand in for 2^32 - 1 compacted requests without holding them.
         a.base = MAX_REQ_INDEX;
         assert_eq!(
-            a.push(0.0, f64::INFINITY),
+            a.push_sized(0.0, f64::INFINITY, 1.0),
             MAX_REQ_INDEX,
             "last index admitted"
         );
-        a.push(0.0, f64::INFINITY);
+        a.push_sized(0.0, f64::INFINITY, 1.0);
     }
 
     #[test]
     fn compaction_keeps_global_indices() {
         let mut a = arena2();
         for i in 0..10 {
-            let r = a.push(i as f64, f64::INFINITY);
+            let r = a.push_sized(i as f64, f64::INFINITY, 1.0);
             assert_eq!(r, i);
         }
         // Settle the first seven, leave 7..10 in flight.
@@ -448,7 +418,7 @@ mod tests {
         assert!(!a.is_settled(7));
         assert_eq!(a.arrival_ms(8), 8.0, "retained state intact");
         // New admissions continue the global numbering.
-        assert_eq!(a.push(99.0, f64::INFINITY), 10);
+        assert_eq!(a.push_sized(99.0, f64::INFINITY, 1.0), 10);
         // A settled-but-unsorted suffix does not compact past the first
         // in-flight request.
         a.set_outcome(9, Outcome::Cancelled);
@@ -460,7 +430,7 @@ mod tests {
     #[should_panic(expected = "compacted")]
     fn direct_access_to_compacted_request_panics() {
         let mut a = arena2();
-        a.push(0.0, f64::INFINITY);
+        a.push_sized(0.0, f64::INFINITY, 1.0);
         a.set_outcome(0, Outcome::Completed);
         a.compact();
         let _ = a.arrival_ms(0);
@@ -469,8 +439,8 @@ mod tests {
     #[test]
     fn streaming_state_defaults_and_survives_compaction() {
         let mut a = arena2();
-        let r0 = a.push(0.0, f64::INFINITY);
-        let r1 = a.push(1.0, f64::INFINITY);
+        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
+        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
         assert!(!a.streamed(r0, 1));
         assert_eq!(a.stream_floor(r0, 1), f64::NEG_INFINITY);
         assert_eq!(a.remaining_preds(r1, 1), 1);
@@ -486,8 +456,8 @@ mod tests {
     #[test]
     fn per_kernel_state_is_independent_across_requests() {
         let mut a = arena2();
-        let r0 = a.push(0.0, f64::INFINITY);
-        let r1 = a.push(1.0, f64::INFINITY);
+        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
+        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
         a.set_done(r0, 1);
         a.bump_attempt(r1, 0);
         a.set_hedged(r1, 1);
@@ -503,8 +473,8 @@ mod tests {
     #[test]
     fn without_streaming_no_floors_are_stored_and_all_read_neg_infinity() {
         let mut a = ReqArena::with_streaming(vec![0, 1], false);
-        let r0 = a.push(0.0, f64::INFINITY);
-        let r1 = a.push(1.0, f64::INFINITY);
+        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
+        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
         assert!(
             a.stream_floor.is_none(),
             "no floor buffer without streaming"
@@ -523,7 +493,7 @@ mod tests {
     #[test]
     fn compaction_drops_whole_records_and_keeps_stages_aligned() {
         // Three-kernel fan-in: kernel 2 waits on kernels 0 and 1.
-        let mut a = ReqArena::new(vec![0, 0, 2]);
+        let mut a = ReqArena::with_streaming(vec![0, 0, 2], true);
         for i in 0..6 {
             a.push_sized(i as f64, 100.0 + i as f64, 1.0 + i as f64);
         }
@@ -555,7 +525,7 @@ mod tests {
             assert_eq!(a.arrival_ms(r), r as f64);
             assert_eq!(a.deadline_ms(r), 100.0 + r as f64);
             assert_eq!(a.size(r), 1.0 + r as f64);
-            assert_eq!(a.kernels_left(r), 3);
+            assert_eq!(a.req(r).kernels_left, 3);
             for k in 0..3 {
                 assert_eq!(a.attempt(r, k), (r * 3 + k) as u32, "stage ({r}, {k})");
             }
@@ -565,7 +535,7 @@ mod tests {
             assert_eq!(a.stream_floor(r, 2), 10.0 * r as f64);
         }
         // A request admitted after compaction starts from the template.
-        let r6 = a.push(6.0, f64::INFINITY);
+        let r6 = a.push_sized(6.0, f64::INFINITY, 1.0);
         assert_eq!((a.attempt(r6, 0), a.remaining_preds(r6, 2)), (0, 2));
         assert!(!a.done(r6, 1) && !a.hedged(r6, 1) && !a.streamed(r6, 2));
         assert_eq!(a.stream_floor(r6, 2), f64::NEG_INFINITY);

@@ -1,3 +1,4 @@
+use crate::arena::ReqArena;
 use crate::dqueue::DeviceQueue;
 use poly_device::DeviceKind;
 use poly_ir::KernelId;
@@ -45,6 +46,23 @@ pub(crate) struct InflightItem {
     pub item: WorkItem,
     pub attempt: u32,
     pub completion_ms: f64,
+}
+
+impl InflightItem {
+    /// Whether this execution can still produce a valid completion: it
+    /// has not finished by `now`, its request is unsettled, its stage is
+    /// not done, and no kill or cancellation has bumped the stage's
+    /// attempt since it started.
+    pub fn is_live(&self, requests: &ReqArena, now: f64) -> bool {
+        let (req, k) = (self.item.req, self.item.kernel.0);
+        // A settled request never holds a live future completion (the
+        // settling path invalidated it), so the settled check
+        // short-circuits before any per-kernel state is touched.
+        self.completion_ms > now + 1e-12
+            && !requests.is_settled(req)
+            && !requests.done(req, k)
+            && requests.attempt(req, k) == self.attempt
+    }
 }
 
 /// Simulation state of one accelerator.
@@ -127,6 +145,24 @@ impl DeviceState {
         self.busy_energy_mj += power_w * dur;
         self.busy_ms += dur;
         self.accounted_to_ms = self.accounted_to_ms.max(end);
+    }
+
+    /// Cut the running execution off at `now`: the busy energy and time
+    /// pre-booked past `now` are taken back, the account is rewound to
+    /// `now`, and the device is idle from `now`. Returns the refunded
+    /// millijoules (0 when nothing was booked past `now`).
+    pub fn stop_execution(&mut self, now: f64) -> f64 {
+        let cut = self.busy_until.min(self.accounted_to_ms) - now;
+        let mut refund = 0.0;
+        if cut > 0.0 {
+            refund = self.active_power_w * cut;
+            self.busy_energy_mj -= refund;
+            self.busy_ms -= cut;
+            self.accounted_to_ms = now;
+        }
+        self.executing = false;
+        self.busy_until = now;
+        refund
     }
 
     /// Total energy in millijoules after closing the books at `t`.

@@ -267,16 +267,6 @@ impl DeviceQueue {
         }
     }
 
-    /// Remove every entry of `req`; returns how many.
-    pub fn remove_req(&mut self, req: usize) -> usize {
-        self.remove_where(req, None)
-    }
-
-    /// Remove every entry of `req`'s `kernel` stage; returns how many.
-    pub fn remove_stage(&mut self, req: usize, kernel: KernelId) -> usize {
-        self.remove_where(req, Some(kernel))
-    }
-
     /// Whether an entry of `req`'s `kernel` stage is queued here.
     pub fn contains_stage(&mut self, req: usize, kernel: KernelId) -> bool {
         let mut at = self.head(req);
@@ -353,7 +343,9 @@ impl DeviceQueue {
         }
     }
 
-    fn remove_where(&mut self, req: usize, kernel: Option<KernelId>) -> usize {
+    /// Remove every entry of `req` — of its `kernel` stage only, when
+    /// given; returns how many.
+    pub fn remove_where(&mut self, req: usize, kernel: Option<KernelId>) -> usize {
         let mut removed = 0;
         let mut prev = NIL;
         let mut at = self.head(req);
@@ -502,7 +494,7 @@ mod tests {
                     let req = (x >> 8) as usize % 50;
                     let n = r.len();
                     r.retain(|it| it.req != req);
-                    assert_eq!(q.remove_req(req), n - r.len(), "step {step}");
+                    assert_eq!(q.remove_where(req, None), n - r.len(), "step {step}");
                 }
                 _ => {
                     let (req, k) = ((x >> 8) as usize % 50, KernelId((x >> 16) as usize % 3));
@@ -512,7 +504,7 @@ mod tests {
                     );
                     let n = r.len();
                     r.retain(|it| !(it.req == req && it.kernel == k));
-                    assert_eq!(q.remove_stage(req, k), n - r.len(), "step {step}");
+                    assert_eq!(q.remove_where(req, Some(k)), n - r.len(), "step {step}");
                 }
             }
             check(&q, &r);
@@ -531,9 +523,9 @@ mod tests {
         }
         assert!(q.by_req.is_none(), "pushes alone build no request index");
         // Remove the middle two: the lane keeps them as tombstones.
-        assert_eq!(q.remove_req(1), 1);
+        assert_eq!(q.remove_where(1, None), 1);
         assert_eq!(q.take_touched(), 4 + 1, "one pass builds the index");
-        assert_eq!(q.remove_req(2), 1);
+        assert_eq!(q.remove_where(2, None), 1);
         assert_eq!(q.len(), 2);
         assert_eq!(q.lanes[0].entries.len(), 4);
         let mut out = Vec::new();

@@ -22,6 +22,11 @@
 //! Request generators (constant-interval, Poisson, trace replay) and the
 //! 24-hour Google-cluster-style utilization trace synthesizer live in
 //! [`workload`].
+//!
+//! The engine lives in `engine/`, one module per mechanism (DESIGN.md
+//! §26): `mod.rs` (construction, validation, the event loop) and
+//! `dispatch`, `batch`, `pipeline`, `cancel`, `hedge`, `faults`,
+//! `accounting`, over the request arena, device queues and event queue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +51,7 @@ pub use audit::{AuditError, AuditReport};
 pub use counters::{Counters, OpCount, WorkCounters};
 pub use device::DeviceStats;
 pub use engine::{
-    DynamicDispatch, KernelStats, PipelineConfig, SimConfig, SimReport, Simulator,
+    DynamicDispatch, KernelStats, PipelineConfig, SimConfig, SimError, SimReport, Simulator,
     GPU_PARKED_FRACTION,
 };
 pub use ep::{ep_metric, EpCurve, EpPoint};

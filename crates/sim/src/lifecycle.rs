@@ -24,6 +24,7 @@
 //! behavior bit-for-bit — every committed reference CSV is generated
 //! under the default.
 
+use crate::metrics::rank0;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -146,8 +147,7 @@ pub fn hedge_delay_from(samples: &[f64], q: f64) -> f64 {
     }
     let mut sorted: Vec<f64> = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[rank]
+    sorted[rank0(q, sorted.len())]
 }
 
 /// Combine a seed with stream identifiers into an independent RNG seed

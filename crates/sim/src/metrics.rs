@@ -100,8 +100,10 @@ impl PartialEq for LatencyStats {
     }
 }
 
-/// Nearest-rank index of quantile `q` in a sorted array of length `n`.
-fn rank0(q: f64, n: usize) -> usize {
+/// Nearest-rank index of quantile `q` in a sorted array of length `n`:
+/// the one nearest-rank rule of the crate (latency digests, raw-sample
+/// quantiles and the hedge delay all select through it).
+pub(crate) fn rank0(q: f64, n: usize) -> usize {
     ((q * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 

@@ -1,5 +1,6 @@
 //! One error type for the whole workspace: every fallible layer — IR
-//! construction, scheduling, fault-plan validation, post-run audits —
+//! construction, scheduling, simulator construction, fault-plan
+//! validation, post-run audits —
 //! defines its own precise error enum, and this module folds them into a
 //! single [`enum@Error`] so callers composing several layers can use one
 //! `Result` type and `?` throughout.
@@ -10,7 +11,7 @@ use poly_cluster::ClusterError;
 use poly_core::RunSpecError;
 use poly_ir::IrError;
 use poly_sched::ScheduleError;
-use poly_sim::{AuditError, FaultPlanError};
+use poly_sim::{AuditError, FaultPlanError, SimError};
 
 /// Any error the Poly workspace can produce, by originating layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +20,9 @@ pub enum Error {
     Ir(IrError),
     /// The two-step scheduler found no feasible plan.
     Schedule(ScheduleError),
+    /// A simulator could not be built: its policy does not fit the
+    /// graph or the pool.
+    Sim(SimError),
     /// A post-run lifecycle/energy audit invariant was violated.
     Audit(AuditError),
     /// A fault plan failed validation (unknown device, bad ordering, …).
@@ -35,6 +39,7 @@ impl fmt::Display for Error {
         match self {
             Error::Ir(e) => write!(f, "ir: {e}"),
             Error::Schedule(e) => write!(f, "schedule: {e}"),
+            Error::Sim(e) => write!(f, "sim: {e}"),
             Error::Audit(e) => write!(f, "audit: {e}"),
             Error::FaultPlan(e) => write!(f, "fault plan: {e}"),
             Error::Cluster(e) => write!(f, "cluster: {e}"),
@@ -48,6 +53,7 @@ impl std::error::Error for Error {
         match self {
             Error::Ir(e) => Some(e),
             Error::Schedule(e) => Some(e),
+            Error::Sim(e) => Some(e),
             Error::Audit(e) => Some(e),
             Error::FaultPlan(e) => Some(e),
             Error::Cluster(e) => Some(e),
@@ -65,6 +71,12 @@ impl From<IrError> for Error {
 impl From<ScheduleError> for Error {
     fn from(e: ScheduleError) -> Self {
         Error::Schedule(e)
+    }
+}
+
+impl From<SimError> for Error {
+    fn from(e: SimError) -> Self {
+        Error::Sim(e)
     }
 }
 
@@ -110,6 +122,18 @@ mod tests {
         let e: Error = schedule_err().into();
         assert!(matches!(e, Error::Schedule(_)));
         assert!(e.to_string().starts_with("schedule: "));
+        assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn simulator_construction_errors_fold_in() {
+        let e: Error = poly_sim::SimError::PolicyLength {
+            policy: 1,
+            kernels: 2,
+        }
+        .into();
+        assert!(matches!(e, Error::Sim(_)));
+        assert!(e.to_string().starts_with("sim: policy must cover"), "{e}");
         assert!(std::error::Error::source(&e).is_some());
     }
 

@@ -26,8 +26,9 @@
 //!   histogram exporters (zero-cost when no recorder is attached)
 //!
 //! Layer-specific errors ([`ir::IrError`], [`sched::ScheduleError`],
-//! [`sim::AuditError`], [`sim::FaultPlanError`]) unify into the top-level
-//! [`enum@Error`] via `From`, so multi-layer callers can `?` throughout.
+//! [`sim::SimError`], [`sim::AuditError`], [`sim::FaultPlanError`])
+//! unify into the top-level [`enum@Error`] via `From`, so multi-layer
+//! callers can `?` throughout.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory; `EXPERIMENTS.md` records paper-vs-measured results for every
