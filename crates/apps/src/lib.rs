@@ -150,6 +150,31 @@ mod tests {
         }
     }
 
+    /// The graph's per-kernel adjacency lists hold exactly what a filter
+    /// over the whole edge list finds, in the same (edge) order, for
+    /// every app built both ways.
+    #[test]
+    fn adjacency_lists_equal_the_edge_filter() {
+        let apps = suite()
+            .into_iter()
+            .chain(suite().into_iter().filter_map(|a| from_dsl(a.name())));
+        for app in apps {
+            for id in (0..app.len()).map(poly_ir::KernelId) {
+                let filter = |keep: &dyn Fn(&poly_ir::KernelEdge) -> bool| {
+                    app.edges()
+                        .iter()
+                        .filter(|e| keep(e))
+                        .copied()
+                        .collect::<Vec<_>>()
+                };
+                let succ: Vec<_> = app.successors(id).copied().collect();
+                assert_eq!(succ, filter(&|e| e.from == id), "{} {id} out", app.name());
+                let pred: Vec<_> = app.predecessors(id).copied().collect();
+                assert_eq!(pred, filter(&|e| e.to == id), "{} {id} in", app.name());
+            }
+        }
+    }
+
     #[test]
     fn every_kernel_has_positive_work() {
         for app in suite() {

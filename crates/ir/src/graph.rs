@@ -39,13 +39,47 @@ pub struct KernelGraph {
     /// Kahn topological order, computed once when the graph is built
     /// (which also proves it acyclic).
     order: Vec<KernelId>,
+    /// Each kernel's outgoing edges, and its incoming ones.
+    out: Adjacency,
+    inc: Adjacency,
 }
 
-/// Kahn topological order of `n` kernels under `edges`, lowest ready id
-/// first; `None` if the edges form a cycle.
-fn kahn_order(n: usize, edges: &[KernelEdge]) -> Option<Vec<KernelId>> {
+/// The edges grouped by one endpoint, each group in edge order (a
+/// compressed adjacency list): kernel `i`'s edges are
+/// `edges[at[i]..at[i + 1]]`. Built once with the graph, so a
+/// neighbourhood query is a slice, not a filter over every edge.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    edges: Vec<KernelEdge>,
+    at: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Group `edges` of an `n`-kernel graph by the endpoint `key` picks.
+    fn new(n: usize, edges: &[KernelEdge], key: fn(&KernelEdge) -> KernelId) -> Self {
+        let mut at = vec![0usize; n + 1];
+        for e in edges {
+            at[key(e).0 + 1] += 1;
+        }
+        for i in 0..n {
+            at[i + 1] += at[i];
+        }
+        let mut grouped = edges.to_vec();
+        // Stable: each group keeps edge order.
+        grouped.sort_by_key(|e| key(e).0);
+        Self { edges: grouped, at }
+    }
+
+    fn of(&self, id: KernelId) -> &[KernelEdge] {
+        &self.edges[self.at[id.0]..self.at[id.0 + 1]]
+    }
+}
+
+/// Kahn topological order of `n` kernels under the outgoing edges `out`,
+/// lowest ready id first; `None` if the edges form a cycle.
+fn kahn_order(n: usize, out: &Adjacency) -> Option<Vec<KernelId>> {
     let mut indegree = vec![0usize; n];
-    for e in edges {
+    for e in &out.edges {
         indegree[e.to.0] += 1;
     }
     let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -54,7 +88,7 @@ fn kahn_order(n: usize, edges: &[KernelEdge]) -> Option<Vec<KernelId>> {
     let mut order = Vec::with_capacity(n);
     while let Some(i) = ready.pop() {
         order.push(KernelId(i));
-        for e in edges.iter().filter(|e| e.from.0 == i) {
+        for e in out.of(KernelId(i)) {
             indegree[e.to.0] -= 1;
             if indegree[e.to.0] == 0 {
                 ready.push(e.to.0);
@@ -101,15 +135,19 @@ impl KernelGraph {
                 return Err(IrError::Cycle { graph: name });
             }
         }
-        let Some(order) = kahn_order(kernels.len(), &edges) else {
+        let out = Adjacency::new(kernels.len(), &edges, |e| e.from);
+        let Some(order) = kahn_order(kernels.len(), &out) else {
             return Err(IrError::Cycle { graph: name });
         };
+        let inc = Adjacency::new(kernels.len(), &edges, |e| e.to);
         Ok(Self {
             name,
             kernels,
             edges,
             by_name,
             order,
+            out,
+            inc,
         })
     }
 
@@ -158,14 +196,14 @@ impl KernelGraph {
         self.by_name.get(name).copied()
     }
 
-    /// Immediate successors of `id`, with edge payloads.
+    /// Immediate successors of `id`, with edge payloads, in edge order.
     pub fn successors(&self, id: KernelId) -> impl Iterator<Item = &KernelEdge> {
-        self.edges.iter().filter(move |e| e.from == id)
+        self.out.of(id).iter()
     }
 
-    /// Immediate predecessors of `id`, with edge payloads.
+    /// Immediate predecessors of `id`, with edge payloads, in edge order.
     pub fn predecessors(&self, id: KernelId) -> impl Iterator<Item = &KernelEdge> {
-        self.edges.iter().filter(move |e| e.to == id)
+        self.inc.of(id).iter()
     }
 
     /// Kernels with no predecessors (entry kernels fed by the host).

@@ -16,11 +16,14 @@ pub(crate) fn ns_to_ms(ns: u64) -> f64 {
 }
 
 /// One queued kernel execution: request `req` needs kernel `kernel`, ready
-/// since `ready_ms`.
+/// since `ready_ms`. The request and kernel indices are stored `u32`-wide
+/// (requests fit by [`crate::arena::MAX_REQ_INDEX`], kernels by far), so
+/// an item is 32 bytes; [`new`](Self::new) narrows them with a check and
+/// [`req`](Self::req) and [`kernel`](Self::kernel) widen them back.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WorkItem {
-    pub req: usize,
-    pub kernel: KernelId,
+    req: u32,
+    kernel: u32,
     pub ready_ms: f64,
     /// Expected per-request device occupancy of *this* entry under the
     /// implementation it was dispatched with (size-scaled), in whole
@@ -38,6 +41,42 @@ pub(crate) struct WorkItem {
     pub hedge: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<WorkItem>() == 32);
+
+impl WorkItem {
+    /// Request `req`'s `kernel` stage, ready since `ready_ms`, expected to
+    /// occupy its device `est_ns`, dispatched under alternate `alt`;
+    /// `hedge` marks a hedge copy.
+    pub fn new(
+        req: usize,
+        kernel: KernelId,
+        ready_ms: f64,
+        est_ns: u64,
+        alt: u8,
+        hedge: bool,
+    ) -> Self {
+        let narrow = |i: usize| u32::try_from(i).expect("work item indices fit u32");
+        Self {
+            req: narrow(req),
+            kernel: narrow(kernel.0),
+            ready_ms,
+            est_ns,
+            alt,
+            hedge,
+        }
+    }
+
+    /// The request this stage belongs to.
+    pub fn req(&self) -> usize {
+        self.req as usize
+    }
+
+    /// The stage's kernel.
+    pub fn kernel(&self) -> KernelId {
+        KernelId(self.kernel as usize)
+    }
+}
+
 /// One batch the device has committed to: the work items it serves, the
 /// attempt number each was dispatched under, and the completion time. Used
 /// to retry in-flight work when the device fail-stops mid-execution.
@@ -48,13 +87,15 @@ pub(crate) struct InflightItem {
     pub completion_ms: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<InflightItem>() == 48);
+
 impl InflightItem {
     /// Whether this execution can still produce a valid completion: it
     /// has not finished by `now`, its request is unsettled, its stage is
     /// not done, and no kill or cancellation has bumped the stage's
     /// attempt since it started.
     pub fn is_live(&self, requests: &ReqArena, now: f64) -> bool {
-        let (req, k) = (self.item.req, self.item.kernel.0);
+        let (req, k) = (self.item.req(), self.item.kernel().0);
         // A settled request never holds a live future completion (the
         // settling path invalidated it), so the settled check
         // short-circuits before any per-kernel state is touched.

@@ -74,7 +74,7 @@ fn pos_of(at: u64) -> u64 {
     at & ((1 << POS_BITS) - 1)
 }
 
-/// One queued entry, 56 bytes.
+/// One queued entry, 48 bytes.
 #[derive(Debug, Clone)]
 struct Entry {
     item: WorkItem,
@@ -148,12 +148,12 @@ impl DeviceQueue {
         let l = match self
             .lanes
             .iter()
-            .position(|l| l.kernel == item.kernel && l.alt == item.alt)
+            .position(|l| l.kernel == item.kernel() && l.alt == item.alt)
         {
             Some(l) => l,
             None => {
                 self.lanes.push(Lane {
-                    kernel: item.kernel,
+                    kernel: item.kernel(),
                     alt: item.alt,
                     base: 0,
                     entries: VecDeque::new(),
@@ -164,7 +164,7 @@ impl DeviceQueue {
         let lane = &mut self.lanes[l];
         let at = link(l, lane.base + lane.entries.len() as u64);
         let next = match &mut self.by_req {
-            Some(index) => index.insert(key(item.req), at).unwrap_or(NIL),
+            Some(index) => index.insert(key(item.req()), at).unwrap_or(NIL),
             None => NIL,
         };
         lane.entries.push_back(Entry {
@@ -173,10 +173,10 @@ impl DeviceQueue {
             next,
         });
         self.next_seq += 1;
-        if self.per_kernel.len() <= item.kernel.0 {
-            self.per_kernel.resize(item.kernel.0 + 1, 0);
+        if self.per_kernel.len() <= item.kernel().0 {
+            self.per_kernel.resize(item.kernel().0 + 1, 0);
         }
-        self.per_kernel[item.kernel.0] += 1;
+        self.per_kernel[item.kernel().0] += 1;
         self.len += 1;
         self.backlog_ns += item.est_ns;
     }
@@ -273,7 +273,7 @@ impl DeviceQueue {
         while at != NIL {
             self.touched += 1;
             let e = self.entry(at);
-            if e.item.kernel == kernel {
+            if e.item.kernel() == kernel {
                 return true;
             }
             at = e.next;
@@ -323,7 +323,7 @@ impl DeviceQueue {
                     for (k, e) in lane.entries.iter_mut().enumerate() {
                         if e.live() {
                             let at = link(l, lane.base + k as u64);
-                            e.next = index.insert(key(e.item.req), at).unwrap_or(NIL);
+                            e.next = index.insert(key(e.item.req()), at).unwrap_or(NIL);
                         }
                     }
                 }
@@ -353,7 +353,7 @@ impl DeviceQueue {
             self.touched += 1;
             let e = self.entry_mut(at);
             let (item, next) = (e.item, e.next);
-            if kernel.is_none_or(|k| item.kernel == k) {
+            if kernel.is_none_or(|k| item.kernel() == k) {
                 e.seq |= DEAD;
                 self.uncount(&item);
                 if prev == NIL {
@@ -373,7 +373,7 @@ impl DeviceQueue {
 
     /// Take `item` out of the running numbers.
     fn uncount(&mut self, item: &WorkItem) {
-        self.per_kernel[item.kernel.0] -= 1;
+        self.per_kernel[item.kernel().0] -= 1;
         self.len -= 1;
         self.backlog_ns -= item.est_ns;
     }
@@ -387,9 +387,9 @@ impl DeviceQueue {
         self.touched += 1;
         self.uncount(&e.item);
         let Some(index) = &self.by_req else { return };
-        let head = index[&key(e.item.req)];
+        let head = index[&key(e.item.req())];
         if head == at {
-            self.set_head(e.item.req, e.next);
+            self.set_head(e.item.req(), e.next);
             return;
         }
         let mut prev = head;
@@ -424,14 +424,7 @@ mod tests {
     use super::*;
 
     fn item(req: usize, kernel: usize, alt: u8, est_ns: u64) -> WorkItem {
-        WorkItem {
-            req,
-            kernel: KernelId(kernel),
-            ready_ms: 0.0,
-            est_ns,
-            alt,
-            hedge: false,
-        }
+        WorkItem::new(req, KernelId(kernel), 0.0, est_ns, alt, false)
     }
 
     /// The reference: a plain FIFO with the operations' old definitions.
@@ -440,7 +433,7 @@ mod tests {
         let backlog: u64 = reference.iter().map(|it| it.est_ns).sum();
         assert_eq!(q.backlog_ns(), backlog);
         for k in 0..3 {
-            let n = reference.iter().filter(|it| it.kernel.0 == k).count();
+            let n = reference.iter().filter(|it| it.kernel().0 == k).count();
             assert_eq!(q.kernel_count(KernelId(k)) as usize, n);
         }
     }
@@ -476,7 +469,7 @@ mod tests {
                     if let Some(f) = front {
                         let mut rest = VecDeque::new();
                         while let Some(it) = r.pop_front() {
-                            if it.kernel == f.kernel && it.alt == f.alt && want.len() < 3 {
+                            if it.kernel() == f.kernel() && it.alt == f.alt && want.len() < 3 {
                                 want.push(it);
                             } else {
                                 rest.push_back(it);
@@ -493,17 +486,17 @@ mod tests {
                 5 => {
                     let req = (x >> 8) as usize % 50;
                     let n = r.len();
-                    r.retain(|it| it.req != req);
+                    r.retain(|it| it.req() != req);
                     assert_eq!(q.remove_where(req, None), n - r.len(), "step {step}");
                 }
                 _ => {
                     let (req, k) = ((x >> 8) as usize % 50, KernelId((x >> 16) as usize % 3));
                     assert_eq!(
                         q.contains_stage(req, k),
-                        r.iter().any(|it| it.req == req && it.kernel == k)
+                        r.iter().any(|it| it.req() == req && it.kernel() == k)
                     );
                     let n = r.len();
-                    r.retain(|it| !(it.req == req && it.kernel == k));
+                    r.retain(|it| !(it.req() == req && it.kernel() == k));
                     assert_eq!(q.remove_where(req, Some(k)), n - r.len(), "step {step}");
                 }
             }
@@ -530,7 +523,7 @@ mod tests {
         assert_eq!(q.lanes[0].entries.len(), 4);
         let mut out = Vec::new();
         q.take_front_batch(8, &mut out);
-        let reqs: Vec<usize> = out.iter().map(|it| it.req).collect();
+        let reqs: Vec<usize> = out.iter().map(|it| it.req()).collect();
         assert_eq!(reqs, vec![0, 3], "dead entries are skipped, not served");
         assert!(q.is_empty());
         assert!(
@@ -543,6 +536,6 @@ mod tests {
             q.contains_stage(9, KernelId(1)),
             "the index follows later pushes"
         );
-        assert_eq!(std::mem::size_of::<Entry>(), 56, "an entry stays compact");
+        assert_eq!(std::mem::size_of::<Entry>(), 48, "an entry stays compact");
     }
 }

@@ -38,7 +38,97 @@ impl Batching {
     }
 }
 
+/// One item of a launch, as its completion replays it through
+/// `complete`: the stage, the attempt it started under, and whether it
+/// is a hedge copy.
+#[derive(Debug, Clone, Copy)]
+struct Done {
+    req: u32,
+    kernel: u32,
+    attempt: u32,
+    hedge: bool,
+}
+
+/// The items of every launch whose `LaunchDone` event is still queued,
+/// each in launch order, keyed by launch id: a slot, reused once its
+/// event has popped. A record outlives every cancellation and fail-stop
+/// of its items (their completions must still be counted, stale), and
+/// the id — not the device — names it, so a device cut off and
+/// relaunched before the old event pops keeps both launches apart.
+///
+/// One event per launch pops exactly where one event per item would:
+/// pushed right after the launch's `DeviceFree`, those would share a
+/// timestamp and hold consecutive sequence numbers, so nothing could
+/// pop between them, and where the device frees at that same instant
+/// (bit-equal times: every GPU launch) its `DeviceFree` would pop right
+/// before them — which is why `LaunchDone` then does that step first.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Launches {
+    slots: Vec<Vec<Done>>,
+    free: Vec<u32>,
+}
+
+impl Launches {
+    /// A fresh, empty record's id.
+    fn open(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            ix(self.slots.len() - 1)
+        })
+    }
+
+    /// Add the next item of launch `id`.
+    fn push(&mut self, id: u32, item: Done) {
+        self.slots[id as usize].push(item);
+    }
+
+    /// Take launch `id`'s items out for replay; [`close`](Self::close)
+    /// returns the buffer.
+    fn take(&mut self, id: u32) -> Vec<Done> {
+        std::mem::take(&mut self.slots[id as usize])
+    }
+
+    /// Free slot `id`, keeping the replayed buffer for reuse.
+    fn close(&mut self, id: u32, mut items: Vec<Done>) {
+        items.clear();
+        self.slots[id as usize] = items;
+        self.free.push(id);
+    }
+}
+
 impl Simulator {
+    /// The device-free step: a healthy device whose busy time is over
+    /// starts its next batch, or — still idle after draining its own
+    /// queue — poaches from the deepest compatible backlog (dynamic mode
+    /// only).
+    pub(super) fn device_free(&mut self, dev: usize) {
+        if self.devices[dev].healthy && self.devices[dev].busy_until <= self.now + 1e-12 {
+            self.devices[dev].executing = false;
+            self.try_start(dev);
+            if !self.devices[dev].executing {
+                self.try_steal(dev);
+            }
+        }
+    }
+
+    /// Launch `launch` on `dev` completes: free the device first if the
+    /// launch `frees` it now, then complete each item in launch order.
+    pub(super) fn launch_done(&mut self, dev: usize, launch: u32, frees: bool) {
+        let items = self.launches.take(launch);
+        if frees {
+            self.device_free(dev);
+        }
+        for d in &items {
+            self.complete(
+                d.req as usize,
+                KernelId(d.kernel as usize),
+                d.attempt,
+                d.hedge,
+            );
+        }
+        self.launches.close(launch, items);
+    }
+
     /// Park platforms the current policy does not use: a GPU with no
     /// assigned kernel drops to its deep-idle (low-DVFS, memory parked)
     /// power — the paper's runtime "reduc[es] the GPU operating frequency"
@@ -154,6 +244,7 @@ impl Simulator {
             shares[idx] += 1.0;
             spare -= 1.0;
         }
+        // The caller rebuilds the route table once the bitstreams are in.
         let mut cursor = fpga_devs.into_iter();
         for (k, &share) in fpga_kernels.iter().zip(&shares) {
             for _ in 0..(share as usize) {
@@ -183,7 +274,8 @@ impl Simulator {
             self.devices[dev].executing = false;
             return;
         };
-        let imp: KernelImpl = self.impl_of(front.kernel, front.alt);
+        let kernel = front.kernel();
+        let imp: KernelImpl = self.impl_of(kernel, front.alt);
         self.counters.work.batch.events += 1;
 
         // Deliberate batch formation (DjiNN-style): hold a partial GPU
@@ -192,10 +284,10 @@ impl Simulator {
         // likely within that slack. At light load (b) fails and requests
         // start immediately, keeping the low-load tail flat.
         let b = &self.batching;
-        let budget = b.wait_budget.get(front.kernel.0).copied().unwrap_or(0.0);
+        let budget = b.wait_budget.get(kernel.0).copied().unwrap_or(0.0);
         if budget > 0.0 {
-            let same = self.devices[dev].queue.kernel_count(front.kernel);
-            let deadline = self.requests.arrival_ms(front.req) + budget;
+            let same = self.devices[dev].queue.kernel_count(kernel);
+            let deadline = self.requests.arrival_ms(front.req()) + budget;
             // Queue gate: only hold the batch open when a partial batch is
             // already forming (the device is trending throughput-bound);
             // a lone request at moderate load starts immediately.
@@ -240,17 +332,19 @@ impl Simulator {
         self.counters.work.batch.entries += d.queue.take_touched();
 
         let mut start = now;
-        if d.kind == DeviceKind::Fpga && d.loaded != Some((front.kernel, imp.impl_index)) {
+        if d.kind == DeviceKind::Fpga && d.loaded != Some((kernel, imp.impl_index)) {
             if d.loaded.is_some() {
                 d.reconfigs += 1;
             }
             start += d.reconfig_ms;
-            d.loaded = Some((front.kernel, imp.impl_index));
+            d.loaded = Some((kernel, imp.impl_index));
+            self.reroute();
         }
+        let derate = self.devices[dev].derate;
 
         let n = u32::try_from(batch.len()).unwrap_or(u32::MAX);
         {
-            let ks = &mut self.kernel_stats[front.kernel.0];
+            let ks = &mut self.kernel_stats[kernel.0];
             ks.executions += 1;
             ks.requests += batch.len();
             for item in &batch {
@@ -265,10 +359,10 @@ impl Simulator {
         // expressions are bit-identical to the unscaled model.
         let scale_sum: f64 = batch
             .iter()
-            .map(|it| poly_device::size_scale(imp.kind, self.requests.size(it.req)))
+            .map(|it| poly_device::size_scale(imp.kind, self.requests.size(it.req())))
             .sum();
         let scale_mean = scale_sum / f64::from(n.max(1));
-        let exec = imp.exec_ms(n) * scale_mean * d.derate;
+        let exec = imp.exec_ms(n) * scale_mean * derate;
         let occupancy = match imp.kind {
             DeviceKind::Gpu => imp.exec_ms(n) * scale_mean,
             DeviceKind::Fpga => imp.service_ms * scale_sum,
@@ -277,17 +371,17 @@ impl Simulator {
             start,
             exec,
             completion: start + exec,
-            busy_until: start + occupancy * d.derate,
+            busy_until: start + occupancy * derate,
         };
         // Pipelined streaming: floor this launch's completion on any
         // still-arriving producer tiles, charge producer-side stalls, and
         // dispatch DAG successors on the first tile instead of the last.
         // Behind `enabled()` so the barrier default stays bit-identical.
         if self.config.pipeline.enabled() {
-            self.pipeline_stream(&batch, front.kernel, imp, &mut launch);
+            self.pipeline_stream(&batch, kernel, imp, &mut launch);
         }
         let (completion, busy_until) = (launch.completion, launch.busy_until);
-        self.kernel_stats[front.kernel.0].busy_ms += busy_until - now;
+        self.kernel_stats[kernel.0].busy_ms += busy_until - now;
         self.devices[dev].account_busy(now, busy_until, imp.active_power_w);
         self.booked_busy_mj += imp.active_power_w * (busy_until - now).max(0.0);
         let d = &mut self.devices[dev];
@@ -296,14 +390,20 @@ impl Simulator {
         d.executing = true;
         d.busy_until = busy_until;
 
-        self.events
-            .push(busy_until, EventKind::DeviceFree { dev: ix(dev) });
+        // One event completes the launch; it frees the device too when
+        // both happen at the same instant.
+        let frees = busy_until.to_bits() == completion.to_bits();
+        if !frees {
+            self.events
+                .push(busy_until, EventKind::DeviceFree { dev: ix(dev) });
+        }
+        let launch = self.launches.open();
         let backend = self.config.backend_label;
         self.obs(|| ObsEvent::ExecStart {
             device: dev,
             device_kind: imp.kind.name(),
             backend,
-            kernel: front.kernel.0,
+            kernel: kernel.0,
             impl_index: imp.impl_index,
             batch: batch.len(),
             reconfig_ms: start - now,
@@ -311,13 +411,13 @@ impl Simulator {
             exec_ms: exec,
         });
         if let Some(h) = self.config.lifecycle.hedge {
-            self.hedging.record(&h, front.kernel, completion, &batch);
+            self.hedging.record(&h, kernel, completion, &batch);
         }
         for &item in &batch {
-            let attempt = self.requests.attempt(item.req, item.kernel.0);
+            let attempt = self.requests.attempt(item.req(), item.kernel().0);
             self.obs(|| ObsEvent::StageStart {
-                req: item.req,
-                kernel: item.kernel.0,
+                req: item.req(),
+                kernel: item.kernel().0,
                 device: dev,
                 attempt,
                 hedge: item.hedge,
@@ -329,16 +429,24 @@ impl Simulator {
                 attempt,
                 completion_ms: completion,
             });
-            self.events.push(
-                completion,
-                EventKind::Complete {
-                    req: ix(item.req),
-                    kernel: ix(item.kernel.0),
+            self.launches.push(
+                launch,
+                Done {
+                    req: ix(item.req()),
+                    kernel: ix(item.kernel().0),
                     attempt,
                     hedge: item.hedge,
                 },
             );
         }
+        self.events.push(
+            completion,
+            EventKind::LaunchDone {
+                dev: ix(dev),
+                launch,
+                frees,
+            },
+        );
         batch.clear();
         self.batching.scratch = batch;
     }
@@ -434,14 +542,9 @@ mod tests {
         for i in 0..2 {
             let req = s.requests.push_sized(s.now, f64::INFINITY, 1.0);
             assert_eq!(req, i);
-            s.devices[0].queue.push_back(WorkItem {
-                req,
-                kernel: KernelId(0),
-                ready_ms: s.now,
-                est_ns: ms_to_ns(s.policy.of(KernelId(0)).service_ms),
-                alt: 0,
-                hedge: false,
-            });
+            let est_ns = ms_to_ns(s.policy.of(KernelId(0)).service_ms);
+            let item = WorkItem::new(req, KernelId(0), s.now, est_ns, 0, false);
+            s.devices[0].queue.push_back(item);
         }
     }
 
@@ -556,6 +659,39 @@ mod tests {
             "bursts must complete: {}",
             a.completed - before.completed
         );
+    }
+
+    /// A batch-8 GPU launch queues one event — its `LaunchDone`, which
+    /// also frees the device — where one `DeviceFree` and eight
+    /// `Complete` events used to queue, and every count, latency and
+    /// joule comes out as before (the pinned values were recorded with
+    /// the nine-event engine).
+    #[test]
+    fn a_batch_of_eight_completes_in_one_event() {
+        let mut s = hold_sim();
+        s.enqueue_arrivals(&[0.0]);
+        s.enqueue_arrivals(&[1.0; 8]);
+        // The lone first request runs 0–20 ms; the eight queued behind it
+        // launch as one batch when it completes.
+        s.advance_to(20.0);
+        assert!(s.devices[0].executing);
+        assert_eq!(s.events.len(), 1, "one event for the whole launch");
+        let r = s.finish(1000.0);
+        assert_eq!(
+            format!("{:?}", s.counters()),
+            "Counters { admitted: 9, completed: 9, timed_out: 0, failed: 0, cancelled: 0, \
+             stale_completions: 0, double_terminal: 0, clock_regressions: 0, fault_events: 0, \
+             fail_stops: 0, retry: RetryStats { device_retries: 0, exhausted: 0, \
+             redistributed: 0, hedges_fired: 0, hedge_wins: 0, steals: 0 }, work: \
+             WorkCounters { dispatch: OpCount { events: 9, entries: 0 }, batch: OpCount { \
+             events: 2, entries: 9 }, cancel: OpCount { events: 0, entries: 0 }, margin: \
+             OpCount { events: 0, entries: 0 } } }"
+        );
+        let mut want = vec![99.0; 9];
+        want[0] = 20.0;
+        assert_eq!(r.latency.samples(), want.as_slice());
+        assert_eq!(r.energy_j.to_bits(), 4633078116657397760);
+        s.audit().check().expect("audit invariants hold");
     }
 
     #[test]

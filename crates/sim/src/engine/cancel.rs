@@ -16,8 +16,8 @@ use std::sync::Arc;
 fn drop_inflight(d: &mut DeviceState, req: usize, kernel: Option<KernelId>, now: f64) -> bool {
     let before = d.inflight.len();
     d.inflight.retain(|e| {
-        !(e.item.req == req
-            && kernel.is_none_or(|k| e.item.kernel == k)
+        !(e.item.req() == req
+            && kernel.is_none_or(|k| e.item.kernel() == k)
             && e.completion_ms > now + 1e-12)
     });
     d.inflight.len() != before
@@ -150,7 +150,7 @@ impl Simulator {
             }
         }
         self.stranded
-            .retain(|it| !(it.req == req && kernel.is_none_or(|k| it.kernel == k)));
+            .retain(|it| !(it.req() == req && kernel.is_none_or(|k| it.kernel() == k)));
         if let Some(outcome) = settle {
             // Bump every stage's attempt: any completion still scheduled
             // for this request is now stale (belt and braces — the

@@ -8,7 +8,7 @@ use crate::arena::Outcome;
 use crate::device::{ms_to_ns, ns_to_ms, DeviceState, WorkItem};
 use crate::KernelImpl;
 use poly_device::DeviceKind;
-use poly_ir::KernelId;
+use poly_ir::{KernelGraph, KernelId};
 use poly_obs::Event as ObsEvent;
 
 /// Configuration of the hybrid static/dynamic dispatch layer: at
@@ -29,17 +29,123 @@ impl Default for DynamicDispatch {
     }
 }
 
-/// Reusable tables of [`Simulator::downstream_margin`] (hot-path
+/// The tables of [`Simulator::downstream_margin`]: what each kernel's
+/// walk visits, fixed at construction, and reusable scratch (hot-path
 /// allocation elimination).
-#[derive(Debug, Clone, Default)]
-pub(super) struct MarginScratch {
+#[derive(Debug, Clone)]
+pub(super) struct Margin {
+    /// Per kernel, the kernels reachable from it (itself excluded), in
+    /// reverse topological order: every successor of a listed kernel is
+    /// listed before it.
+    below: Vec<Vec<KernelId>>,
     /// Per-kernel remainder of the downstream critical path.
     rem: Vec<f64>,
+    /// Per-kernel price of the best usable implementation.
+    price: Vec<f64>,
     /// Per-device backlog right now.
     load: Vec<f64>,
 }
 
+impl Margin {
+    pub(super) fn new(graph: &KernelGraph) -> Self {
+        let n = graph.len();
+        let below = (0..n)
+            .map(|k| {
+                let mut reach = vec![false; n];
+                let mut stack = vec![KernelId(k)];
+                while let Some(id) = stack.pop() {
+                    for e in graph.successors(id) {
+                        if !std::mem::replace(&mut reach[e.to.0], true) {
+                            stack.push(e.to);
+                        }
+                    }
+                }
+                let order = graph.topological_order().iter().rev();
+                order.filter(|id| reach[id.0]).copied().collect()
+            })
+            .collect();
+        Self {
+            below,
+            rem: vec![0.0; n],
+            price: vec![0.0; n],
+            load: Vec::new(),
+        }
+    }
+}
+
+/// Where work may run right now: the healthy devices of each kind, and
+/// the healthy FPGAs holding each loaded bitstream `(kernel,
+/// impl_index)`, every list in device-index order. The device chooser,
+/// the residency test and the margin's congestion scan read it instead
+/// of scanning every device. It is rebuilt wherever a device's `healthy`
+/// or `loaded` changes — the time-zero preload, a reconfiguration at
+/// batch start, a fail-stop and a recovery — and nowhere else.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Routes {
+    gpus: Vec<usize>,
+    fpgas: Vec<usize>,
+    /// One entry per bitstream ever loaded, sorted by bitstream. An
+    /// entry whose boards all swapped or failed stays, empty, so a
+    /// rebuild reuses every buffer: on `fleet-overload` about one launch
+    /// in 25 reconfigures its board and rebuilds the table.
+    loaded: Vec<((KernelId, usize), Vec<usize>)>,
+}
+
+impl Routes {
+    /// Refill the table from `devices` as they stand.
+    pub(super) fn rebuild(&mut self, devices: &[DeviceState]) {
+        self.gpus.clear();
+        self.fpgas.clear();
+        for (_, devs) in &mut self.loaded {
+            devs.clear();
+        }
+        for (i, d) in devices.iter().enumerate().filter(|(_, d)| d.healthy) {
+            match d.kind {
+                DeviceKind::Gpu => self.gpus.push(i),
+                DeviceKind::Fpga => self.fpgas.push(i),
+            }
+            let Some(bitstream) = d.loaded.filter(|_| d.kind == DeviceKind::Fpga) else {
+                continue;
+            };
+            match self.loaded.binary_search_by_key(&bitstream, |&(b, _)| b) {
+                Ok(at) => self.loaded[at].1.push(i),
+                Err(at) => self.loaded.insert(at, (bitstream, vec![i])),
+            }
+        }
+    }
+
+    /// The healthy devices of `kind`.
+    fn of_kind(&self, kind: DeviceKind) -> &[usize] {
+        match kind {
+            DeviceKind::Gpu => &self.gpus,
+            DeviceKind::Fpga => &self.fpgas,
+        }
+    }
+
+    /// The healthy FPGAs holding the `(kernel, impl_index)` bitstream.
+    fn holding(&self, kernel: KernelId, impl_index: usize) -> &[usize] {
+        self.loaded
+            .binary_search_by_key(&(kernel, impl_index), |&(b, _)| b)
+            .map_or(&[], |at| &self.loaded[at].1)
+    }
+
+    /// Where `imp` of `kernel` may run without a reconfiguration: any
+    /// healthy GPU, or the healthy FPGAs holding exactly its bitstream.
+    fn runs(&self, kernel: KernelId, imp: &KernelImpl) -> &[usize] {
+        match imp.kind {
+            DeviceKind::Gpu => &self.gpus,
+            DeviceKind::Fpga => self.holding(kernel, imp.impl_index),
+        }
+    }
+}
+
 impl Simulator {
+    /// Rebuild the route table from the devices: the one step after any
+    /// change to a device's `healthy` or `loaded`.
+    pub(super) fn reroute(&mut self) {
+        self.routes.rebuild(&self.devices);
+    }
+
     /// Dispatch `req`'s `kernel` stage now: queue it where the chooser
     /// picks and try to start it, or strand it when no device of its
     /// kind is healthy.
@@ -70,14 +176,7 @@ impl Simulator {
             },
             |(_, alt, est_ms)| (alt, est_ms),
         );
-        let item = WorkItem {
-            req,
-            kernel,
-            ready_ms: self.now,
-            est_ns: ms_to_ns(est_ms),
-            alt,
-            hedge: false,
-        };
+        let item = WorkItem::new(req, kernel, self.now, ms_to_ns(est_ms), alt, false);
         // Every device of the required kind is down: park the work until
         // a re-plan or a recovery.
         let Some((dev, ..)) = pick else {
@@ -127,66 +226,63 @@ impl Simulator {
     /// dispatcher will never take (it would land on the plan's scarce
     /// bottleneck device) must not make an at-risk request look safe,
     /// and an unloaded lane costs infinity until someone opens it.
+    ///
+    /// The walk visits only the kernels reachable from `kernel`, bottom
+    /// up, and prices each once; a sink's margin is 0.
     fn downstream_margin(&mut self, kernel: KernelId, size: f64) -> f64 {
+        self.counters.work.margin.events += 1;
+        let m = &mut self.margin;
+        if m.below[kernel.0].is_empty() {
+            return 0.0;
+        }
         let sg = poly_device::size_scale(DeviceKind::Gpu, size);
         let sf = poly_device::size_scale(DeviceKind::Fpga, size);
         // Per-device backlog right now: busy tail plus queued work, derated.
         let now = self.now;
-        self.counters.work.margin.events += 1;
-        let mut load = std::mem::take(&mut self.margin.load);
-        load.clear();
-        load.extend(
+        m.load.clear();
+        m.load.extend(
             self.devices
                 .iter()
                 .map(|d| (d.busy_until.max(now) - now) + ns_to_ms(d.queue.backlog_ns()) * d.derate),
         );
-        let mut rem = std::mem::take(&mut self.margin.rem);
-        rem.clear();
-        rem.resize(self.graph.len(), 0.0);
-        for &id in self.graph.topological_order().iter().rev() {
-            let mut best = 0.0_f64;
-            for e in self.graph.successors(id) {
-                let prim = self.policy.of(e.to);
-                let mut node = f64::INFINITY;
-                for imp in self.policy.alts_of(e.to) {
-                    let is_primary = imp.kind == prim.kind && imp.impl_index == prim.impl_index;
-                    // Mirror the dispatch rule exactly: a downstream node
-                    // runs its primary or escapes through a resident FPGA
-                    // lane; it never escapes to the GPU.
-                    if !is_primary && imp.kind != DeviceKind::Fpga {
-                        continue;
-                    }
-                    // Congestion of the devices this implementation may
-                    // actually run on: any healthy GPU, or the healthy
-                    // FPGAs holding exactly this bitstream (infinite if
-                    // none — an unloaded lane is not an option).
-                    let mut cong = f64::INFINITY;
-                    for (i, d) in self.devices.iter().enumerate() {
-                        if !d.healthy {
-                            continue;
-                        }
-                        let ok = match imp.kind {
-                            DeviceKind::Gpu => d.kind == DeviceKind::Gpu,
-                            DeviceKind::Fpga => d.loaded == Some((e.to, imp.impl_index)),
-                        };
-                        if ok {
-                            cong = cong.min(load[i]);
-                        }
-                    }
-                    let scale = match imp.kind {
-                        DeviceKind::Gpu => sg,
-                        DeviceKind::Fpga => sf,
-                    };
-                    node = node.min(imp.latency_single_ms * scale + cong);
+        // The longest priced path below `id`: successors are walked (and
+        // priced) before `id` itself.
+        let tail = |m: &Margin, id: KernelId| {
+            self.graph
+                .successors(id)
+                .fold(0.0_f64, |best, e| best.max(m.price[e.to.0] + m.rem[e.to.0]))
+        };
+        for i in 0..m.below[kernel.0].len() {
+            let id = m.below[kernel.0][i];
+            m.rem[id.0] = tail(m, id);
+            let prim = self.policy.of(id);
+            let mut node = f64::INFINITY;
+            for imp in self.policy.alts_of(id) {
+                let is_primary = imp.kind == prim.kind && imp.impl_index == prim.impl_index;
+                // Mirror the dispatch rule exactly: a downstream node
+                // runs its primary or escapes through a resident FPGA
+                // lane; it never escapes to the GPU.
+                if !is_primary && imp.kind != DeviceKind::Fpga {
+                    continue;
                 }
-                best = best.max(node + rem[e.to.0]);
+                // Congestion of the devices this implementation may
+                // actually run on: any healthy GPU, or the healthy FPGAs
+                // holding exactly this bitstream (infinite if none — an
+                // unloaded lane is not an option).
+                let cong = self
+                    .routes
+                    .runs(id, imp)
+                    .iter()
+                    .fold(f64::INFINITY, |c, &i| c.min(m.load[i]));
+                let scale = match imp.kind {
+                    DeviceKind::Gpu => sg,
+                    DeviceKind::Fpga => sf,
+                };
+                node = node.min(imp.latency_single_ms * scale + cong);
             }
-            rem[id.0] = best;
+            m.price[id.0] = node;
         }
-        let margin = rem[kernel.0];
-        self.margin.rem = rem;
-        self.margin.load = load;
-        margin
+        tail(m, kernel)
     }
 
     /// Device selection for one implementation: affinity-with-spill. Each
@@ -209,27 +305,28 @@ impl Simulator {
         exclude: Option<usize>,
     ) -> Option<(usize, f64)> {
         let kernel = imp.kernel;
-        // Pass 1 (allocation-free: the peer set is characterized by
-        // counters instead of materialized): count healthy non-excluded
-        // peers of the kind and — for FPGAs — peers already configured
-        // for this kernel and whether all of those are backlogged.
-        let mut n_peers = 0usize;
-        let mut n_matching = 0usize;
-        let mut all_backlogged = true;
-        for (i, d) in self.devices.iter().enumerate() {
-            if d.kind != imp.kind || !d.healthy || Some(i) == exclude {
-                continue;
-            }
-            n_peers += 1;
-            if imp.kind == DeviceKind::Fpga && d.loaded == Some((kernel, imp.impl_index)) {
-                n_matching += 1;
-                if d.queue.len() < 3 {
-                    all_backlogged = false;
-                }
-            }
-        }
+        let bitstream = Some((kernel, imp.impl_index));
+        let kept = |i: &&usize| Some(**i) != exclude;
+        // Pass 1: count the healthy non-excluded peers of the kind and —
+        // for FPGAs — the peers already configured for this kernel and
+        // whether all of those are backlogged (the route table lists
+        // both sets, in index order).
+        let peers = self.routes.of_kind(imp.kind);
+        let n_peers = peers.iter().filter(kept).count();
         if n_peers == 0 {
             return None;
+        }
+        let matching = match imp.kind {
+            DeviceKind::Gpu => &[],
+            DeviceKind::Fpga => self.routes.holding(kernel, imp.impl_index),
+        };
+        let mut n_matching = 0usize;
+        let mut all_backlogged = true;
+        for &i in matching.iter().filter(kept) {
+            n_matching += 1;
+            if self.devices[i].queue.len() < 3 {
+                all_backlogged = false;
+            }
         }
         // FPGA dispatch is bitstream-sticky: transient queue pressure must
         // not trigger reconfiguration storms (each swap poisons another
@@ -238,26 +335,20 @@ impl Simulator {
         // which case any peer may be reconfigured once. Expansion
         // hysteresis: only consider reconfiguring an additional device
         // when every configured device already has a sustained backlog.
-        let restrict = imp.kind == DeviceKind::Fpga && n_matching > 0 && !all_backlogged;
-        let eligible = |i: usize, d: &DeviceState| {
-            d.kind == imp.kind
-                && d.healthy
-                && Some(i) != exclude
-                && (!restrict || d.loaded == Some((kernel, imp.impl_index)))
+        let restrict = n_matching > 0 && !all_backlogged;
+        let (eligible, n_eligible) = if restrict {
+            (matching, n_matching)
+        } else {
+            (peers, n_peers)
         };
         // Pass 2: least-loaded eligible device (strict-less, first min).
         // The home device is the (kernel mod peers)-th eligible device in
         // index order.
-        let n_eligible = if restrict { n_matching } else { n_peers };
         let home_pos = kernel.0 % n_eligible;
-        let mut pos = 0usize;
         let mut best: Option<(f64, usize)> = None;
-        for (i, d) in self.devices.iter().enumerate() {
-            if !eligible(i, d) {
-                continue;
-            }
+        for (pos, &i) in eligible.iter().filter(kept).enumerate() {
+            let d = &self.devices[i];
             let home = pos == home_pos;
-            pos += 1;
             // Price the backlog at each queued entry's own expected
             // service time (mixed-cost queues would otherwise be priced
             // uniformly at *this* candidate's service time, under- or
@@ -273,17 +364,14 @@ impl Simulator {
                 // spill cost is the reconfiguration term below.
                 score += imp.latency_ms;
             }
-            if d.kind == DeviceKind::Fpga
-                && d.loaded.is_some()
-                && d.loaded != Some((kernel, imp.impl_index))
-            {
+            if d.kind == DeviceKind::Fpga && d.loaded.is_some() && d.loaded != bitstream {
                 score += d.reconfig_ms;
             }
             if best.is_none_or(|(bs, _)| score < bs) {
                 best = Some((score, i));
             }
         }
-        Some(best.expect("non-empty peers")).map(|(s, i)| (i, s))
+        best.map(|(s, i)| (i, s))
     }
 
     /// Resolve the implementation a queued entry was dispatched under:
@@ -417,9 +505,7 @@ impl Simulator {
     /// impl_index)` bitstream. Dynamic escapes only target already-loaded
     /// bitstreams — an escape must never trigger a reconfiguration.
     fn fpga_loaded(&self, kernel: KernelId, impl_index: usize) -> bool {
-        self.devices
-            .iter()
-            .any(|d| d.healthy && d.loaded == Some((kernel, impl_index)))
+        !self.routes.holding(kernel, impl_index).is_empty()
     }
 
     /// Work stealing (dynamic mode only): an idle device poaches the
@@ -458,10 +544,10 @@ impl Simulator {
             if item.hedge {
                 continue; // hedge copies are placement-pinned by design
             }
-            let imp = self.impl_of(item.kernel, item.alt);
+            let imp = self.impl_of(item.kernel(), item.alt);
             let movable = imp.kind == thief_kind
                 && (thief_kind != DeviceKind::Fpga
-                    || thief_loaded == Some((item.kernel, imp.impl_index)));
+                    || thief_loaded == Some((item.kernel(), imp.impl_index)));
             if !movable {
                 continue;
             }
@@ -480,12 +566,81 @@ impl Simulator {
         self.devices[dev].queue.push_back(item);
         self.counters.retry.steals += 1;
         self.obs(|| ObsEvent::WorkSteal {
-            req: item.req,
-            kernel: item.kernel.0,
+            req: item.req(),
+            kernel: item.kernel().0,
             from: victim,
             to: dev,
         });
         self.try_start(dev);
+    }
+}
+
+/// Two tables route alike when they list the same devices; the empty
+/// entries a rebuild keeps do not count.
+#[cfg(test)]
+impl PartialEq for Routes {
+    fn eq(&self, other: &Self) -> bool {
+        let live = |r: &Self| {
+            r.loaded
+                .iter()
+                .filter(|(_, devs)| !devs.is_empty())
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        self.gpus == other.gpus && self.fpgas == other.fpgas && live(self) == live(other)
+    }
+}
+
+#[cfg(test)]
+impl Simulator {
+    /// The margin as it was first written, kept as the oracle of
+    /// [`downstream_margin`](Self::downstream_margin): the whole graph
+    /// walked bottom up, a node priced once per incoming edge, and every
+    /// device scanned for each implementation's congestion.
+    fn downstream_margin_full_graph(&self, kernel: KernelId, size: f64) -> f64 {
+        let sg = poly_device::size_scale(DeviceKind::Gpu, size);
+        let sf = poly_device::size_scale(DeviceKind::Fpga, size);
+        let now = self.now;
+        let load: Vec<f64> = self
+            .devices
+            .iter()
+            .map(|d| (d.busy_until.max(now) - now) + ns_to_ms(d.queue.backlog_ns()) * d.derate)
+            .collect();
+        let mut rem = vec![0.0; self.graph.len()];
+        for &id in self.graph.topological_order().iter().rev() {
+            let mut best = 0.0_f64;
+            for e in self.graph.successors(id) {
+                let prim = self.policy.of(e.to);
+                let mut node = f64::INFINITY;
+                for imp in self.policy.alts_of(e.to) {
+                    let is_primary = imp.kind == prim.kind && imp.impl_index == prim.impl_index;
+                    if !is_primary && imp.kind != DeviceKind::Fpga {
+                        continue;
+                    }
+                    let mut cong = f64::INFINITY;
+                    for (i, d) in self.devices.iter().enumerate() {
+                        if !d.healthy {
+                            continue;
+                        }
+                        let ok = match imp.kind {
+                            DeviceKind::Gpu => d.kind == DeviceKind::Gpu,
+                            DeviceKind::Fpga => d.loaded == Some((e.to, imp.impl_index)),
+                        };
+                        if ok {
+                            cong = cong.min(load[i]);
+                        }
+                    }
+                    let scale = match imp.kind {
+                        DeviceKind::Gpu => sg,
+                        DeviceKind::Fpga => sf,
+                    };
+                    node = node.min(imp.latency_single_ms * scale + cong);
+                }
+                best = best.max(node + rem[e.to.0]);
+            }
+            rem[id.0] = best;
+        }
+        rem[kernel.0]
     }
 }
 
@@ -494,9 +649,164 @@ mod tests {
     use super::super::testkit::*;
     use super::*;
     use crate::device::{ms_to_ns, WorkItem};
+    use crate::fault::FaultPlan;
     use crate::metrics::RetryStats;
     use crate::{DynamicDispatch, Policy, SimConfig, SimReport};
+    use poly_ir::{KernelBuilder, KernelGraphBuilder, OpFunc, PatternKind, Shape};
     use poly_sched::Pool;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The route table matches a fresh scan of the devices after the
+    /// time-zero preload, a reconfiguration, a fail-stop and a recovery,
+    /// and each of those moves the devices it should.
+    #[test]
+    fn route_table_tracks_health_and_bitstreams() {
+        let mut s = sim(
+            vec![fpga_impl(0, 10.0), fpga_impl(1, 10.0)],
+            Pool::heterogeneous(1, 2),
+        );
+        let fresh = |s: &Simulator| {
+            let mut routes = Routes::default();
+            routes.rebuild(&s.devices);
+            routes
+        };
+        // Preload: one FPGA per kernel.
+        assert_eq!(s.routes, fresh(&s));
+        assert_eq!(
+            (s.routes.gpus.as_slice(), s.routes.fpgas.as_slice()),
+            (&[0][..], &[1, 2][..])
+        );
+        assert_eq!(s.routes.holding(KernelId(0), 0), &[1]);
+        assert_eq!(s.routes.holding(KernelId(1), 0), &[2]);
+        // A re-plan onto a second kernel-0 bitstream reconfigures a board
+        // at its first batch.
+        let swapped = KernelImpl {
+            impl_index: 1,
+            ..fpga_impl(0, 10.0)
+        };
+        s.set_policy(Policy::from_impls(vec![swapped, fpga_impl(1, 10.0)]));
+        s.enqueue_arrivals(&[0.0]);
+        s.advance_to(1.0);
+        assert_eq!(s.routes, fresh(&s));
+        assert_eq!(s.routes.holding(KernelId(0), 1), &[1], "reconfigured");
+        assert!(s.routes.holding(KernelId(0), 0).is_empty());
+        // Fail-stop, then recovery, of the reconfigured board.
+        s.inject_faults(&FaultPlan::new().fail_stop(2.0, 1).recover(3.0, 1));
+        s.advance_to(2.0);
+        assert_eq!(s.routes, fresh(&s));
+        assert_eq!(s.routes.fpgas, vec![2], "the failed board is out");
+        // Its killed batch retried onto board 2, which reconfigured.
+        assert_eq!(s.routes.holding(KernelId(0), 1), &[2]);
+        s.advance_to(3.0);
+        assert_eq!(s.routes, fresh(&s));
+        assert_eq!(
+            s.routes.fpgas,
+            vec![1, 2],
+            "the recovered board is back, cold"
+        );
+        s.drain();
+        assert_eq!(s.routes, fresh(&s));
+    }
+
+    /// A five-kernel diamond with fan-in: `a → {b, c} → d`, plus `a → d`
+    /// and `e → d`, so `d` has three producers and `a` reaches it by
+    /// three paths.
+    fn diamond() -> KernelGraph {
+        let k = KernelBuilder::new("a")
+            .pattern("m", PatternKind::Map, Shape::d1(1024), &[OpFunc::Mac])
+            .build()
+            .unwrap();
+        let mut g = KernelGraphBuilder::new("diamond").kernel(k.clone());
+        for name in ["b", "c", "d", "e"] {
+            g = g.kernel(k.with_name(name));
+        }
+        for (from, to) in [
+            ("a", "b"),
+            ("a", "c"),
+            ("b", "d"),
+            ("c", "d"),
+            ("a", "d"),
+            ("e", "d"),
+        ] {
+            g = g.edge(from, to, 1 << 20);
+        }
+        g.build().unwrap()
+    }
+
+    /// The descendant-only margin equals the full-graph oracle bit for
+    /// bit on ASR, image recognition and the diamond, over random
+    /// policies with resident-lane alternates, random device backlogs,
+    /// health, derates and loaded bitstreams, and random request sizes.
+    #[test]
+    fn margin_matches_the_full_graph_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        for graph in [poly_apps::asr(), poly_apps::image_recognition(), diamond()] {
+            let n = graph.len();
+            for _ in 0..40 {
+                let lat = |rng: &mut ChaCha8Rng| rng.gen_range(1.0..60.0);
+                let primaries: Vec<KernelImpl> = (0..n)
+                    .map(|k| {
+                        if rng.gen_bool(0.5) {
+                            gpu_impl(k, lat(&mut rng), 8)
+                        } else {
+                            fpga_impl(k, lat(&mut rng))
+                        }
+                    })
+                    .collect();
+                let alts = primaries
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &p)| {
+                        let mut list = vec![p];
+                        for impl_index in 1..4 {
+                            let base = if impl_index == 3 {
+                                gpu_impl(k, lat(&mut rng), 4)
+                            } else {
+                                fpga_impl(k, lat(&mut rng))
+                            };
+                            list.push(KernelImpl { impl_index, ..base });
+                        }
+                        list
+                    })
+                    .collect();
+                let policy = Policy::from_impls(primaries).with_alternate_impls(alts);
+                let mut s = Simulator::new(
+                    graph.clone(),
+                    &Pool::heterogeneous(2, 5),
+                    policy,
+                    SimConfig::default(),
+                );
+                s.now = rng.gen_range(0.0..50.0);
+                for d in &mut s.devices {
+                    d.healthy = rng.gen_bool(0.8);
+                    d.busy_until = rng.gen_range(0.0..100.0);
+                    d.derate = if rng.gen_bool(0.3) { 2.5 } else { 1.0 };
+                    if d.kind == DeviceKind::Fpga {
+                        let k = KernelId(rng.gen_range(0..n));
+                        d.loaded = rng.gen_bool(0.9).then(|| (k, rng.gen_range(0..3)));
+                    }
+                    for _ in 0..rng.gen_range(0..6) {
+                        let est = ms_to_ns(rng.gen_range(0.5..40.0));
+                        d.queue
+                            .push_back(WorkItem::new(0, KernelId(0), 0.0, est, 0, false));
+                    }
+                }
+                s.reroute();
+                for k in (0..n).map(KernelId) {
+                    let size = rng.gen_range(0.2..6.0);
+                    let want = s.downstream_margin_full_graph(k, size);
+                    let got = s.downstream_margin(k, size);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} {k}: {got} vs {want}",
+                        graph.name()
+                    );
+                }
+            }
+        }
+    }
 
     /// Regression for the queue-delay estimate: pricing every queued
     /// entry at the *candidate's* `service_ms` (the old formula) sees a
@@ -512,14 +822,14 @@ mod tests {
         // Home for kernel 0 is device 0; it holds one expensive queued
         // stage (est 100 ms). Device 1 holds two cheap ones (1 ms each).
         for (dev, est) in [(0usize, 100.0), (1, 1.0), (1, 1.0)] {
-            s.devices[dev].queue.push_back(WorkItem {
-                req: 0,
-                kernel: KernelId(1),
-                ready_ms: 0.0,
-                est_ns: ms_to_ns(est),
-                alt: 0,
-                hedge: false,
-            });
+            s.devices[dev].queue.push_back(WorkItem::new(
+                0,
+                KernelId(1),
+                0.0,
+                ms_to_ns(est),
+                0,
+                false,
+            ));
         }
         let imp = gpu_impl(0, 10.0, 1);
         let (dev, score) = s.choose_device_for(&imp, None).expect("healthy GPUs exist");
@@ -643,14 +953,8 @@ mod tests {
         // backlog, device 0 is idle.
         s.devices[0].loaded = Some((KernelId(0), 0));
         s.devices[1].loaded = Some((KernelId(0), 0));
-        let item = WorkItem {
-            req: 0,
-            kernel: KernelId(0),
-            ready_ms: 0.0,
-            est_ns: ms_to_ns(9.0),
-            alt: 0,
-            hedge: false,
-        };
+        s.reroute();
+        let item = WorkItem::new(0, KernelId(0), 0.0, ms_to_ns(9.0), 0, false);
         // One queued entry is below the two-entry floor: no steal.
         s.devices[1].queue.push_back(item);
         s.try_steal(0);

@@ -66,7 +66,7 @@ impl Simulator {
         let stranded = std::mem::take(&mut self.stranded);
         let now = self.now;
         for item in stranded {
-            self.push_dispatch(now, item.req, item.kernel);
+            self.push_dispatch(now, item.req(), item.kernel());
         }
     }
 
@@ -119,13 +119,15 @@ impl Simulator {
         d.loaded = None;
         d.idle_power_w = 0.0;
         let queued_victims = d.queue.drain();
+        let inflight = std::mem::take(&mut d.inflight);
+        self.reroute();
         // Kill the in-flight batch: bump each live victim's attempt so
         // its scheduled completion becomes stale, then retry it.
         let mut to_retry: Vec<WorkItem> = Vec::new();
-        for entry in std::mem::take(&mut d.inflight) {
+        for entry in inflight {
             if entry.is_live(&self.requests, now) {
                 self.requests
-                    .bump_attempt(entry.item.req, entry.item.kernel.0);
+                    .bump_attempt(entry.item.req(), entry.item.kernel().0);
                 to_retry.push(entry.item);
             }
         }
@@ -136,7 +138,7 @@ impl Simulator {
                 to_retry.extend(queued_victims);
                 self.counters.retry.device_retries += to_retry.len();
                 for item in to_retry {
-                    self.push_dispatch(now, item.req, item.kernel);
+                    self.push_dispatch(now, item.req(), item.kernel());
                 }
             }
             RetryPolicy::Backoff(policy) => {
@@ -144,23 +146,23 @@ impl Simulator {
                 // against their stage's retry budget, so the bound is
                 // uniform across queue positions.
                 for item in &queued_victims {
-                    self.requests.bump_attempt(item.req, item.kernel.0);
+                    self.requests.bump_attempt(item.req(), item.kernel().0);
                 }
                 to_retry.extend(queued_victims);
                 for item in to_retry {
-                    if self.requests.is_settled(item.req) {
+                    if self.requests.is_settled(item.req()) {
                         continue; // settled while the kill ran
                     }
-                    let n = self.requests.attempt(item.req, item.kernel.0);
+                    let n = self.requests.attempt(item.req(), item.kernel().0);
                     if n > policy.max_retries {
                         self.counters.retry.exhausted += 1;
-                        self.abort_request(item.req, Outcome::Failed);
+                        self.abort_request(item.req(), Outcome::Failed);
                         continue;
                     }
                     self.counters.retry.device_retries += 1;
-                    let key = ((item.req as u64) << 20) | item.kernel.0 as u64;
+                    let key = ((item.req() as u64) << 20) | item.kernel().0 as u64;
                     let delay = policy.delay_ms(n, key);
-                    self.push_dispatch(now + delay, item.req, item.kernel);
+                    self.push_dispatch(now + delay, item.req(), item.kernel());
                 }
             }
         }
@@ -181,6 +183,7 @@ impl Simulator {
             // energy accounting resumes from now.
             d.accounted_to_ms = d.accounted_to_ms.max(now);
             d.idle_power_w = self.config.idle_w(d.kind);
+            self.reroute();
             self.note_fault(device, "recover");
             self.apply_idle_floors();
         }

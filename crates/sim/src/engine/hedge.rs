@@ -113,7 +113,9 @@ impl Simulator {
             self.counters.work.dispatch.entries += d.queue.take_touched();
             queued
                 || d.inflight.iter().any(|e| {
-                    e.item.req == req && e.item.kernel == kernel && e.is_live(&self.requests, now)
+                    e.item.req() == req
+                        && e.item.kernel() == kernel
+                        && e.is_live(&self.requests, now)
                 })
         });
         let Some(holder) = holder else { return };
@@ -134,14 +136,8 @@ impl Simulator {
         }
         self.requests.set_hedged(req, k);
         self.counters.retry.hedges_fired += 1;
-        self.devices[alt_dev].queue.push_back(WorkItem {
-            req,
-            kernel,
-            ready_ms: now,
-            est_ns: ms_to_ns(est_ms),
-            alt,
-            hedge: true,
-        });
+        let copy = WorkItem::new(req, kernel, now, ms_to_ns(est_ms), alt, true);
+        self.devices[alt_dev].queue.push_back(copy);
         self.obs(|| ObsEvent::HedgeFired {
             req,
             kernel: k,

@@ -153,15 +153,14 @@ enum EventKind {
     DeviceFree {
         dev: u32,
     },
-    /// `attempt` invalidates completions of executions killed by a device
-    /// fail-stop: a stale event whose attempt no longer matches the
-    /// request's counter is ignored. `hedge` marks completions of hedge
-    /// copies (win attribution only).
-    Complete {
-        req: u32,
-        kernel: u32,
-        attempt: u32,
-        hedge: bool,
+    /// Launch `launch` on device `dev` completes: every item of it passes
+    /// through `complete` in launch order. `frees` marks a launch that
+    /// frees its device at that same instant (GPU launches): the event
+    /// then does the `DeviceFree` step first (see `batch::Launches`).
+    LaunchDone {
+        dev: u32,
+        launch: u32,
+        frees: bool,
     },
     /// Scripted fault (index into `Simulator::faults`).
     Fault {
@@ -220,8 +219,12 @@ pub struct Simulator {
     batching: batch::Batching,
     /// Rolling stage-latency windows behind the hedge delay.
     hedging: hedge::Hedging,
-    /// Reusable tables of the dynamic chooser's downstream margin.
-    margin: dispatch::MarginScratch,
+    /// The dynamic chooser's downstream-margin walks and scratch.
+    margin: dispatch::Margin,
+    /// Healthy devices by kind and by loaded bitstream.
+    routes: dispatch::Routes,
+    /// Items of every launch whose `LaunchDone` is still queued.
+    launches: batch::Launches,
     /// The current accounting window (see [`SimReport`]): its start,
     /// its counts and its per-kernel breakdown.
     stats_since: f64,
@@ -322,6 +325,7 @@ impl Simulator {
             })
             .collect();
         let streaming = config.pipeline.enabled();
+        let margin = dispatch::Margin::new(&graph);
         let mut sim = Self {
             sources: graph.sources(),
             graph,
@@ -333,7 +337,9 @@ impl Simulator {
             now: 0.0,
             batching: batch::Batching::default(),
             hedging: hedge::Hedging::new(n_kernels),
-            margin: dispatch::MarginScratch::default(),
+            margin,
+            routes: dispatch::Routes::default(),
+            launches: batch::Launches::default(),
             stats_since: 0.0,
             arrived: 0,
             completed: 0,
@@ -350,6 +356,7 @@ impl Simulator {
             recorder: None,
         };
         sim.preload_bitstreams();
+        sim.reroute();
         sim.recompute_wait_budgets();
         sim.apply_idle_floors();
         Ok(sim)
@@ -485,11 +492,7 @@ impl Simulator {
     /// The event loop: pop events in `(time, seq)` order and handle each,
     /// while the next one is due by `until`.
     fn run_until(&mut self, until: f64) {
-        while let Some(et) = self.events.peek_time() {
-            if et > until {
-                break;
-            }
-            let (et, _, kind) = self.events.pop().expect("peeked");
+        while let Some((et, _, kind)) = self.events.pop_due(until) {
             if et < self.now - 1e-9 {
                 self.counters.clock_regressions += 1;
             }
@@ -516,24 +519,10 @@ impl Simulator {
             EventKind::Dispatch { req, kernel } => {
                 self.dispatch(req as usize, KernelId(kernel as usize));
             }
-            EventKind::DeviceFree { dev } => {
-                let dev = dev as usize;
-                if self.devices[dev].healthy && self.devices[dev].busy_until <= self.now + 1e-12 {
-                    self.devices[dev].executing = false;
-                    self.try_start(dev);
-                    // Still idle after draining its own queue: poach from
-                    // the deepest compatible backlog (dynamic mode only).
-                    if !self.devices[dev].executing {
-                        self.try_steal(dev);
-                    }
-                }
+            EventKind::DeviceFree { dev } => self.device_free(dev as usize),
+            EventKind::LaunchDone { dev, launch, frees } => {
+                self.launch_done(dev as usize, launch, frees);
             }
-            EventKind::Complete {
-                req,
-                kernel,
-                attempt,
-                hedge,
-            } => self.complete(req as usize, KernelId(kernel as usize), attempt, hedge),
             EventKind::Fault { idx } => self.apply_fault(idx as usize),
             EventKind::Deadline { req } => {
                 let req = req as usize;

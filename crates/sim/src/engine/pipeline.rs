@@ -100,7 +100,7 @@ impl Simulator {
         // (no streaming producer) never bind.
         let floor = batch
             .iter()
-            .map(|it| self.requests.stream_floor(it.req, kernel.0))
+            .map(|it| self.requests.stream_floor(it.req(), kernel.0))
             .fold(f64::NEG_INFINITY, f64::max);
         if floor.is_finite() && floor + exec / tiles > launch.completion {
             let delta = floor + exec / tiles - launch.completion;
@@ -119,8 +119,8 @@ impl Simulator {
             let mut stall = 0.0f64;
             for &(succ, _) in &succs {
                 let eligible = batch.iter().any(|it| {
-                    self.requests.remaining_preds(it.req, succ.0) == 1
-                        && !self.requests.streamed(it.req, succ.0)
+                    self.requests.remaining_preds(it.req(), succ.0) == 1
+                        && !self.requests.streamed(it.req(), succ.0)
                 });
                 if eligible {
                     let tc = self.policy.of(succ).latency_single_ms / tiles;
@@ -154,14 +154,14 @@ impl Simulator {
                     )
                     + chunk_ms;
                 for it in batch {
-                    if self.requests.remaining_preds(it.req, succ.0) == 1
-                        && !self.requests.streamed(it.req, succ.0)
+                    if self.requests.remaining_preds(it.req(), succ.0) == 1
+                        && !self.requests.streamed(it.req(), succ.0)
                     {
-                        self.requests.dec_remaining_preds(it.req, succ.0);
-                        self.requests.set_streamed(it.req, succ.0);
+                        self.requests.dec_remaining_preds(it.req(), succ.0);
+                        self.requests.set_streamed(it.req(), succ.0);
                         self.requests
-                            .set_stream_floor(it.req, succ.0, completion + chunk_ms);
-                        self.push_dispatch(jit, it.req, succ);
+                            .set_stream_floor(it.req(), succ.0, completion + chunk_ms);
+                        self.push_dispatch(jit, it.req(), succ);
                     }
                 }
             }
