@@ -159,12 +159,6 @@ impl System {
         )
     }
 
-    /// Whether the policy source is a fixed baseline (no feedback state).
-    #[must_use]
-    pub fn is_static(&self) -> bool {
-        matches!(self.source, Source::Static(_))
-    }
-
     /// Maximum sustainable RPS whose measured p99 stays within the bound.
     pub fn max_rps(&mut self) -> f64 {
         let bound = self.bound_ms;

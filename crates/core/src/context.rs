@@ -101,12 +101,6 @@ impl AppContext {
         &self.setup
     }
 
-    /// Mutable access to the provisioning (e.g. a cluster overriding the
-    /// per-node lifecycle config before construction).
-    pub fn setup_mut(&mut self) -> &mut NodeSetup {
-        &mut self.setup
-    }
-
     /// The p99 QoS bound, milliseconds.
     #[must_use]
     pub fn bound_ms(&self) -> f64 {

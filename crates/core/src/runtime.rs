@@ -240,8 +240,8 @@ impl RunSpec {
     /// Enable the hybrid static/dynamic scheduling layer: planning still
     /// produces the interval policy, but each kernel keeps its top-k
     /// implementations and dispatch picks among them per request by input
-    /// size and per-device queue depth (with work stealing when
-    /// `dynamic.steal`). Off by default — the purely static plan.
+    /// size and per-device queue depth, and idle devices steal queued
+    /// work. Off by default — the purely static plan.
     #[must_use]
     pub fn dynamic(mut self, dynamic: DynamicDispatch) -> Self {
         self.dynamic = Some(dynamic);

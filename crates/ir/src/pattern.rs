@@ -339,17 +339,6 @@ impl PatternInstance {
         }
     }
 
-    /// Compute parallelism: independent operator instances inside the CDFG
-    /// (drives PE replication on FPGAs and unrolling on GPUs).
-    #[must_use]
-    pub fn compute_parallelism(&self) -> u64 {
-        match self.kind {
-            PatternKind::Pipeline => self.funcs.len() as u64,
-            PatternKind::Reduce => self.output_elements(),
-            _ => (self.funcs.len() as u64).max(1),
-        }
-    }
-
     /// Depth of the sequential dependency chain per element — the natural
     /// pipeline depth on FPGAs.
     #[must_use]

@@ -1,4 +1,3 @@
-use crate::arena::ReqArena;
 use crate::dqueue::DeviceQueue;
 use poly_device::DeviceKind;
 use poly_ir::KernelId;
@@ -77,35 +76,6 @@ impl WorkItem {
     }
 }
 
-/// One batch the device has committed to: the work items it serves, the
-/// attempt number each was dispatched under, and the completion time. Used
-/// to retry in-flight work when the device fail-stops mid-execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct InflightItem {
-    pub item: WorkItem,
-    pub attempt: u32,
-    pub completion_ms: f64,
-}
-
-const _: () = assert!(std::mem::size_of::<InflightItem>() == 48);
-
-impl InflightItem {
-    /// Whether this execution can still produce a valid completion: it
-    /// has not finished by `now`, its request is unsettled, its stage is
-    /// not done, and no kill or cancellation has bumped the stage's
-    /// attempt since it started.
-    pub fn is_live(&self, requests: &ReqArena, now: f64) -> bool {
-        let (req, k) = (self.item.req(), self.item.kernel().0);
-        // A settled request never holds a live future completion (the
-        // settling path invalidated it), so the settled check
-        // short-circuits before any per-kernel state is touched.
-        self.completion_ms > now + 1e-12
-            && !requests.is_settled(req)
-            && !requests.done(req, k)
-            && requests.attempt(req, k) == self.attempt
-    }
-}
-
 /// Simulation state of one accelerator.
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceState {
@@ -132,9 +102,11 @@ pub(crate) struct DeviceState {
     /// Active power of the execution currently occupying the device (for
     /// refunding pre-booked busy energy when the device fails mid-batch).
     pub active_power_w: f64,
-    /// Work committed to this device whose completions are still pending.
-    /// Pruned lazily; retried onto survivors on fail-stop.
-    pub inflight: Vec<InflightItem>,
+    /// Ids of this device's open launches (`engine::batch::Launches`),
+    /// in launch order: dropped as each `LaunchDone` pops, taken whole by
+    /// a fail-stop (which retries the live items onto survivors) or a
+    /// node drain.
+    pub inflight: Vec<u32>,
     // --- accounting -------------------------------------------------------
     /// Active (busy) energy accumulated, in millijoules.
     pub busy_energy_mj: f64,

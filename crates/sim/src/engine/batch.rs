@@ -5,7 +5,8 @@
 
 use super::pipeline::Launch;
 use super::{ix, EventKind, Simulator, GPU_PARKED_FRACTION};
-use crate::device::{InflightItem, WorkItem};
+use crate::arena::ReqArena;
+use crate::device::WorkItem;
 use crate::KernelImpl;
 use poly_device::DeviceKind;
 use poly_ir::KernelId;
@@ -38,23 +39,64 @@ impl Batching {
     }
 }
 
-/// One item of a launch, as its completion replays it through
-/// `complete`: the stage, the attempt it started under, and whether it
-/// is a hedge copy.
+/// One launched item: its stage, the attempt it started under, and two
+/// flags — a hedge copy, and a copy a cancellation sweep has dropped.
+/// Indices are `u32`-wide as in `EventKind`, so an item is 16 bytes.
 #[derive(Debug, Clone, Copy)]
-struct Done {
+pub(super) struct Launched {
     req: u32,
     kernel: u32,
     attempt: u32,
-    hedge: bool,
+    flags: u32,
 }
 
-/// The items of every launch whose `LaunchDone` event is still queued,
-/// each in launch order, keyed by launch id: a slot, reused once its
-/// event has popped. A record outlives every cancellation and fail-stop
-/// of its items (their completions must still be counted, stale), and
-/// the id — not the device — names it, so a device cut off and
-/// relaunched before the old event pops keeps both launches apart.
+const _: () = assert!(std::mem::size_of::<Launched>() == 16);
+
+const HEDGE: u32 = 1;
+const DROPPED: u32 = 2;
+
+impl Launched {
+    /// The request this item belongs to.
+    pub(super) fn req(&self) -> usize {
+        self.req as usize
+    }
+
+    /// The item's kernel.
+    pub(super) fn kernel(&self) -> KernelId {
+        KernelId(self.kernel as usize)
+    }
+
+    /// Whether this item of a still-running launch can produce a valid
+    /// completion: no sweep dropped it, its request is unsettled, its
+    /// stage is not done, and no kill or cancellation has bumped the
+    /// stage's attempt since it started.
+    pub(super) fn is_live(&self, requests: &ReqArena) -> bool {
+        let (req, k) = (self.req(), self.kernel().0);
+        // A settled request never holds a live future completion (the
+        // settling path invalidated it), so the settled check
+        // short-circuits before any per-kernel state is touched.
+        self.flags & DROPPED == 0
+            && !requests.is_settled(req)
+            && !requests.done(req, k)
+            && requests.attempt(req, k) == self.attempt
+    }
+}
+
+/// One launch whose `LaunchDone` event is still queued: its completion
+/// time and its items in launch order.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    completion_ms: f64,
+    items: Vec<Launched>,
+}
+
+/// The in-flight book: every launch whose `LaunchDone` event is still
+/// queued, keyed by launch id — a slot reused once its event has popped.
+/// Each device lists its open launch ids (`DeviceState::inflight`). A
+/// record outlives every cancellation and fail-stop of its items (their
+/// completions must still be counted, stale), and the id — not the
+/// device — names it, so a device cut off and relaunched before the old
+/// event pops keeps both launches apart.
 ///
 /// One event per launch pops exactly where one event per item would:
 /// pushed right after the launch's `DeviceFree`, those would share a
@@ -64,35 +106,69 @@ struct Done {
 /// before them — which is why `LaunchDone` then does that step first.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Launches {
-    slots: Vec<Vec<Done>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
 }
 
 impl Launches {
-    /// A fresh, empty record's id.
-    fn open(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            self.slots.push(Vec::new());
+    /// A fresh, empty record's id, for a launch completing at
+    /// `completion_ms`.
+    fn open(&mut self, completion_ms: f64) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
             ix(self.slots.len() - 1)
-        })
-    }
-
-    /// Add the next item of launch `id`.
-    fn push(&mut self, id: u32, item: Done) {
-        self.slots[id as usize].push(item);
+        });
+        self.slots[id as usize].completion_ms = completion_ms;
+        id
     }
 
     /// Take launch `id`'s items out for replay; [`close`](Self::close)
     /// returns the buffer.
-    fn take(&mut self, id: u32) -> Vec<Done> {
-        std::mem::take(&mut self.slots[id as usize])
+    fn take(&mut self, id: u32) -> Vec<Launched> {
+        std::mem::take(&mut self.slots[id as usize].items)
     }
 
     /// Free slot `id`, keeping the replayed buffer for reuse.
-    fn close(&mut self, id: u32, mut items: Vec<Done>) {
+    fn close(&mut self, id: u32, mut items: Vec<Launched>) {
         items.clear();
-        self.slots[id as usize] = items;
+        self.slots[id as usize].items = items;
         self.free.push(id);
+    }
+
+    /// Launch `id`'s items while it is still running at `now`; none once
+    /// its completion time has come.
+    pub(super) fn running(&self, id: u32, now: f64) -> &[Launched] {
+        let slot = &self.slots[id as usize];
+        if slot.completion_ms > now + 1e-12 {
+            &slot.items
+        } else {
+            &[]
+        }
+    }
+
+    /// Drop the copies of `req` (of its `kernel` stage only, when given)
+    /// in the launches `ids` still running at `now`: set their `dropped`
+    /// bit rather than remove them. Returns whether any copy was not
+    /// dropped already, so only the sweep that first drops a copy touches
+    /// its device.
+    pub(super) fn drop_inflight(
+        &mut self,
+        ids: &[u32],
+        req: usize,
+        kernel: Option<KernelId>,
+        now: f64,
+    ) -> bool {
+        let mut fresh = false;
+        for &id in ids {
+            let n = self.running(id, now).len();
+            for it in &mut self.slots[id as usize].items[..n] {
+                if it.req() == req && kernel.is_none_or(|k| it.kernel() == k) {
+                    fresh |= it.flags & DROPPED == 0;
+                    it.flags |= DROPPED;
+                }
+            }
+        }
+        fresh
     }
 }
 
@@ -114,17 +190,15 @@ impl Simulator {
     /// Launch `launch` on `dev` completes: free the device first if the
     /// launch `frees` it now, then complete each item in launch order.
     pub(super) fn launch_done(&mut self, dev: usize, launch: u32, frees: bool) {
+        // Off the device's open list before the device starts its next
+        // launch (a fail-stop or drain may have taken the list already).
+        self.devices[dev].inflight.retain(|&id| id != launch);
         let items = self.launches.take(launch);
         if frees {
             self.device_free(dev);
         }
-        for d in &items {
-            self.complete(
-                d.req as usize,
-                KernelId(d.kernel as usize),
-                d.attempt,
-                d.hedge,
-            );
+        for it in &items {
+            self.complete(it.req(), it.kernel(), it.attempt, it.flags & HEDGE != 0);
         }
         self.launches.close(launch, items);
     }
@@ -265,11 +339,6 @@ impl Simulator {
         if self.devices[dev].executing && self.devices[dev].busy_until > now + 1e-12 {
             return;
         }
-        // Drop completed entries from the in-flight book before committing
-        // to more work (lazy pruning keeps completion O(1)).
-        self.devices[dev]
-            .inflight
-            .retain(|e| e.completion_ms > now + 1e-12);
         let Some(front) = self.devices[dev].queue.front() else {
             self.devices[dev].executing = false;
             return;
@@ -397,7 +466,8 @@ impl Simulator {
             self.events
                 .push(busy_until, EventKind::DeviceFree { dev: ix(dev) });
         }
-        let launch = self.launches.open();
+        let launch = self.launches.open(completion);
+        self.devices[dev].inflight.push(launch);
         let backend = self.config.backend_label;
         self.obs(|| ObsEvent::ExecStart {
             device: dev,
@@ -424,20 +494,12 @@ impl Simulator {
                 queue_wait_ms: (start - item.ready_ms).max(0.0),
                 service_ms: completion - start,
             });
-            self.devices[dev].inflight.push(InflightItem {
-                item,
+            self.launches.slots[launch as usize].items.push(Launched {
+                req: ix(item.req()),
+                kernel: ix(item.kernel().0),
                 attempt,
-                completion_ms: completion,
+                flags: if item.hedge { HEDGE } else { 0 },
             });
-            self.launches.push(
-                launch,
-                Done {
-                    req: ix(item.req()),
-                    kernel: ix(item.kernel().0),
-                    attempt,
-                    hedge: item.hedge,
-                },
-            );
         }
         self.events.push(
             completion,

@@ -5,23 +5,9 @@
 
 use super::{ix, EventKind, Simulator};
 use crate::arena::Outcome;
-use crate::device::DeviceState;
 use poly_ir::KernelId;
 use poly_obs::Event as ObsEvent;
 use std::sync::Arc;
-
-/// Drop `d`'s in-flight copies of `req` (of its `kernel` stage only,
-/// when given) that have not completed by `now`; returns whether any
-/// were dropped.
-fn drop_inflight(d: &mut DeviceState, req: usize, kernel: Option<KernelId>, now: f64) -> bool {
-    let before = d.inflight.len();
-    d.inflight.retain(|e| {
-        !(e.item.req() == req
-            && kernel.is_none_or(|k| e.item.kernel() == k)
-            && e.completion_ms > now + 1e-12)
-    });
-    d.inflight.len() != before
-}
 
 impl Simulator {
     pub(super) fn complete(&mut self, req: usize, kernel: KernelId, attempt: u32, hedge: bool) {
@@ -144,7 +130,8 @@ impl Simulator {
         for (i, d) in self.devices.iter_mut().enumerate() {
             let removed = d.queue.remove_where(req, kernel);
             self.counters.work.cancel.entries += d.queue.take_touched();
-            let dropped = kernel.is_some() && drop_inflight(d, req, kernel, now);
+            let dropped =
+                kernel.is_some() && self.launches.drop_inflight(&d.inflight, req, kernel, now);
             if removed > 0 || dropped {
                 touched.push(i);
             }
@@ -157,7 +144,7 @@ impl Simulator {
             // terminal outcome alone already makes them stale).
             self.requests.bump_all_attempts(req);
             for (i, d) in self.devices.iter_mut().enumerate() {
-                if drop_inflight(d, req, None, now) {
+                if self.launches.drop_inflight(&d.inflight, req, None, now) {
                     touched.push(i);
                 }
             }
@@ -179,7 +166,11 @@ impl Simulator {
         if !d.healthy || !d.executing || d.busy_until <= now + 1e-12 {
             return;
         }
-        if d.inflight.iter().any(|e| e.is_live(&self.requests, now)) {
+        let mut items = d
+            .inflight
+            .iter()
+            .flat_map(|&id| self.launches.running(id, now));
+        if items.any(|it| it.is_live(&self.requests)) {
             return;
         }
         self.refunded_busy_mj += self.devices[dev].stop_execution(now);
@@ -231,7 +222,7 @@ impl Simulator {
 mod tests {
     use super::super::testkit::*;
     use super::*;
-    use crate::lifecycle::LifecycleConfig;
+    use crate::lifecycle::{HedgeConfig, LifecycleConfig};
     use crate::{FaultPlan, Policy, SimConfig};
     use poly_sched::Pool;
 
@@ -319,6 +310,56 @@ mod tests {
         // Energy books: 5 ms of busy time at 25 W remain accounted, the
         // rest of the 10 ms execution was refunded.
         assert!(a.refunded_busy_mj <= a.booked_busy_mj);
+    }
+
+    /// A stage sweep marks the losing copy dropped rather than removing
+    /// it: a later request sweep of the same request finds the copy but
+    /// does not count its device as touched again, and the launch's
+    /// `LaunchDone` still counts the copy as a stale completion.
+    #[test]
+    fn a_dropped_copy_touches_its_device_once() {
+        let mut s = fpga_sim(
+            2,
+            LifecycleConfig {
+                hedge: Some(HedgeConfig {
+                    quantile: 0.95,
+                    min_delay_ms: 1.0,
+                    window: 16,
+                    min_samples: 4,
+                }),
+                ..LifecycleConfig::default()
+            },
+        );
+        // Eight nominal requests warm the hedge window (~10 ms stages);
+        // request 8's primary then runs 5× slow on device 0 (450–500 ms),
+        // its hedge copy wins on device 1 at ~470 ms, and the stage sweep
+        // drops the primary and cuts device 0.
+        let warmup: Vec<f64> = (0..8).map(|i| f64::from(i) * 50.0).collect();
+        s.enqueue_arrivals(&warmup);
+        s.advance_to(400.0);
+        s.inject_faults(&FaultPlan::new().slow_down(400.0, 0, 5.0));
+        s.enqueue_arrivals(&[450.0]);
+        s.advance_to(480.0);
+        assert_eq!(s.retry_stats().hedge_wins, 1);
+        let (req, now) = (8, s.now);
+        let d = &s.devices[0];
+        assert_eq!(d.inflight.len(), 1, "the cut launch is still open");
+        let copy = s.launches.running(d.inflight[0], now)[0];
+        assert_eq!(copy.req(), req);
+        assert!(!copy.is_live(&s.requests), "dropped copies are not live");
+        assert!(
+            !s.launches.drop_inflight(&d.inflight, req, None, now),
+            "a request sweep must not touch device 0 again"
+        );
+        assert_eq!(s.counters().stale_completions, 0);
+        s.advance_to(510.0);
+        assert_eq!(
+            s.counters().stale_completions,
+            1,
+            "the dropped copy's completion arrives stale"
+        );
+        assert!(s.devices[0].inflight.is_empty(), "its launch closed");
+        s.audit().check().expect("audit invariants hold");
     }
 
     #[test]

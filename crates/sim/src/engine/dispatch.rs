@@ -11,23 +11,14 @@ use poly_device::DeviceKind;
 use poly_ir::{KernelGraph, KernelId};
 use poly_obs::Event as ObsEvent;
 
-/// Configuration of the hybrid static/dynamic dispatch layer: at
-/// dispatch time each request picks among the interval plan's top-k
-/// implementations by its own input size and the current per-device
-/// queue estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynamicDispatch {
-    /// Work-stealing escape hatch: a device going idle with an empty
-    /// queue pulls the newest item from the most backlogged queue it can
-    /// serve without a bitstream swap.
-    pub steal: bool,
-}
-
-impl Default for DynamicDispatch {
-    fn default() -> Self {
-        Self { steal: true }
-    }
-}
+/// The hybrid static/dynamic dispatch layer: at dispatch time each
+/// request picks among the interval plan's top-k implementations by its
+/// own input size and the current per-device queue estimates, and a
+/// device going idle with an empty queue steals the newest item from the
+/// most backlogged queue it can serve without a bitstream swap. It has
+/// no knobs; `SimConfig::dynamic` switches it on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DynamicDispatch {}
 
 /// The tables of [`Simulator::downstream_margin`]: what each kernel's
 /// walk visits, fixed at construction, and reusable scratch (hot-path
@@ -521,8 +512,7 @@ impl Simulator {
     /// tail (not the head) preserves the victim's batch currently
     /// forming at the front.
     pub(super) fn try_steal(&mut self, dev: usize) {
-        let steal = matches!(self.config.dynamic, Some(dc) if dc.steal);
-        if !steal || !self.policy.has_alternates() {
+        if self.config.dynamic.is_none() || !self.policy.has_alternates() {
             return;
         }
         let thief_kind = self.devices[dev].kind;

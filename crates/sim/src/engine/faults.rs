@@ -3,10 +3,10 @@
 
 use super::{ix, EventKind, Simulator};
 use crate::arena::Outcome;
-use crate::device::WorkItem;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::lifecycle::RetryPolicy;
 use poly_device::DeviceKind;
+use poly_ir::KernelId;
 use poly_obs::Event as ObsEvent;
 use poly_sched::Pool;
 
@@ -122,23 +122,30 @@ impl Simulator {
         let inflight = std::mem::take(&mut d.inflight);
         self.reroute();
         // Kill the in-flight batch: bump each live victim's attempt so
-        // its scheduled completion becomes stale, then retry it.
-        let mut to_retry: Vec<WorkItem> = Vec::new();
-        for entry in inflight {
-            if entry.is_live(&self.requests, now) {
-                self.requests
-                    .bump_attempt(entry.item.req(), entry.item.kernel().0);
-                to_retry.push(entry.item);
+        // its scheduled completion becomes stale, then retry it. The
+        // launch records stay open until their `LaunchDone` counts the
+        // completions stale.
+        let mut to_retry: Vec<(usize, KernelId)> = Vec::new();
+        for it in inflight
+            .iter()
+            .flat_map(|&id| self.launches.running(id, now))
+        {
+            if it.is_live(&self.requests) {
+                self.requests.bump_attempt(it.req(), it.kernel().0);
+                to_retry.push((it.req(), it.kernel()));
             }
         }
+        let queued = queued_victims
+            .iter()
+            .map(|item| (item.req(), item.kernel()));
         match self.config.lifecycle.retry {
             // Legacy: re-dispatch everything immediately, without bound;
             // queued victims keep their attempt counter.
             RetryPolicy::Immediate => {
-                to_retry.extend(queued_victims);
+                to_retry.extend(queued);
                 self.counters.retry.device_retries += to_retry.len();
-                for item in to_retry {
-                    self.push_dispatch(now, item.req(), item.kernel());
+                for (req, kernel) in to_retry {
+                    self.push_dispatch(now, req, kernel);
                 }
             }
             RetryPolicy::Backoff(policy) => {
@@ -148,21 +155,21 @@ impl Simulator {
                 for item in &queued_victims {
                     self.requests.bump_attempt(item.req(), item.kernel().0);
                 }
-                to_retry.extend(queued_victims);
-                for item in to_retry {
-                    if self.requests.is_settled(item.req()) {
+                to_retry.extend(queued);
+                for (req, kernel) in to_retry {
+                    if self.requests.is_settled(req) {
                         continue; // settled while the kill ran
                     }
-                    let n = self.requests.attempt(item.req(), item.kernel().0);
+                    let n = self.requests.attempt(req, kernel.0);
                     if n > policy.max_retries {
                         self.counters.retry.exhausted += 1;
-                        self.abort_request(item.req(), Outcome::Failed);
+                        self.abort_request(req, Outcome::Failed);
                         continue;
                     }
                     self.counters.retry.device_retries += 1;
-                    let key = ((item.req() as u64) << 20) | item.kernel().0 as u64;
+                    let key = ((req as u64) << 20) | kernel.0 as u64;
                     let delay = policy.delay_ms(n, key);
-                    self.push_dispatch(now + delay, item.req(), item.kernel());
+                    self.push_dispatch(now + delay, req, kernel);
                 }
             }
         }

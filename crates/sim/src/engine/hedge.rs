@@ -112,11 +112,12 @@ impl Simulator {
             let queued = d.queue.contains_stage(req, kernel);
             self.counters.work.dispatch.entries += d.queue.take_touched();
             queued
-                || d.inflight.iter().any(|e| {
-                    e.item.req() == req
-                        && e.item.kernel() == kernel
-                        && e.is_live(&self.requests, now)
-                })
+                || d.inflight
+                    .iter()
+                    .flat_map(|&id| self.launches.running(id, now))
+                    .any(|it| {
+                        it.req() == req && it.kernel() == kernel && it.is_live(&self.requests)
+                    })
         });
         let Some(holder) = holder else { return };
         let Some((alt_dev, alt, est_ms)) = self.choose_dispatch(req, kernel, Some(holder)) else {

@@ -223,7 +223,9 @@ pub struct Simulator {
     margin: dispatch::Margin,
     /// Healthy devices by kind and by loaded bitstream.
     routes: dispatch::Routes,
-    /// Items of every launch whose `LaunchDone` is still queued.
+    /// The in-flight book: every launch whose `LaunchDone` is still
+    /// queued, with its completion time and items (each device lists
+    /// its own open launch ids).
     launches: batch::Launches,
     /// The current accounting window (see [`SimReport`]): its start,
     /// its counts and its per-kernel breakdown.

@@ -1,4 +1,4 @@
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Unified re-issue accounting, shared by the node and the cluster
 /// layers. PR 2 counted node-level fail-stop retries and PR 3 counted
@@ -27,14 +27,6 @@ pub struct RetryStats {
     pub steals: usize,
 }
 
-impl RetryStats {
-    /// Total extra dispatches caused by faults and hedging.
-    #[must_use]
-    pub fn total_reissues(&self) -> usize {
-        self.device_retries + self.redistributed + self.hedges_fired
-    }
-}
-
 /// Quantiles precomputed by the digest. Every quantile the framework
 /// queries (p50/p95/p99 plus the 1st/10th percentiles used by tests and
 /// calibration) maps onto one of these grid points, so lookups are O(log
@@ -51,7 +43,7 @@ const GRID_QS: [f64; 10] = [0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99
 /// O(n) total, vs. O(n log n) for a full sort). This keeps report
 /// generation off the simulator's hot path: producing a report shares the
 /// sample buffer instead of cloning and sorting it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LatencyStats {
     /// Finite samples, in no particular order (shared, never mutated).
     samples: Arc<Vec<f64>>,
@@ -60,27 +52,11 @@ pub struct LatencyStats {
     /// sample array would hold at index `rank0`. Covers [`GRID_QS`] plus
     /// the minimum (rank 0).
     grid: Vec<(usize, f64)>,
-    /// Lazily memoized off-grid ranks (same layout as `grid`): the first
-    /// off-grid query pays one selection over a private copy, repeated
-    /// queries are O(log memo) with no allocation.
-    memo: Mutex<Vec<(usize, f64)>>,
-}
-
-impl Clone for LatencyStats {
-    fn clone(&self) -> Self {
-        Self {
-            samples: Arc::clone(&self.samples),
-            mean_ms: self.mean_ms,
-            grid: self.grid.clone(),
-            memo: Mutex::new(self.memo.lock().map(|m| m.clone()).unwrap_or_default()),
-        }
-    }
 }
 
 impl PartialEq for LatencyStats {
     /// Equality is on the *distribution* (order-insensitive), matching
-    /// the former sorted representation. The lazily-filled off-grid memo
-    /// is a cache, not state, and is ignored.
+    /// the former sorted representation.
     fn eq(&self, other: &Self) -> bool {
         if self.samples.len() != other.samples.len()
             || self.mean_ms.to_bits() != other.mean_ms.to_bits()
@@ -192,7 +168,6 @@ impl LatencyStats {
             samples: Arc::new(samples),
             mean_ms,
             grid,
-            memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -217,7 +192,6 @@ impl LatencyStats {
             samples,
             mean_ms,
             grid,
-            memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -243,9 +217,8 @@ impl LatencyStats {
     /// [`try_quantile`](Self::try_quantile), the `Option` form).
     ///
     /// Grid quantiles (all the ones the framework uses) are answered from
-    /// the precomputed digest; anything else is selected once and
-    /// memoized, so only the *first* query at a given off-grid rank pays a
-    /// pass over the samples.
+    /// the precomputed digest; anything else pays one selection over a
+    /// private copy of the samples.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         self.try_quantile(q).unwrap_or(0.0)
@@ -263,17 +236,8 @@ impl LatencyStats {
         Some(match self.grid.binary_search_by_key(&rank, |&(r, _)| r) {
             Ok(i) => self.grid[i].1,
             Err(_) => {
-                let mut memo = self.memo.lock().expect("memo lock poisoned");
-                match memo.binary_search_by_key(&rank, |&(r, _)| r) {
-                    Ok(i) => memo[i].1,
-                    Err(pos) => {
-                        let mut scratch = self.samples.as_ref().clone();
-                        let (_, &mut v, _) =
-                            scratch.select_nth_unstable_by(rank, |a, b| a.total_cmp(b));
-                        memo.insert(pos, (rank, v));
-                        v
-                    }
-                }
+                let mut scratch = self.samples.as_ref().clone();
+                *scratch.select_nth_unstable_by(rank, f64::total_cmp).1
             }
         })
     }
@@ -441,26 +405,13 @@ mod tests {
     #[test]
     fn off_grid_quantile_falls_back_to_selection() {
         let s = LatencyStats::from_samples((1..=1000).map(f64::from).collect());
-        // 0.333 is not on the digest grid.
+        // Neither 0.333 nor 0.666 is on the digest grid; a repeat query
+        // selects again and agrees, and the digest is left as it was.
         assert_eq!(s.quantile(0.333), 333.0);
-    }
-
-    #[test]
-    fn off_grid_quantile_is_memoized() {
-        let s = LatencyStats::from_samples((1..=1000).map(f64::from).collect());
-        assert!(s.memo.lock().unwrap().is_empty());
         assert_eq!(s.quantile(0.333), 333.0);
-        assert_eq!(s.memo.lock().unwrap().len(), 1, "selection cached");
-        // The repeat answers from the memo (and must agree).
-        assert_eq!(s.quantile(0.333), 333.0);
-        assert_eq!(s.memo.lock().unwrap().len(), 1);
-        // A different off-grid rank adds a second entry, in rank order.
         assert_eq!(s.quantile(0.666), 666.0);
-        let memo = s.memo.lock().unwrap().clone();
-        assert_eq!(memo, vec![(332, 333.0), (665, 666.0)]);
-        // Clones carry the cache; equality ignores it.
         let c = s.clone();
-        assert_eq!(c.memo.lock().unwrap().len(), 2);
+        assert_eq!(c.quantile(0.666), 666.0);
         assert_eq!(
             c,
             LatencyStats::from_samples((1..=1000).map(f64::from).collect())

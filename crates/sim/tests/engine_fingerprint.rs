@@ -162,7 +162,7 @@ fn dynamic_steal() -> String {
         Pool::heterogeneous(2, 4),
         fpga_policy(),
         SimConfig {
-            dynamic: Some(DynamicDispatch { steal: true }),
+            dynamic: Some(DynamicDispatch::default()),
             ..SimConfig::default()
         },
     );
