@@ -63,6 +63,18 @@ pub enum BreakerState {
     HalfOpen,
 }
 
+impl BreakerState {
+    /// Stable telemetry label: "closed", "open" or "half-open".
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            BreakerState::Closed => "closed",
+            BreakerState::Open { .. } => "open",
+            BreakerState::HalfOpen => "half-open",
+        }
+    }
+}
+
 /// One node's circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitBreaker {
