@@ -97,10 +97,10 @@ impl SimConfig {
 }
 
 /// A simulator that cannot be built: the policy does not fit the graph
-/// or the pool. Found at construction
-/// ([`Simulator::try_new`]) and on every policy swap
+/// or the pool, or a lifecycle knob is out of range. Found at
+/// construction ([`Simulator::try_new`]) and on every policy swap
 /// ([`Simulator::set_policy`]), never mid-dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimError {
     /// The policy does not choose exactly one implementation per kernel.
     PolicyLength {
@@ -118,6 +118,16 @@ pub enum SimError {
         /// The platform its primary implementation needs.
         kind: DeviceKind,
     },
+    /// A [`LifecycleConfig`] knob outside its valid range (see
+    /// [`LifecycleConfig::validate`]).
+    Lifecycle {
+        /// The knob, e.g. `"backoff.jitter_frac"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The range it must lie in, e.g. `"finite and >= 0"`.
+        bound: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -130,6 +140,11 @@ impl std::fmt::Display for SimError {
             SimError::MissingPlatform { kernel, kind } => {
                 write!(f, "no device of kind {kind} in pool for kernel {kernel}")
             }
+            SimError::Lifecycle {
+                field,
+                value,
+                bound,
+            } => write!(f, "lifecycle {field} must be {bound}, got {value}"),
         }
     }
 }
@@ -299,14 +314,16 @@ impl Simulator {
     ///
     /// # Errors
     /// [`SimError::PolicyLength`] when `policy` does not cover the graph's
-    /// kernels one for one, and [`SimError::MissingPlatform`] when a
-    /// kernel's primary implementation needs a platform `pool` lacks.
+    /// kernels one for one, [`SimError::MissingPlatform`] when a
+    /// kernel's primary implementation needs a platform `pool` lacks, and
+    /// [`SimError::Lifecycle`] for a lifecycle knob out of range.
     pub fn try_new(
         graph: KernelGraph,
         pool: &Pool,
         policy: Policy,
         config: SimConfig,
     ) -> Result<Self, SimError> {
+        config.lifecycle.validate()?;
         let n_kernels = graph.len();
         let devices: Vec<DeviceState> = pool
             .kinds()
@@ -783,6 +800,30 @@ mod tests {
             }
         );
         assert!(err.to_string().starts_with("no device of kind"), "{err}");
+    }
+
+    /// A NaN jitter fraction is refused when the simulator is built, not
+    /// by the jitter draw of the first backoff retry.
+    #[test]
+    fn bad_lifecycle_is_a_construction_error() {
+        let config = SimConfig {
+            lifecycle: LifecycleConfig {
+                retry: crate::RetryPolicy::Backoff(crate::BackoffPolicy {
+                    jitter_frac: f64::NAN,
+                    ..crate::BackoffPolicy::default()
+                }),
+                ..LifecycleConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let policy = Policy::from_impls(vec![fpga_impl(0, 10.0), fpga_impl(1, 10.0)]);
+        let err = Simulator::try_new(graph2(), &Pool::heterogeneous(0, 1), policy, config)
+            .expect_err("a NaN jitter fraction cannot run");
+        assert!(
+            matches!(err, SimError::Lifecycle { field: "backoff.jitter_frac", value, .. } if value.is_nan()),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("backoff.jitter_frac"), "{err}");
     }
 
     /// A policy shorter than the graph is refused with both sizes, and

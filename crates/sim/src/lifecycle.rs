@@ -25,6 +25,7 @@
 //! under the default.
 
 use crate::metrics::rank0;
+use crate::SimError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -42,6 +43,67 @@ pub struct LifecycleConfig {
     pub retry: RetryPolicy,
     /// Hedged dispatch; `None` disables hedging (legacy behavior).
     pub hedge: Option<HedgeConfig>,
+}
+
+impl LifecycleConfig {
+    /// Check every knob for a value the engine cannot run: a NaN
+    /// deadline factor would silently disable deadlines and a negative
+    /// one would schedule each deadline before its arrival, a non-finite
+    /// jitter fraction panics in the first retry's jitter draw, and a
+    /// hedge quantile outside `[0, 1]` panics in the first hedge delay.
+    ///
+    /// # Errors
+    /// The first offence, as [`SimError::Lifecycle`] naming the knob,
+    /// its value and its range.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if let Some(f) = self.deadline_factor {
+            in_range(
+                "deadline_factor",
+                f,
+                f.is_finite() && f > 0.0,
+                "finite and > 0",
+            )?;
+        }
+        if let RetryPolicy::Backoff(b) = self.retry {
+            non_negative("backoff.base_ms", b.base_ms)?;
+            non_negative("backoff.cap_ms", b.cap_ms)?;
+            non_negative("backoff.jitter_frac", b.jitter_frac)?;
+        }
+        if let Some(h) = self.hedge {
+            let q = h.quantile;
+            in_range("hedge.quantile", q, (0.0..=1.0).contains(&q), "in [0, 1]")?;
+            non_negative("hedge.min_delay_ms", h.min_delay_ms)?;
+        }
+        Ok(())
+    }
+}
+
+/// `Ok` when `ok`, else the error naming the knob, its value and `bound`.
+fn in_range(
+    field: &'static str,
+    value: f64,
+    ok: bool,
+    bound: &'static str,
+) -> Result<(), SimError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SimError::Lifecycle {
+            field,
+            value,
+            bound,
+        })
+    }
+}
+
+/// `Ok` when `value` is finite and not negative.
+fn non_negative(field: &'static str, value: f64) -> Result<(), SimError> {
+    in_range(
+        field,
+        value,
+        value.is_finite() && value >= 0.0,
+        "finite and >= 0",
+    )
 }
 
 /// Retry policy for work killed or orphaned by a device fail-stop.
@@ -224,6 +286,128 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn hedge_delay_rejects_bad_quantile() {
         let _ = hedge_delay_from(&[1.0], 1.5);
+    }
+
+    /// The one knob `field` of a config set to `value` is rejected by
+    /// name, with its value.
+    fn rejects(config: &LifecycleConfig, field: &str, value: f64) {
+        match config.validate() {
+            Err(SimError::Lifecycle {
+                field: f, value: v, ..
+            }) => {
+                assert_eq!(f, field);
+                assert_eq!(v.to_bits(), value.to_bits(), "{f} reports its value");
+            }
+            other => panic!("{field} = {value}: expected a lifecycle error, got {other:?}"),
+        }
+    }
+
+    fn backoff(b: BackoffPolicy) -> LifecycleConfig {
+        LifecycleConfig {
+            retry: RetryPolicy::Backoff(b),
+            ..LifecycleConfig::default()
+        }
+    }
+
+    fn hedge(h: HedgeConfig) -> LifecycleConfig {
+        LifecycleConfig {
+            hedge: Some(h),
+            ..LifecycleConfig::default()
+        }
+    }
+
+    #[test]
+    fn validate_accepts_defaults_and_enabled_mechanisms() {
+        assert_eq!(LifecycleConfig::default().validate(), Ok(()));
+        let all_on = LifecycleConfig {
+            deadline_factor: Some(2.0),
+            retry: RetryPolicy::Backoff(BackoffPolicy::default()),
+            hedge: Some(HedgeConfig::default()),
+        };
+        assert_eq!(all_on.validate(), Ok(()));
+        assert_eq!(
+            backoff(BackoffPolicy {
+                jitter_frac: 0.0,
+                ..BackoffPolicy::default()
+            })
+            .validate(),
+            Ok(())
+        );
+        assert_eq!(
+            hedge(HedgeConfig {
+                quantile: 1.0,
+                min_delay_ms: 0.0,
+                ..HedgeConfig::default()
+            })
+            .validate(),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bad_deadline_factor() {
+        for f in [f64::NAN, f64::INFINITY, -0.5, 0.0] {
+            let c = LifecycleConfig {
+                deadline_factor: Some(f),
+                ..LifecycleConfig::default()
+            };
+            rejects(&c, "deadline_factor", f);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_backoff_base() {
+        for v in [f64::NAN, f64::NEG_INFINITY, -1.0] {
+            let c = backoff(BackoffPolicy {
+                base_ms: v,
+                ..BackoffPolicy::default()
+            });
+            rejects(&c, "backoff.base_ms", v);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_backoff_cap() {
+        for v in [f64::NAN, f64::INFINITY, -1.0] {
+            let c = backoff(BackoffPolicy {
+                cap_ms: v,
+                ..BackoffPolicy::default()
+            });
+            rejects(&c, "backoff.cap_ms", v);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_backoff_jitter() {
+        for v in [f64::NAN, f64::INFINITY, -0.25] {
+            let c = backoff(BackoffPolicy {
+                jitter_frac: v,
+                ..BackoffPolicy::default()
+            });
+            rejects(&c, "backoff.jitter_frac", v);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_hedge_quantile() {
+        for q in [f64::NAN, -0.01, 1.5] {
+            let c = hedge(HedgeConfig {
+                quantile: q,
+                ..HedgeConfig::default()
+            });
+            rejects(&c, "hedge.quantile", q);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_hedge_min_delay() {
+        for v in [f64::NAN, f64::INFINITY, -2.0] {
+            let c = hedge(HedgeConfig {
+                min_delay_ms: v,
+                ..HedgeConfig::default()
+            });
+            rejects(&c, "hedge.min_delay_ms", v);
+        }
     }
 
     #[test]
