@@ -178,7 +178,7 @@ impl Simulator {
     /// queue — poaches from the deepest compatible backlog (dynamic mode
     /// only).
     pub(super) fn device_free(&mut self, dev: usize) {
-        if self.devices[dev].healthy && self.devices[dev].busy_until <= self.now + 1e-12 {
+        if self.devices[dev].healthy && self.devices[dev].busy_until <= self.now {
             self.devices[dev].executing = false;
             self.try_start(dev);
             if !self.devices[dev].executing {
@@ -336,7 +336,7 @@ impl Simulator {
         if !self.devices[dev].healthy {
             return;
         }
-        if self.devices[dev].executing && self.devices[dev].busy_until > now + 1e-12 {
+        if self.devices[dev].executing && self.devices[dev].busy_until > now {
             return;
         }
         let Some(front) = self.devices[dev].queue.front() else {
@@ -360,7 +360,7 @@ impl Simulator {
             // Queue gate: only hold the batch open when a partial batch is
             // already forming (the device is trending throughput-bound);
             // a lone request at moderate load starts immediately.
-            if same >= 2 && same < imp.batch && deadline > now + 1e-9 && b.arrival_rate > 0.0 {
+            if same >= 2 && same < imp.batch && deadline > now && b.arrival_rate > 0.0 {
                 let kind = self.devices[dev].kind;
                 let peers = self
                     .devices

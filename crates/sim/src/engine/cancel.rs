@@ -163,7 +163,7 @@ impl Simulator {
     fn cut_if_idle(&mut self, dev: usize) {
         let now = self.now;
         let d = &self.devices[dev];
-        if !d.healthy || !d.executing || d.busy_until <= now + 1e-12 {
+        if !d.healthy || !d.executing || d.busy_until <= now {
             return;
         }
         let mut items = d
@@ -200,7 +200,7 @@ impl Simulator {
             // finish); a failed device was already refunded at the
             // fail-stop. `executing` guards double refunds: the first
             // call clears it, so a second call skips the block.
-            if d.healthy && d.executing && d.busy_until > now + 1e-12 {
+            if d.healthy && d.executing && d.busy_until > now {
                 self.refunded_busy_mj += d.stop_execution(now);
             }
         }
