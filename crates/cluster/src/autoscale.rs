@@ -14,6 +14,8 @@
 //! stays healthy and can be re-activated later. Nodes pending a spot
 //! revocation are never chosen for either direction.
 
+use crate::ClusterError;
+
 /// Autoscaler knobs.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
@@ -44,6 +46,37 @@ impl Default for AutoscaleConfig {
             warmup_ms: 30_000.0,
             cooldown_intervals: 3,
         }
+    }
+}
+
+impl AutoscaleConfig {
+    /// Check the knobs for values that cannot scale: the target and both
+    /// fractions must be finite and > 0, the warm-up finite and >= 0 (a
+    /// NaN warm-up would leave a node warming forever).
+    ///
+    /// # Errors
+    /// [`ClusterError::Autoscale`] naming the first knob out of range.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        let err = |field, value, bound| {
+            Err(ClusterError::Autoscale {
+                field,
+                value,
+                bound,
+            })
+        };
+        for (field, value) in [
+            ("target_rps_per_node", self.target_rps_per_node),
+            ("up_frac", self.up_frac),
+            ("down_frac", self.down_frac),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return err(field, value, "finite and > 0");
+            }
+        }
+        if !(self.warmup_ms.is_finite() && self.warmup_ms >= 0.0) {
+            return err("warmup_ms", self.warmup_ms, "finite and >= 0");
+        }
+        Ok(())
     }
 }
 
@@ -79,11 +112,6 @@ impl Autoscaler {
     #[must_use]
     pub fn config(&self) -> &AutoscaleConfig {
         &self.config
-    }
-
-    /// Forget cooldown state — called at the start of a fresh replay.
-    pub fn reset(&mut self) {
-        self.cooldown = 0;
     }
 
     /// Decide one boundary. `load_rps` is the fleet-wide smoothed load;
@@ -192,11 +220,51 @@ mod tests {
             a.decide(500.0, &[true, false], &[false; 2]),
             ScaleAction::Up(1)
         );
-        a.reset();
-        assert_eq!(
-            a.decide(500.0, &[true, false], &[false; 2]),
-            ScaleAction::Up(1)
-        );
+    }
+
+    /// `field` set to each of `bad` fails validation by name; the
+    /// default config passes.
+    fn rejects(field: &str, bad: &[f64], set: fn(&mut AutoscaleConfig, f64)) {
+        assert_eq!(AutoscaleConfig::default().validate(), Ok(()));
+        for &value in bad {
+            let mut config = AutoscaleConfig::default();
+            set(&mut config, value);
+            assert!(
+                matches!(config.validate(), Err(ClusterError::Autoscale { field: f, .. }) if f == field),
+                "{field} = {value}"
+            );
+        }
+    }
+
+    const NOT_POSITIVE: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+
+    #[test]
+    fn target_rps_per_node_must_be_positive() {
+        rejects("target_rps_per_node", &NOT_POSITIVE, |c, v| {
+            c.target_rps_per_node = v;
+        });
+    }
+
+    #[test]
+    fn up_frac_must_be_positive() {
+        rejects("up_frac", &NOT_POSITIVE, |c, v| c.up_frac = v);
+    }
+
+    #[test]
+    fn down_frac_must_be_positive() {
+        rejects("down_frac", &NOT_POSITIVE, |c, v| c.down_frac = v);
+    }
+
+    #[test]
+    fn warmup_ms_must_be_finite_and_non_negative() {
+        rejects("warmup_ms", &[-1.0, f64::NAN, f64::INFINITY], |c, v| {
+            c.warmup_ms = v;
+        });
+        let instant = AutoscaleConfig {
+            warmup_ms: 0.0,
+            ..AutoscaleConfig::default()
+        };
+        assert_eq!(instant.validate(), Ok(()));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! `open_intervals` penalty. Transitions are driven purely by observed
 //! per-interval counts, so replays stay deterministic.
 
+use crate::ClusterError;
+
 /// Thresholds and timing of one node's circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
@@ -46,6 +48,32 @@ impl Default for BreakerConfig {
             open_intervals: 2,
             probe_quota: 32,
         }
+    }
+}
+
+impl BreakerConfig {
+    /// Check the knobs a breaker needs to trip and close again:
+    /// `violation_threshold` finite and in [0, 1], and `probe_quota`
+    /// above `min_completed`.
+    ///
+    /// # Errors
+    /// [`ClusterError::Breaker`] naming the first knob out of range.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        let err = |field, value, bound| {
+            Err(ClusterError::Breaker {
+                field,
+                value,
+                bound,
+            })
+        };
+        let threshold = self.violation_threshold;
+        if !(0.0..=1.0).contains(&threshold) {
+            return err("violation_threshold", threshold, "finite and in [0, 1]");
+        }
+        if self.probe_quota <= self.min_completed {
+            return err("probe_quota", self.probe_quota as f64, "> min_completed");
+        }
+        Ok(())
     }
 }
 
@@ -96,11 +124,6 @@ impl CircuitBreaker {
     #[must_use]
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Force the breaker closed (fresh trace replay).
-    pub fn reset(&mut self) {
-        self.state = BreakerState::Closed;
     }
 
     /// How many requests the router may assign this node in the coming
@@ -228,6 +251,53 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.observe(50, 1, true);
         assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn violation_threshold_outside_the_unit_interval_is_rejected() {
+        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let config = BreakerConfig {
+                violation_threshold: bad,
+                ..BreakerConfig::default()
+            };
+            assert!(
+                matches!(
+                    config.validate(),
+                    Err(ClusterError::Breaker {
+                        field: "violation_threshold",
+                        ..
+                    })
+                ),
+                "{bad}"
+            );
+        }
+        for ok in [0.0, 1.0] {
+            let config = BreakerConfig {
+                violation_threshold: ok,
+                ..BreakerConfig::default()
+            };
+            assert_eq!(config.validate(), Ok(()), "{ok}");
+        }
+    }
+
+    #[test]
+    fn probe_quota_must_exceed_min_completed() {
+        for quota in [0, 9, 10] {
+            let config = BreakerConfig {
+                min_completed: 10,
+                probe_quota: quota,
+                ..BreakerConfig::default()
+            };
+            assert_eq!(
+                config.validate(),
+                Err(ClusterError::Breaker {
+                    field: "probe_quota",
+                    value: quota as f64,
+                    bound: "> min_completed",
+                })
+            );
+        }
+        assert_eq!(BreakerConfig::default().validate(), Ok(()));
     }
 
     #[test]

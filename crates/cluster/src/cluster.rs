@@ -83,6 +83,26 @@ pub enum ClusterError {
     InvalidLoad(RunSpecError),
     /// A lifecycle knob is out of range (see [`LifecycleConfig::validate`]).
     Lifecycle(SimError),
+    /// A circuit-breaker knob is out of range (see
+    /// [`BreakerConfig::validate`]).
+    Breaker {
+        /// The knob's field name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The range it must lie in.
+        bound: &'static str,
+    },
+    /// An autoscaler knob is out of range (see
+    /// [`AutoscaleConfig::validate`](crate::AutoscaleConfig::validate)).
+    Autoscale {
+        /// The knob's field name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The range it must lie in.
+        bound: &'static str,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -131,6 +151,16 @@ impl std::fmt::Display for ClusterError {
             ClusterError::FaultPlan(ref e) => write!(f, "invalid node fault plan: {e}"),
             ClusterError::InvalidLoad(ref e) => write!(f, "invalid load: {e}"),
             ClusterError::Lifecycle(ref e) => write!(f, "invalid node lifecycle: {e}"),
+            ClusterError::Breaker {
+                field,
+                value,
+                bound,
+            } => write!(f, "breaker {field} must be {bound}, got {value}"),
+            ClusterError::Autoscale {
+                field,
+                value,
+                bound,
+            } => write!(f, "autoscale {field} must be {bound}, got {value}"),
         }
     }
 }
@@ -176,8 +206,8 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Check the config for values that cannot run: non-positive QoS
-    /// bound or power budget, negative floor, lifecycle knobs out of
-    /// range.
+    /// bound or power budget, negative floor, lifecycle or breaker knobs
+    /// out of range.
     ///
     /// # Errors
     /// The first offence, as a typed [`ClusterError`].
@@ -197,7 +227,10 @@ impl ClusterConfig {
                 floor_w: self.node_floor_w,
             });
         }
-        self.lifecycle.validate().map_err(ClusterError::Lifecycle)
+        self.lifecycle.validate().map_err(ClusterError::Lifecycle)?;
+        self.breaker
+            .as_ref()
+            .map_or(Ok(()), BreakerConfig::validate)
     }
 }
 
@@ -227,7 +260,7 @@ pub struct ClusterRunSpec<'a> {
     autoscale: Option<crate::AutoscaleConfig>,
     traffic_mix: Option<Vec<f64>>,
     node_static_w: f64,
-    jobs: Option<usize>,
+    jobs: usize,
     recorder: Option<Box<dyn Recorder>>,
 }
 
@@ -245,7 +278,7 @@ impl<'a> ClusterRunSpec<'a> {
             autoscale: None,
             traffic_mix: None,
             node_static_w: 0.0,
-            jobs: None,
+            jobs: 1,
             recorder: None,
         }
     }
@@ -294,12 +327,11 @@ impl<'a> ClusterRunSpec<'a> {
         self
     }
 
-    /// Worker-thread budget for stepping the node simulations (reports
-    /// are byte-identical for every count). Leaves the cluster's current
-    /// setting untouched when not given.
+    /// Worker-thread budget for stepping the node simulations (default
+    /// 1, serial; reports are byte-identical for every count).
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
+        self.jobs = jobs;
         self
     }
 
@@ -423,16 +455,13 @@ fn completion_skew(per_node_completed: &[usize]) -> f64 {
 }
 
 /// N leaf nodes behind a front-end router with a shared power budget.
+/// The cluster keeps only what outlives a run: the nodes and the
+/// validated config. Each [`run`](Self::run) builds its router,
+/// governor, autoscaler and recorders afresh.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<ClusterNode>,
-    router: Router,
-    governor: PowerGovernor,
-    /// Driver-level telemetry sink (track 0); nodes get tagged clones.
-    recorder: Option<Box<dyn Recorder>>,
-    /// Worker threads for per-interval node stepping (default 1 =
-    /// serial). Set through [`ClusterRunSpec::jobs`].
-    jobs: usize,
+    config: ClusterConfig,
 }
 
 impl Cluster {
@@ -445,42 +474,37 @@ impl Cluster {
     pub fn try_new(
         graph: &KernelGraph,
         spaces: &[KernelDesignSpace],
-        mut setups: Vec<NodeSetup>,
+        setups: Vec<NodeSetup>,
         config: ClusterConfig,
     ) -> Result<Self, ClusterError> {
-        config.validate()?;
-        if setups.is_empty() {
-            return Err(ClusterError::NoNodes);
-        }
-        for s in &mut setups {
-            s.sim_config.lifecycle = config.lifecycle.clone();
-        }
-        // One shared context for graph + design spaces; per-node setups
-        // are swapped in without re-cloning the shared halves.
-        let ctx = AppContext::new(
-            graph.clone(),
-            spaces.to_vec(),
-            setups.remove(0),
-            config.bound_ms,
-        );
-        let mut nodes = vec![ClusterNode::new_multi(vec![ctx.clone()])];
-        nodes.extend(
-            setups
-                .into_iter()
-                .map(|s| ClusterNode::new_multi(vec![ctx.with_setup(s)])),
-        );
+        let mut setups = setups.into_iter();
+        let nodes = match setups.next() {
+            None => Vec::new(),
+            Some(first) => {
+                // One shared context for graph + design spaces; per-node
+                // setups are swapped in without re-cloning the shared
+                // halves.
+                let ctx = AppContext::new(graph.clone(), spaces.to_vec(), first, config.bound_ms);
+                let siblings: Vec<AppContext> = setups.map(|s| ctx.with_setup(s)).collect();
+                std::iter::once(ctx)
+                    .chain(siblings)
+                    .map(|c| ClusterNode::new_multi(vec![c]))
+                    .collect()
+            }
+        };
         Self::from_nodes(nodes, config)
     }
 
     /// Cluster over pre-built nodes — the multi-tenant entry point: each
     /// node may host several [`AppContext`]s
     /// (see [`ClusterNode::new_multi`]), as long as every node hosts the
-    /// same class list.
+    /// same class list. Every tenant of every node runs under the
+    /// config's lifecycle.
     ///
     /// # Errors
     /// The first offence, as a typed [`ClusterError`].
     pub fn from_nodes(
-        nodes: Vec<ClusterNode>,
+        mut nodes: Vec<ClusterNode>,
         config: ClusterConfig,
     ) -> Result<Self, ClusterError> {
         config.validate()?;
@@ -497,49 +521,16 @@ impl Cluster {
                 });
             }
         }
-        let n = nodes.len();
-        let mut router = Router::new(config.routing);
-        router.set_max_backlog(config.max_backlog);
-        if let Some(breaker) = config.breaker {
-            router.enable_breakers(breaker, n);
+        for node in &mut nodes {
+            node.set_lifecycle(&config.lifecycle);
         }
-        Ok(Self {
-            nodes,
-            router,
-            governor: PowerGovernor::new(config.power_budget_w, config.node_floor_w, n),
-            recorder: None,
-            jobs: 1,
-        })
-    }
-
-    /// Attach a telemetry recorder. The driver keeps track 0 for
-    /// cluster-level events (routing, shed, breaker transitions, governor
-    /// re-splits); node `j` records on track `j + 1`.
-    fn set_recorder(&mut self, mut rec: Box<dyn Recorder>) {
-        for (j, node) in self.nodes.iter_mut().enumerate() {
-            let mut clone = rec.box_clone();
-            clone.set_track(j as u32 + 1);
-            node.set_recorder(Some(clone));
-        }
-        rec.set_track(0);
-        self.recorder = Some(rec);
-    }
-
-    /// Whether an enabled recorder is attached to the driver.
-    fn recording(&self) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.enabled())
-    }
-
-    /// Record a driver-level (track 0) event.
-    fn obs(&mut self, t_ms: f64, event: ObsEvent) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(t_ms, event);
-        }
+        Ok(Self { nodes, config })
     }
 
     /// Run one replay described by a [`ClusterRunSpec`]: validates the
-    /// parameters, applies the spec's `jobs`/`recorder` settings, and
-    /// replays the trace. An invalid spec changes nothing.
+    /// parameters and replays the trace with the spec's workers and
+    /// recorder, which last for this run only. An invalid spec changes
+    /// nothing.
     ///
     /// The replay is one loop for every fleet, with three robustness
     /// layers on top of routing, power governance and node fault
@@ -603,21 +594,24 @@ impl Cluster {
                 static_w: spec.node_static_w,
             });
         }
+        if let Some(autoscale) = &spec.autoscale {
+            autoscale.validate()?;
+        }
         let mix: Vec<f64> = mix.iter().map(|m| m / mix_sum).collect();
-        if let Some(jobs) = spec.jobs {
-            self.jobs = jobs.max(1);
-        }
-        if let Some(rec) = spec.recorder.take() {
-            self.set_recorder(rec);
-        }
-        Ok(self.replay(&spec, &mix))
+        let recorder = spec.recorder.take();
+        Ok(self.replay(&spec, &mix, recorder))
     }
 
     /// The replay loop of [`run`](Self::run), on validated parameters
     /// and the normalized traffic `mix`: one call per phase, in this
     /// order, at every interval boundary (DESIGN.md §27).
-    fn replay(&mut self, spec: &ClusterRunSpec<'_>, mix: &[f64]) -> ClusterReport {
-        let mut run = Replay::begin(self, spec, mix);
+    fn replay(
+        &mut self,
+        spec: &ClusterRunSpec<'_>,
+        mix: &[f64],
+        recorder: Option<Box<dyn Recorder>>,
+    ) -> ClusterReport {
+        let mut run = Replay::begin(self, spec, mix, recorder);
         for (i, point) in spec.trace.iter().enumerate() {
             let b = Boundary {
                 i,
@@ -642,37 +636,6 @@ impl Cluster {
             run.aggregate(&b, &outcome, &stats);
         }
         run.finish()
-    }
-
-    /// Activate node `j` at `at_ms`, warming until `ready_ms`, and record
-    /// the scale-up.
-    fn activate(&mut self, j: usize, at_ms: f64, ready_ms: f64) {
-        self.nodes[j].activate(Some(ready_ms));
-        self.obs(at_ms, ObsEvent::ScaleUp { node: j, ready_ms });
-    }
-
-    /// Feed one interval's `(completed, violations, up)` health to the
-    /// router's breakers, record any state transitions, and return the
-    /// number of trips (transitions into open) this caused. No-op (0)
-    /// while breakers are disabled.
-    fn observe_breakers(&mut self, health: &[(usize, usize, bool)], end_ms: f64) -> usize {
-        let before: Vec<BreakerState> = self.router.breakers().iter().map(|b| b.state()).collect();
-        self.router.observe_health(health);
-        let mut trips = 0;
-        for (node, from) in before.into_iter().enumerate() {
-            let to = self.router.breakers()[node].state();
-            if std::mem::discriminant(&from) == std::mem::discriminant(&to) {
-                continue;
-            }
-            if matches!(to, BreakerState::Open { .. }) {
-                trips += 1;
-            }
-            if self.recording() {
-                let (from, to) = (from.label(), to.label());
-                self.obs(end_ms, ObsEvent::BreakerTransition { node, from, to });
-            }
-        }
-        trips
     }
 
     /// Merged lifecycle audit across every node's simulator, plus the
@@ -806,15 +769,22 @@ impl RunTotals {
     }
 }
 
-/// The state of one replay: the cluster it steps, the run's spec, and
-/// what carries from one boundary to the next. Each method after
-/// `redistribute` is one phase of [`Cluster::replay`]'s loop.
+/// The state of one replay: the cluster it steps, the run's spec, the
+/// driver state built for this run from the cluster's config and the
+/// spec, and what carries from one boundary to the next. Each method
+/// from `boundary_health` on is one phase of [`Cluster::replay`]'s loop.
 struct Replay<'a> {
     cl: &'a mut Cluster,
     spec: &'a ClusterRunSpec<'a>,
     mix: &'a [f64],
     weights: Vec<f64>,
+    router: Router,
+    governor: PowerGovernor,
     autoscaler: Option<Autoscaler>,
+    /// Driver-level telemetry sink (track 0); nodes get tagged clones.
+    recorder: Option<Box<dyn Recorder>>,
+    /// Worker threads for per-interval node stepping.
+    jobs: usize,
     /// The node-level fault plan in time order, walked up to
     /// `next_fault` for revocation notices.
     faults: Vec<&'a FaultEvent>,
@@ -834,17 +804,37 @@ struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    /// Reset the router and governor, plan every node's first interval
-    /// on its fault plan, and sort the fault plan by time.
-    fn begin(cl: &'a mut Cluster, spec: &'a ClusterRunSpec<'a>, mix: &'a [f64]) -> Self {
+    /// Build the run's router, governor and autoscaler, give the driver
+    /// track 0 of `recorder` and node `j` track `j + 1` (or no recorder),
+    /// plan every node's first interval on its fault plan, and sort the
+    /// fault plan by time.
+    fn begin(
+        cl: &'a mut Cluster,
+        spec: &'a ClusterRunSpec<'a>,
+        mix: &'a [f64],
+        mut recorder: Option<Box<dyn Recorder>>,
+    ) -> Self {
         let n = cl.nodes.len();
         let classes = mix.len();
         let weights = (0..classes).map(|c| cl.nodes[0].tenant_weight(c)).collect();
-        cl.router.reset();
-        cl.governor.reset();
+        let config = &cl.config;
+        let mut router = Router::new(config.routing);
+        router.set_max_backlog(config.max_backlog);
+        if let Some(breaker) = config.breaker {
+            router.enable_breakers(breaker, n);
+        }
+        let governor = PowerGovernor::new(config.power_budget_w, config.node_floor_w, n);
+        if let Some(rec) = recorder.as_mut() {
+            rec.set_track(0);
+        }
         let first_rps = spec.trace[0].utilization * spec.max_rps;
         let shares: Vec<f64> = mix.iter().map(|m| first_rps * m / n as f64).collect();
         for (j, node) in cl.nodes.iter_mut().enumerate() {
+            node.set_recorder(recorder.as_ref().map(|rec| {
+                let mut tagged = rec.box_clone();
+                tagged.set_track(j as u32 + 1);
+                tagged
+            }));
             let plan = node_fault_plan(&spec.faults, j, node.setup().pool.len());
             node.begin_replay_multi(&shares, &plan);
         }
@@ -855,7 +845,11 @@ impl<'a> Replay<'a> {
             spec,
             mix,
             weights,
+            router,
+            governor,
             autoscaler: spec.autoscale.clone().map(Autoscaler::new),
+            recorder,
+            jobs: spec.jobs.max(1),
             faults,
             next_fault: 0,
             pending_revoke: vec![None; n],
@@ -870,6 +864,49 @@ impl<'a> Replay<'a> {
                 ..RunTotals::default()
             },
         }
+    }
+
+    /// Whether an enabled recorder is attached to the driver.
+    fn recording(&self) -> bool {
+        self.recorder.as_ref().is_some_and(|r| r.enabled())
+    }
+
+    /// Record a driver-level (track 0) event.
+    fn obs(&mut self, t_ms: f64, event: ObsEvent) {
+        if let Some(r) = self.recorder.as_mut() {
+            r.record(t_ms, event);
+        }
+    }
+
+    /// Activate node `j` at `at_ms`, warming until `ready_ms`, and record
+    /// the scale-up.
+    fn activate(&mut self, j: usize, at_ms: f64, ready_ms: f64) {
+        self.cl.nodes[j].activate(Some(ready_ms));
+        self.obs(at_ms, ObsEvent::ScaleUp { node: j, ready_ms });
+    }
+
+    /// Feed one interval's `(completed, violations, up)` health to the
+    /// router's breakers, record any state transitions, and return the
+    /// number of trips (transitions into open) this caused. No-op (0)
+    /// while breakers are disabled.
+    fn observe_breakers(&mut self, health: &[(usize, usize, bool)], end_ms: f64) -> usize {
+        let before: Vec<BreakerState> = self.router.breakers().iter().map(|b| b.state()).collect();
+        self.router.observe_health(health);
+        let mut trips = 0;
+        for (node, from) in before.into_iter().enumerate() {
+            let to = self.router.breakers()[node].state();
+            if std::mem::discriminant(&from) == std::mem::discriminant(&to) {
+                continue;
+            }
+            if matches!(to, BreakerState::Open { .. }) {
+                trips += 1;
+            }
+            if self.recording() {
+                let (from, to) = (from.label(), to.label());
+                self.obs(end_ms, ObsEvent::BreakerTransition { node, from, to });
+            }
+        }
+        trips
     }
 
     /// Add node `j`'s last drain, per class, to the work re-entering
@@ -894,7 +931,7 @@ impl<'a> Replay<'a> {
                 NodeTransition::CameBack => {
                     self.pending_revoke[j] = None;
                     if !self.cl.nodes[j].is_active() && self.autoscaler.is_none() {
-                        self.cl.activate(j, b.start, b.end);
+                        self.activate(j, b.start, b.end);
                     }
                 }
                 NodeTransition::Steady => {}
@@ -934,7 +971,7 @@ impl<'a> Replay<'a> {
                 deadline_ms,
                 drained,
             };
-            self.cl.obs(b.start, event);
+            self.obs(b.start, event);
         }
     }
 
@@ -952,18 +989,17 @@ impl<'a> Replay<'a> {
             .map(|(nd, pending)| nd.is_down() || nd.is_warming() || pending.is_some())
             .collect();
         let load: f64 = (0..nodes.len())
-            .map(|j| self.cl.governor.load_estimate(j).unwrap_or(0.0))
+            .map(|j| self.governor.load_estimate(j).unwrap_or(0.0))
             .sum();
         match scaler.decide(load, &eligible, &blocked) {
             ScaleAction::Up(j) => {
                 let ready = b.start + scaler.config().warmup_ms;
-                self.cl.activate(j, b.start, ready);
+                self.activate(j, b.start, ready);
             }
             ScaleAction::Down(j) => {
                 let drained = self.cl.nodes[j].drain();
                 self.redistribute(j);
-                self.cl
-                    .obs(b.start, ObsEvent::ScaleDown { node: j, drained });
+                self.obs(b.start, ObsEvent::ScaleDown { node: j, drained });
             }
             ScaleAction::Hold => {}
         }
@@ -986,15 +1022,15 @@ impl<'a> Replay<'a> {
                 }
             })
             .collect();
-        let governor = &mut self.cl.governor;
-        let caps = governor.observe_and_split_states(&self.last_assigned_rps, &states);
+        let caps = self
+            .governor
+            .observe_and_split_states(&self.last_assigned_rps, &states);
         for (node, &cap_w) in self.cl.nodes.iter_mut().zip(&caps) {
             node.set_power_cap(cap_w);
         }
-        if self.cl.recording() {
+        if self.recording() {
             for (node, &cap_w) in caps.iter().enumerate() {
-                self.cl
-                    .obs(b.start, ObsEvent::GovernorSplit { node, cap_w });
+                self.obs(b.start, ObsEvent::GovernorSplit { node, cap_w });
             }
         }
     }
@@ -1041,7 +1077,7 @@ impl<'a> Replay<'a> {
     ///    per-tenant views. Each node's assigned load becomes the
     ///    governor's signal for the next boundary.
     fn route(&mut self, b: &Boundary, arrivals: &[Vec<f64>]) -> ClassRouteOutcome {
-        let recording = self.cl.recording();
+        let recording = self.recording();
         let nodes = &self.cl.nodes;
         let views: Vec<NodeView> = nodes
             .iter()
@@ -1067,7 +1103,7 @@ impl<'a> Replay<'a> {
             .collect();
         let arr_slices: Vec<&[f64]> = arrivals.iter().map(Vec::as_slice).collect();
         let interval_ms = self.spec.interval_ms;
-        let outcome = self.cl.router.route_classes(
+        let outcome = self.router.route_classes(
             &views,
             &class_views,
             &arr_slices,
@@ -1079,12 +1115,12 @@ impl<'a> Replay<'a> {
             let assigned: usize = per_class.iter().map(Vec::len).sum();
             self.last_assigned_rps[node] = assigned as f64 * 1000.0 / interval_ms;
             if recording {
-                self.cl.obs(b.start, ObsEvent::Route { node, assigned });
+                self.obs(b.start, ObsEvent::Route { node, assigned });
             }
         }
         if recording && outcome.shed > 0 {
             let count = outcome.shed;
-            self.cl.obs(b.start, ObsEvent::Shed { count });
+            self.obs(b.start, ObsEvent::Shed { count });
         }
         if recording && self.mix.len() > 1 {
             for (class, &(admitted, deferred, shed)) in outcome.per_class.iter().enumerate() {
@@ -1094,7 +1130,7 @@ impl<'a> Replay<'a> {
                     deferred,
                     shed,
                 };
-                self.cl.obs(b.start, event);
+                self.obs(b.start, event);
             }
         }
         outcome
@@ -1108,7 +1144,7 @@ impl<'a> Replay<'a> {
     ///    Stepping stays serial while recording: recorder sequence
     ///    numbers are allocated in emission order.
     fn advance(&mut self, b: &Boundary, outcome: &ClassRouteOutcome) -> Vec<NodeIntervalStats> {
-        let jobs = if self.cl.recording() { 1 } else { self.cl.jobs };
+        let jobs = if self.recording() { 1 } else { self.jobs };
         par_map_mut(jobs, &mut self.cl.nodes, |j, node| {
             let slices: Vec<&[f64]> = outcome.per_node[j].iter().map(Vec::as_slice).collect();
             node.run_to_classes(&slices, b.end)
@@ -1154,7 +1190,7 @@ impl<'a> Replay<'a> {
             });
         }
         // Feed the router's circuit breakers (no-op when disabled).
-        let trips = self.cl.observe_breakers(&health, b.end);
+        let trips = self.observe_breakers(&health, b.end);
         // Load-balance skew is across the serving nodes that are up at
         // the interval end.
         let record = ClusterIntervalRecord {
@@ -1211,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn bad_lifecycle_fails_validation_by_name() {
+    fn bad_lifecycle_and_breaker_fail_validation_by_name() {
         let config = ClusterConfig {
             bound_ms: 200.0,
             routing: RoutingPolicy::RoundRobin,
@@ -1236,5 +1272,19 @@ mod tests {
             ..config
         };
         assert_eq!(ok.validate(), Ok(()));
+        let bad_breaker = ClusterConfig {
+            breaker: Some(BreakerConfig {
+                probe_quota: 0,
+                ..BreakerConfig::default()
+            }),
+            ..ok
+        };
+        assert!(matches!(
+            bad_breaker.validate(),
+            Err(ClusterError::Breaker {
+                field: "probe_quota",
+                ..
+            })
+        ));
     }
 }

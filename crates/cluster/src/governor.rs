@@ -153,11 +153,6 @@ impl PowerGovernor {
         }
     }
 
-    /// Forget the smoothed load — called at the start of a fresh replay.
-    pub fn reset(&mut self) {
-        self.load_ewma.fill(None);
-    }
-
     /// The smoothed load estimate for `node`, if one has been observed.
     /// The autoscaler reads this to decide when to grow or drain.
     #[must_use]
@@ -271,11 +266,6 @@ mod tests {
         // would need equal smoothed loads, so node 0 still leads.
         let caps = split(&mut g, &[0.0, 20.0], &[true, true]);
         assert!(caps[0] > caps[1] - 1e-9);
-        // After reset the history is gone and the new interval seeds.
-        g.reset();
-        let caps = split(&mut g, &[0.0, 20.0], &[true, true]);
-        assert_eq!(caps[0], 0.0);
-        assert!((caps[1] - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use poly_core::{AppContext, NodeSetup, Tenant};
 use poly_obs::Recorder;
-use poly_sim::{FaultPlan, Simulator};
+use poly_sim::{FaultPlan, LifecycleConfig, Simulator};
 
 use crate::governor::{weighted_water_fill, NodeShare};
 
@@ -231,21 +231,19 @@ impl ClusterNode {
             .sum()
     }
 
-    /// Attach (or detach) a telemetry recorder. The cluster driver tags
-    /// each node's handle with its own track before calling this; the
-    /// handle is propagated into the node's simulators at the next
-    /// [`begin_replay_multi`](Self::begin_replay_multi) (and immediately,
-    /// when a replay is already in progress).
+    /// Attach (or detach) the telemetry recorder of the next replay. The
+    /// cluster driver tags each node's handle with its own track before
+    /// calling this; [`begin_replay_multi`](Self::begin_replay_multi)
+    /// hands it to the node's simulators.
     pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        for t in &mut self.tenants {
-            t.set_recorder(recorder.clone());
-        }
         self.recorder = recorder;
     }
 
-    /// Whether an enabled recorder is attached.
-    fn recording(&self) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.enabled())
+    /// Run every tenant under `lifecycle` from the next replay on.
+    pub(crate) fn set_lifecycle(&mut self, lifecycle: &LifecycleConfig) {
+        for t in &mut self.tenants {
+            t.set_lifecycle(lifecycle.clone());
+        }
     }
 
     /// Start a fresh trace replay: reset each tenant's monitor so its
@@ -265,18 +263,14 @@ impl ClusterNode {
         self.last_drained = vec![0; self.tenants.len()];
         self.interval_idx = 0;
         let caps = self.tenant_caps();
-        let recording = self.recording();
+        let recorder = self.recorder.as_ref().filter(|r| r.enabled());
         for ((t, &rps), cap) in self.tenants.iter_mut().zip(first_rps).zip(caps) {
             t.control_mut().set_cap(cap);
-            // Each node re-times its plan for its own provisioned backend
-            // (identity on analytical nodes), so a mixed fleet runs
-            // modeled and measured nodes side by side.
-            let setup = t.context().setup();
-            let (backend, sim_config) = (setup.backend.clone(), setup.sim_config.clone());
-            t.begin(rps, None, backend, sim_config, faults);
-            if recording {
-                t.set_recorder(self.recorder.clone());
-            }
+            // Each tenant runs its node's setup as provisioned: its own
+            // backend (so a mixed fleet runs modeled and measured nodes
+            // side by side), lifecycle and dispatch layer.
+            let dynamic = t.context().setup().sim_config.dynamic;
+            t.begin(rps, None, dynamic, faults, recorder.cloned());
         }
     }
 

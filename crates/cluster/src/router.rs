@@ -174,16 +174,6 @@ impl Router {
         self.max_backlog = n;
     }
 
-    /// Forget all cross-interval state (cursor, backlog) — called at the
-    /// start of a fresh trace replay.
-    pub fn reset(&mut self) {
-        self.cursor = usize::MAX;
-        self.class_backlogs.clear();
-        for b in &mut self.breakers {
-            b.reset();
-        }
-    }
-
     /// Requests currently deferred (all classes).
     #[must_use]
     pub fn backlog_len(&self) -> usize {
@@ -546,20 +536,5 @@ mod tests {
             assert_eq!(out2.per_node[0][1].len(), lenient.1);
             assert_eq!(r.backlog_len(), 0);
         }
-    }
-
-    #[test]
-    fn reset_clears_cursor_and_backlog() {
-        let mut r = Router::new(RoutingPolicy::RoundRobin);
-        let views = [view(true, 0, 0.0, 1.0), view(true, 0, 0.0, 1.0)];
-        let _ = route_one(&mut r, &views, &[0.0], 0.0);
-        let down = [view(false, 0, 0.0, 1.0), view(false, 0, 0.0, 1.0)];
-        let _ = route_one(&mut r, &down, &[1.0], 0.0);
-        assert_eq!(r.backlog_len(), 1);
-        r.reset();
-        assert_eq!(r.backlog_len(), 0);
-        // Cursor restarts at node 0.
-        let out = route_one(&mut r, &views, &[0.0], 0.0);
-        assert_eq!(out.per_node[0][0].len(), 1);
     }
 }

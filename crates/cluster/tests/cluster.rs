@@ -3,15 +3,16 @@
 //! power governor's effect on per-node caps.
 
 use poly_cluster::{
-    Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterRunSpec, RoutingPolicy,
+    AutoscaleConfig, Cluster, ClusterConfig, ClusterError, ClusterNode, ClusterReport,
+    ClusterRunSpec, RoutingPolicy,
 };
 use poly_core::provision::{table_iii, Architecture, Setting};
-use poly_core::{NodeSetup, RunSpecError};
+use poly_core::{AppContext, NodeSetup, RunSpecError};
 use poly_dse::{Explorer, KernelDesignSpace};
 use poly_ir::KernelGraph;
 use poly_obs::MemRecorder;
 use poly_sim::workload::TracePoint;
-use poly_sim::FaultPlan;
+use poly_sim::{FaultPlan, LifecycleConfig};
 
 const BOUND_MS: f64 = 200.0;
 const INTERVAL_MS: f64 = 10_000.0;
@@ -24,24 +25,23 @@ fn app_and_spaces() -> (KernelGraph, Vec<KernelDesignSpace>, NodeSetup) {
     (app, spaces, setup)
 }
 
+fn config(nodes: usize, routing: RoutingPolicy) -> ClusterConfig {
+    ClusterConfig {
+        bound_ms: BOUND_MS,
+        routing,
+        power_budget_w: 260.0 * nodes as f64,
+        node_floor_w: 40.0,
+        max_backlog: 200,
+        lifecycle: LifecycleConfig::default(),
+        breaker: None,
+    }
+}
+
 fn cluster(nodes: usize, routing: RoutingPolicy) -> Cluster {
     let (app, spaces, setup) = app_and_spaces();
     let setups: Vec<NodeSetup> = (0..nodes).map(|_| setup.clone()).collect();
-    Cluster::try_new(
-        &app,
-        &spaces,
-        setups,
-        ClusterConfig {
-            bound_ms: BOUND_MS,
-            routing,
-            power_budget_w: 260.0 * nodes as f64,
-            node_floor_w: 40.0,
-            max_backlog: 200,
-            lifecycle: poly_sim::LifecycleConfig::default(),
-            breaker: None,
-        },
-    )
-    .expect("valid cluster configuration")
+    Cluster::try_new(&app, &spaces, setups, config(nodes, routing))
+        .expect("valid cluster configuration")
 }
 
 fn flat_trace(n: usize, util: f64) -> Vec<TracePoint> {
@@ -239,6 +239,17 @@ fn invalid_run_specs_fail_typed_and_change_nothing() {
             spec().traffic_mix(vec![f64::INFINITY]),
             ClusterError::InvalidTrafficMix,
         ),
+        (
+            spec().autoscale(AutoscaleConfig {
+                warmup_ms: -1.0,
+                ..AutoscaleConfig::default()
+            }),
+            ClusterError::Autoscale {
+                field: "warmup_ms",
+                value: -1.0,
+                bound: "finite and >= 0",
+            },
+        ),
     ];
     for (bad, expected) in cases {
         assert_eq!(c.run(bad).expect_err("invalid spec"), expected);
@@ -268,6 +279,49 @@ fn invalid_run_specs_fail_typed_and_change_nothing() {
     // The same recorder on a valid spec does record.
     c.run(spec()).expect("valid run");
     assert!(!rec.is_empty());
+}
+
+#[test]
+fn a_run_recorder_records_that_run_only() {
+    let mut c = cluster(2, RoutingPolicy::RoundRobin);
+    let trace = flat_trace(3, 0.5);
+    let rec = MemRecorder::new();
+    c.run(ClusterRunSpec::new(&trace, INTERVAL_MS, 30.0).recorder(Box::new(rec.clone())))
+        .expect("valid run");
+    let recorded = rec.len();
+    assert!(recorded > 0);
+    // A later run without a recorder neither records nor steps serially
+    // on the earlier run's account.
+    c.run(ClusterRunSpec::new(&trace, INTERVAL_MS, 30.0).jobs(2))
+        .expect("valid run");
+    assert_eq!(rec.len(), recorded, "the unrecorded run recorded");
+}
+
+#[test]
+fn from_nodes_applies_the_config_lifecycle_like_try_new() {
+    let (app, spaces, setup) = app_and_spaces();
+    let config = ClusterConfig {
+        lifecycle: LifecycleConfig {
+            deadline_factor: Some(0.05),
+            ..LifecycleConfig::default()
+        },
+        ..config(2, RoutingPolicy::RoundRobin)
+    };
+    let ctx = AppContext::new(app.clone(), spaces.clone(), setup.clone(), BOUND_MS);
+    let nodes = (0..2)
+        .map(|_| ClusterNode::new_multi(vec![ctx.clone()]))
+        .collect();
+    let mut built = Cluster::from_nodes(nodes, config.clone()).expect("valid fleet");
+    let mut provisioned =
+        Cluster::try_new(&app, &spaces, vec![setup; 2], config).expect("valid fleet");
+    let trace = flat_trace(4, 0.9);
+    let spec = || ClusterRunSpec::new(&trace, INTERVAL_MS, 40.0).seed(42);
+    let report = built.run(spec()).expect("valid run");
+    assert_eq!(report, provisioned.run(spec()).expect("valid run"));
+    assert!(
+        report.timed_out > 0,
+        "the config's deadlines cut work loose"
+    );
 }
 
 trait Violations {

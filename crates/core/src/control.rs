@@ -16,7 +16,6 @@
 use crate::{
     retime_policy, AppContext, Candidates, IntervalObs, Optimizer, PolicyPrediction, SystemMonitor,
 };
-use poly_backend::ExecBackend;
 use poly_sched::Pool;
 use poly_sim::{Policy, Simulator};
 
@@ -36,8 +35,6 @@ pub struct ControlLoop {
     /// Set when the cap moved materially or the node came back — the
     /// next [`replan`](Self::replan) adopts its plan unconditionally.
     force_replan: bool,
-    /// Backend every adopted policy is re-timed for.
-    backend: ExecBackend,
     /// Whether adopted policies carry dispatch-time alternates.
     alternates: bool,
     policy: Option<Policy>,
@@ -71,7 +68,6 @@ impl ControlLoop {
             monitor: SystemMonitor::new(8),
             cap_w,
             force_replan: false,
-            backend: ExecBackend::Analytical,
             alternates: false,
             policy: None,
             predicted: None,
@@ -162,19 +158,18 @@ impl ControlLoop {
     /// `pinned` when given (a static baseline, which the caller must
     /// never [`replan`](Self::replan)). Every adopted policy carries the
     /// design spaces' top-k alternates when `alternates` is set, and is
-    /// re-timed for `backend` (identity on the analytical backend).
-    /// Returns the adopted policy, for the caller's simulator.
+    /// re-timed for the node's [`NodeSetup::backend`](crate::NodeSetup)
+    /// (identity on the analytical backend). Returns the adopted policy,
+    /// for the caller's simulator.
     pub fn begin(
         &mut self,
         ctx: &AppContext,
         first_rps: f64,
         pinned: Option<&Policy>,
-        backend: ExecBackend,
         alternates: bool,
     ) -> Policy {
         self.monitor.reset();
         self.force_replan = false;
-        self.backend = backend;
         self.alternates = alternates;
         self.avail = ctx.setup().pool.clone();
         self.candidates = None;
@@ -226,7 +221,7 @@ impl ControlLoop {
     }
 
     /// Make a planned policy adoptable: attach alternates when enabled,
-    /// then re-time for the backend.
+    /// then re-time for the node's backend.
     fn adopt(&self, ctx: &AppContext, policy: Policy) -> Policy {
         let policy = if self.alternates {
             policy.with_alternates(
@@ -238,7 +233,7 @@ impl ControlLoop {
         } else {
             policy
         };
-        retime_policy(&policy, &self.backend, ctx.graph())
+        retime_policy(&policy, &ctx.setup().backend, ctx.graph())
     }
 
     /// Re-plan for the coming interval from the load estimate `est_rps`,
@@ -353,7 +348,7 @@ mod tests {
 
     fn started(ctx: &AppContext, cap_w: Option<f64>) -> (ControlLoop, Simulator) {
         let mut control = ControlLoop::new(ctx, cap_w);
-        let policy = control.begin(ctx, 10.0, None, ExecBackend::Analytical, false);
+        let policy = control.begin(ctx, 10.0, None, false);
         let sim = Simulator::new(
             ctx.graph_owned(),
             &ctx.setup().pool,
@@ -470,7 +465,7 @@ mod tests {
         );
 
         // A fresh replay rebuilds at `begin`.
-        control.begin(&ctx, 10.0, None, ExecBackend::Analytical, false);
+        control.begin(&ctx, 10.0, None, false);
         assert_eq!(control.candidate_builds(), 4);
     }
 

@@ -4,15 +4,15 @@
 //! QoS-violation / prediction-error analysis of Section VI-C.
 //!
 //! A run is described by a [`RunSpec`] (workload, mode, seed, faults,
-//! lifecycle override, telemetry recorder) and executed by
-//! [`PolyRuntime::run`].
+//! telemetry recorder) and executed by [`PolyRuntime::run`]; the node's
+//! backend and lifecycle come from its [`NodeSetup`](crate::NodeSetup).
 
 use crate::{AppContext, Optimizer, Tenant};
 use poly_backend::ExecBackend;
 use poly_ir::{KernelGraph, KernelId};
 use poly_obs::Recorder;
 use poly_sim::workload::{poisson, SizeDist, TracePoint};
-use poly_sim::{DynamicDispatch, FaultPlan, KernelImpl, LifecycleConfig, Policy, RetryStats};
+use poly_sim::{DynamicDispatch, FaultPlan, KernelImpl, Policy, RetryStats};
 
 /// How the runtime selects policies.
 #[derive(Debug, Clone)]
@@ -141,12 +141,12 @@ pub fn validate_load(trace: &[TracePoint], max_rps: f64) -> Result<(), RunSpecEr
 
 /// Everything that defines one trace run: the workload (trace, interval,
 /// load scaling), the planning mode, the arrival seed, an optional fault
-/// plan, an optional per-run lifecycle override, and an optional
-/// telemetry recorder.
+/// plan, and an optional telemetry recorder. The node's backend and
+/// lifecycle are not run options: they come from its
+/// [`NodeSetup`](crate::NodeSetup).
 ///
 /// Build with [`RunSpec::new`] plus the chained setters; unset options
-/// default to fault-free, the node's configured lifecycle, and no
-/// recording.
+/// default to fault-free and no recording.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     trace: Vec<TracePoint>,
@@ -155,17 +155,15 @@ pub struct RunSpec {
     mode: RuntimeMode,
     seed: u64,
     faults: FaultPlan,
-    lifecycle: Option<LifecycleConfig>,
     recorder: Option<Box<dyn Recorder>>,
     sizes: SizeDist,
     dynamic: Option<DynamicDispatch>,
-    backend: Option<ExecBackend>,
 }
 
 impl RunSpec {
     /// A run replaying `trace` with `interval_ms` sampling / re-planning
     /// period at `max_rps` load scaling. Defaults: [`RuntimeMode::Poly`],
-    /// seed 0, no faults, configured lifecycle, no recorder.
+    /// seed 0, no faults, no recorder.
     #[must_use]
     pub fn new(trace: &[TracePoint], interval_ms: f64, max_rps: f64) -> Self {
         Self {
@@ -175,11 +173,9 @@ impl RunSpec {
             mode: RuntimeMode::Poly,
             seed: 0,
             faults: FaultPlan::new(),
-            lifecycle: None,
             recorder: None,
             sizes: SizeDist::Nominal,
             dynamic: None,
-            backend: None,
         }
     }
 
@@ -213,13 +209,6 @@ impl RunSpec {
         self
     }
 
-    /// Override the node's request-lifecycle config for this run.
-    #[must_use]
-    pub fn lifecycle(mut self, lifecycle: LifecycleConfig) -> Self {
-        self.lifecycle = Some(lifecycle);
-        self
-    }
-
     /// Attach a telemetry recorder (e.g. a `MemRecorder` handle; keep a
     /// clone to read the samples back after the run).
     #[must_use]
@@ -245,16 +234,6 @@ impl RunSpec {
     #[must_use]
     pub fn dynamic(mut self, dynamic: DynamicDispatch) -> Self {
         self.dynamic = Some(dynamic);
-        self
-    }
-
-    /// Override the node's provisioned execution backend for this run
-    /// (default: the [`NodeSetup::backend`](crate::NodeSetup) the context
-    /// carries). With [`ExecBackend::Cpu`], every adopted policy is
-    /// re-timed from real host execution — see [`retime_policy`].
-    #[must_use]
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -384,23 +363,15 @@ impl PolyRuntime {
         // static one). With the dynamic layer on, every adopted policy
         // also carries the plan's top-k alternates for the dispatch-time
         // chooser; a measured backend then re-times the whole policy.
-        let setup = tenant.context().setup();
-        let backend = spec
-            .backend
-            .clone()
-            .unwrap_or_else(|| setup.backend.clone());
-        let mut sim_config = setup.sim_config.clone();
-        if let Some(lc) = &spec.lifecycle {
-            sim_config.lifecycle = lc.clone();
-        }
-        sim_config.dynamic = spec.dynamic;
         let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
-        tenant.begin(first_rps, pinned, backend, sim_config, &spec.faults);
-        let mut recorder = spec.recorder.clone();
-        let recording = recorder.as_ref().is_some_and(|r| r.enabled());
-        if recording {
-            tenant.set_recorder(recorder.clone());
-        }
+        let mut recorder = spec.recorder.clone().filter(|r| r.enabled());
+        tenant.begin(
+            first_rps,
+            pinned,
+            spec.dynamic,
+            &spec.faults,
+            recorder.clone(),
+        );
 
         let mut intervals = Vec::with_capacity(trace.len());
         let mut energy_mj = 0.0;
@@ -451,10 +422,8 @@ impl PolyRuntime {
                 err_n += 1;
             }
 
-            if recording {
-                if let Some(r) = recorder.as_mut() {
-                    r.record(end, tenant.interval_event(i, start, offered_rps, &out));
-                }
+            if let Some(r) = recorder.as_mut() {
+                r.record(end, tenant.interval_event(i, start, offered_rps, &out));
             }
 
             intervals.push(IntervalRecord {

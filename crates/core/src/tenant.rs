@@ -5,9 +5,8 @@
 //! [`Tenant::step`] runs the interval and feeds the control loop.
 
 use crate::{AppContext, ControlLoop, IntervalObs};
-use poly_backend::ExecBackend;
 use poly_obs::{Event as ObsEvent, Recorder};
-use poly_sim::{FaultPlan, Policy, SimConfig, Simulator};
+use poly_sim::{DynamicDispatch, FaultPlan, LifecycleConfig, Policy, SimConfig, Simulator};
 
 /// One interval's measurements, as one tenant saw them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,39 +94,39 @@ impl Tenant {
 
     /// Start a fresh replay: adopt an initial policy for `first_rps` (or
     /// `pinned`, a static baseline the caller must never re-plan)
-    /// re-timed for `backend`, and build a simulator from `sim_config`
-    /// with `faults` scripted in. Adopted policies carry dispatch-time
-    /// alternates exactly when `sim_config` enables the dynamic layer.
+    /// re-timed for the node's backend, and build a simulator from the
+    /// node's [`NodeSetup`](crate::NodeSetup) with `dynamic` dispatch,
+    /// `faults` scripted in and `recorder` attached. The setup is the one
+    /// source of the node's backend and lifecycle. Adopted policies carry
+    /// dispatch-time alternates exactly when `dynamic` is set.
     pub fn begin(
         &mut self,
         first_rps: f64,
         pinned: Option<&Policy>,
-        backend: ExecBackend,
-        mut sim_config: SimConfig,
+        dynamic: Option<DynamicDispatch>,
         faults: &FaultPlan,
+        recorder: Option<Box<dyn Recorder>>,
     ) {
         self.pinned = pinned.is_some();
-        sim_config.backend_label = backend.label();
-        let alternates = sim_config.dynamic.is_some();
+        let setup = self.ctx.setup();
+        let sim_config = SimConfig {
+            backend_label: setup.backend.label(),
+            dynamic,
+            ..setup.sim_config.clone()
+        };
         let policy = self
             .control
-            .begin(&self.ctx, first_rps, pinned, backend, alternates);
-        let mut sim = Simulator::new(
-            self.ctx.graph_owned(),
-            &self.ctx.setup().pool,
-            policy,
-            sim_config,
-        );
+            .begin(&self.ctx, first_rps, pinned, dynamic.is_some());
+        let mut sim = Simulator::new(self.ctx.graph_owned(), &setup.pool, policy, sim_config);
         sim.inject_faults(faults);
+        sim.set_recorder(recorder);
         self.sim = Some(sim);
     }
 
-    /// Attach (or detach) a telemetry recorder to the current replay's
-    /// simulator.
-    pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        if let Some(sim) = self.sim.as_mut() {
-            sim.set_recorder(recorder);
-        }
+    /// Run every later replay under `lifecycle`, written into the node's
+    /// setup (the cluster applies its fleet-wide lifecycle this way).
+    pub fn set_lifecycle(&mut self, lifecycle: LifecycleConfig) {
+        self.ctx.setup_mut().sim_config.lifecycle = lifecycle;
     }
 
     /// Re-plan for the coming interval from the load estimate `est_rps`

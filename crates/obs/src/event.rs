@@ -277,12 +277,13 @@ impl Event {
     }
 }
 
-/// One recorded event with its ordering key: sim time, then a stable
-/// per-buffer sequence number, plus the track (cluster node) it came
-/// from. Samples in a [`crate::MemRecorder`] buffer are totally ordered
-/// by `(t_ms, seq)` by construction — `seq` increases monotonically and
-/// ties in `t_ms` resolve by emission order, which the simulator keeps
-/// deterministic.
+/// One recorded event: its sim time, a stable per-buffer sequence
+/// number, and the track (cluster node) it came from. A
+/// [`crate::MemRecorder`] buffer holds samples in emission order, which
+/// is `seq` order; `t_ms` need not be sorted across it. A cluster run
+/// records node j's whole interval before node j + 1's, so a later
+/// sample can carry an earlier `t_ms`. Emission order is deterministic
+/// (nodes step serially while recording), and exporters iterate it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Sim time the event was recorded at, ms.

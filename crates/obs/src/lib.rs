@@ -21,11 +21,14 @@
 //!   breakdown queries over the raw samples.
 //!
 //! Determinism contract: recording never touches simulator state (the
-//! recorder keeps its own sequence counter), events are keyed by sim
-//! time plus a stable per-buffer sequence number, and every exporter
-//! iterates samples in that order with fixed-precision float formatting
-//! — so exported artifacts are byte-identical across `--jobs` counts and
-//! the committed reference CSVs are unchanged when recording is off.
+//! recorder keeps its own sequence counter), each event carries its sim
+//! time and a stable per-buffer sequence number, the buffer holds events
+//! in emission (sequence) order — not sim-time order: a cluster run
+//! records node j's whole interval before node j + 1's — and every
+//! exporter iterates the buffer in that order with fixed-precision float
+//! formatting. So exported artifacts are byte-identical across `--jobs`
+//! counts and the committed reference CSVs are unchanged when recording
+//! is off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

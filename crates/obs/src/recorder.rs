@@ -68,8 +68,10 @@ struct MemState {
 /// In-memory recorder. Clones share one buffer: the caller keeps a
 /// handle to read samples back while passing clones (with distinct
 /// tracks) into the simulator, runtime, or cluster nodes. A single
-/// buffer-global sequence number orders events across tracks — nodes run
-/// sequentially inside an interval, so that order is deterministic.
+/// buffer-global sequence number orders events across tracks in
+/// emission order — nodes run sequentially inside an interval while
+/// recording, so that order is deterministic. It is not sim-time order:
+/// node j's whole interval is recorded before node j + 1's.
 ///
 /// The buffer is capped ([`MemRecorder::with_limit`]; the default cap is
 /// 1 << 22 samples ≈ enough for the experiment figures) and counts
@@ -115,7 +117,7 @@ impl MemRecorder {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Snapshot of the recorded samples, in `(t_ms, seq)` order.
+    /// Snapshot of the recorded samples, in emission (`seq`) order.
     #[must_use]
     pub fn samples(&self) -> Vec<Sample> {
         self.lock().samples.clone()

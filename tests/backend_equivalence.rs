@@ -100,21 +100,31 @@ fn capability_pools_match_hand_built_layouts() {
     }
 }
 
-/// A short trace replayed with the backend seam explicitly set to
-/// analytical is bit-identical to the default replay, and re-timing any
-/// policy for the analytical backend is the identity.
+/// Replay `trace` at `max_rps` on a Setting-I heterogeneous node whose
+/// setup runs `backend` (`None` keeps the provisioned default).
+fn replay_on(
+    backend: Option<ExecBackend>,
+    trace: &[TracePoint],
+    interval_ms: f64,
+    max_rps: f64,
+    seed: u64,
+) -> TraceReport {
+    let (app, spaces, mut setup) = heter();
+    if let Some(backend) = backend {
+        setup.backend = backend;
+    }
+    let mut rt = PolyRuntime::new(AppContext::new(app, spaces, setup, QOS_BOUND_MS));
+    rt.run(&RunSpec::new(trace, interval_ms, max_rps).seed(seed))
+}
+
+/// A short trace replayed on a node whose setup explicitly sets the
+/// analytical backend is bit-identical to the default replay, and
+/// re-timing any policy for the analytical backend is the identity.
 #[test]
 fn analytical_trace_replay_is_bit_identical_to_default() {
     let trace = flat_trace(4, 0.4);
-    let run = |spec: RunSpec| -> TraceReport {
-        let (app, spaces, setup) = heter();
-        let mut rt = PolyRuntime::new(AppContext::new(app, spaces, setup, QOS_BOUND_MS));
-        rt.run(&spec)
-    };
-    let default = run(RunSpec::new(&trace, INTERVAL_MS, 20.0).seed(42));
-    let explicit = run(RunSpec::new(&trace, INTERVAL_MS, 20.0)
-        .seed(42)
-        .backend(ExecBackend::Analytical));
+    let default = replay_on(None, &trace, INTERVAL_MS, 20.0, 42);
+    let explicit = replay_on(Some(ExecBackend::Analytical), &trace, INTERVAL_MS, 20.0, 42);
     assert_eq!(default, explicit);
 
     // retime_policy(Analytical) is the identity on any policy.
@@ -177,13 +187,7 @@ fn cpu_backend_replays_are_reproducible() {
         })
         .collect();
     let run = |backend: ExecBackend| -> TraceReport {
-        let (app, spaces, setup) = heter();
-        let mut rt = PolyRuntime::new(AppContext::new(app, spaces, setup, QOS_BOUND_MS));
-        rt.run(
-            &RunSpec::new(&trace, CPU_INTERVAL_MS, 0.001)
-                .seed(7)
-                .backend(backend),
-        )
+        replay_on(Some(backend), &trace, CPU_INTERVAL_MS, 0.001, 7)
     };
     let client = Arc::new(CpuClient::new(2));
     let first = run(ExecBackend::Cpu(Arc::clone(&client)));
