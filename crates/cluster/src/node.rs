@@ -4,12 +4,16 @@
 //! driver instead of owning their own trace loop. The re-planning logic
 //! (degraded-pool detection, change hysteresis, model feedback) and the
 //! interval step are the same `Tenant` `poly_core::PolyRuntime` drives;
-//! what the node adds is the externally
-//! imposed power cap from the cluster governor (a capped loop), the
-//! fail-stop / drain / recover lifecycle the front-end router observes,
-//! and multi-tenancy: a node may host several [`AppContext`]s (distinct
-//! DAGs, distinct latency bounds, distinct QoS weights) sharing its
-//! hardware.
+//! what the node adds is the externally imposed power cap from the
+//! cluster governor (a capped loop), the fail-stop / drain / recover
+//! lifecycle the front-end router observes, and multi-tenancy: a node may
+//! host several [`AppContext`]s (distinct DAGs, distinct latency bounds,
+//! distinct QoS weights) sharing its hardware.
+//!
+//! The node keeps its contexts; everything that lives for one replay —
+//! the tenants, the imposed cap, health and serving state — is built by
+//! [`ClusterNode::begin_replay_multi`], so a node replayed again starts
+//! exactly where a new node would.
 //!
 //! ## Tenancy model
 //!
@@ -27,7 +31,7 @@
 
 use poly_core::{AppContext, NodeSetup, Tenant};
 use poly_obs::Recorder;
-use poly_sim::{FaultPlan, LifecycleConfig, Simulator};
+use poly_sim::{FaultPlan, LifecycleConfig};
 
 use crate::governor::{weighted_water_fill, NodeShare};
 
@@ -72,6 +76,12 @@ pub struct NodeIntervalStats {
 /// per hosted tenant.
 #[derive(Debug)]
 pub struct ClusterNode {
+    /// One application context per hosted tenant.
+    ctxs: Vec<AppContext>,
+    /// Telemetry sink of the next replay; a clone is attached to each
+    /// tenant simulator at `begin_replay_multi`.
+    recorder: Option<Box<dyn Recorder>>,
+    /// The current replay's tenants (none before the first replay).
     tenants: Vec<Tenant>,
     /// Cap currently imposed by the cluster governor (starts at the
     /// node's provisioned cap).
@@ -89,9 +99,6 @@ pub struct ClusterNode {
     last_drained: Vec<usize>,
     /// Intervals run since `begin_replay_multi` (telemetry).
     interval_idx: usize,
-    /// Telemetry sink; a clone is attached to each tenant simulator at
-    /// `begin_replay_multi`.
-    recorder: Option<Box<dyn Recorder>>,
     /// Merged-sample scratch for multi-tenant percentiles, recycled.
     merged_samples: Vec<f64>,
 }
@@ -106,37 +113,41 @@ impl ClusterNode {
     #[must_use]
     pub fn new_multi(ctxs: Vec<AppContext>) -> Self {
         assert!(!ctxs.is_empty(), "node needs at least one tenant");
-        let power_cap_w = ctxs[0].setup().power_cap_w;
-        let n = ctxs.len();
+        Self::starting(ctxs, None, Vec::new())
+    }
+
+    /// The node over `ctxs` running `tenants`, in the state every replay
+    /// starts from: serving, healthy, at its provisioned cap. The one
+    /// place the per-replay fields are set.
+    fn starting(
+        ctxs: Vec<AppContext>,
+        recorder: Option<Box<dyn Recorder>>,
+        tenants: Vec<Tenant>,
+    ) -> Self {
         Self {
-            tenants: ctxs
-                .into_iter()
-                .map(|ctx| {
-                    let cap_w = ctx.setup().power_cap_w;
-                    Tenant::new(ctx, Some(cap_w))
-                })
-                .collect(),
-            power_cap_w,
+            power_cap_w: ctxs[0].setup().power_cap_w,
             down: false,
             active: true,
             warming_until_ms: None,
-            last_drained: vec![0; n],
+            last_drained: vec![0; ctxs.len()],
             interval_idx: 0,
-            recorder: None,
             merged_samples: Vec::new(),
+            ctxs,
+            recorder,
+            tenants,
         }
     }
 
     /// Number of tenants hosted on this node.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        self.ctxs.len()
     }
 
     /// The node's provisioned setup (the first tenant's).
     #[must_use]
     pub fn setup(&self) -> &NodeSetup {
-        self.tenants[0].context().setup()
+        self.ctxs[0].setup()
     }
 
     /// QoS-class label of tenant `class`.
@@ -145,13 +156,13 @@ impl ClusterNode {
     /// Panics if `class` is out of range.
     #[must_use]
     pub fn tenant_label(&self, class: usize) -> &'static str {
-        self.tenants[class].context().tenant()
+        self.ctxs[class].tenant()
     }
 
     /// QoS weight of tenant `class`.
     #[must_use]
     pub fn tenant_weight(&self, class: usize) -> f64 {
-        self.tenants[class].context().qos_weight()
+        self.ctxs[class].qos_weight()
     }
 
     /// Whether the node is currently fail-stopped.
@@ -182,22 +193,20 @@ impl ClusterNode {
     }
 
     /// Predicted sustainable capacity under the current policy, in RPS
-    /// (0 before the first plan), summed across tenants.
+    /// (0 before the first replay), summed across tenants.
     #[must_use]
     pub fn capacity_rps(&self) -> f64 {
         self.tenants
             .iter()
-            .map(|t| t.control().predicted().map_or(0.0, |p| p.capacity_rps))
+            .map(|t| t.control().predicted().capacity_rps)
             .sum()
     }
 
-    /// Predicted sustainable capacity of tenant `class`, in RPS.
+    /// Predicted sustainable capacity of tenant `class`, in RPS (panics
+    /// before the first replay).
     #[must_use]
     pub fn capacity_rps_of(&self, class: usize) -> f64 {
-        self.tenants[class]
-            .control()
-            .predicted()
-            .map_or(0.0, |p| p.capacity_rps)
+        self.tenants[class].control().predicted().capacity_rps
     }
 
     /// The governor-imposed power cap, in watts.
@@ -209,16 +218,14 @@ impl ClusterNode {
     /// Work items queued on the node right now, summed across tenants.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.tenants
-            .iter()
-            .map(|t| t.sim().map_or(0, Simulator::queued))
-            .sum()
+        self.tenants.iter().map(|t| t.sim().queued()).sum()
     }
 
-    /// Work items queued for tenant `class` right now.
+    /// Work items queued for tenant `class` right now (panics before the
+    /// first replay).
     #[must_use]
     pub fn queued_of(&self, class: usize) -> usize {
-        self.tenants[class].sim().map_or(0, Simulator::queued)
+        self.tenants[class].sim().queued()
     }
 
     /// The monitor's smoothed load estimate, in RPS, summed across
@@ -239,74 +246,70 @@ impl ClusterNode {
         self.recorder = recorder;
     }
 
-    /// Run every tenant under `lifecycle` from the next replay on.
+    /// Run every tenant under `lifecycle` from the next replay on,
+    /// written into each tenant's context.
     pub(crate) fn set_lifecycle(&mut self, lifecycle: &LifecycleConfig) {
-        for t in &mut self.tenants {
-            t.set_lifecycle(lifecycle.clone());
+        for ctx in &mut self.ctxs {
+            let mut setup = ctx.setup().clone();
+            setup.sim_config.lifecycle = lifecycle.clone();
+            *ctx = ctx.with_setup(setup);
         }
     }
 
-    /// Start a fresh trace replay: reset each tenant's monitor so its
-    /// EWMA re-seeds from this replay's first observation, plan each
-    /// tenant's initial policy for its entry of `first_rps`, and build
-    /// fresh simulators with `faults` scripted into each (node faults
-    /// hit the shared hardware, so every tenant sees them).
+    /// Start a trace replay: build each tenant afresh from its context —
+    /// a new control loop that plans its initial policy for its entry of
+    /// `first_rps` under its share of the node cap, and a new simulator
+    /// with `faults` scripted in (node faults hit the shared hardware, so
+    /// every tenant sees them) — and put the node in its starting state.
+    /// Nothing carries over from an earlier replay, so every replay of a
+    /// node reports what a new node's first replay does.
     ///
     /// # Panics
     /// Panics unless `first_rps` has exactly one entry per tenant.
     pub fn begin_replay_multi(&mut self, first_rps: &[f64], faults: &FaultPlan) {
-        assert_eq!(first_rps.len(), self.tenants.len(), "one load per tenant");
-        self.power_cap_w = self.setup().power_cap_w;
-        self.down = false;
-        self.active = true;
-        self.warming_until_ms = None;
-        self.last_drained = vec![0; self.tenants.len()];
-        self.interval_idx = 0;
-        let caps = self.tenant_caps();
+        assert_eq!(first_rps.len(), self.ctxs.len(), "one load per tenant");
+        // The split new monitors give: they have seen no load yet.
+        let caps = tenant_caps(
+            &self.ctxs,
+            self.setup().power_cap_w,
+            self.ctxs.iter().map(|_| 0.0),
+        );
         let recorder = self.recorder.as_ref().filter(|r| r.enabled());
-        for ((t, &rps), cap) in self.tenants.iter_mut().zip(first_rps).zip(caps) {
-            t.control_mut().set_cap(cap);
-            // Each tenant runs its node's setup as provisioned: its own
-            // backend (so a mixed fleet runs modeled and measured nodes
-            // side by side), lifecycle and dispatch layer.
-            let dynamic = t.context().setup().sim_config.dynamic;
-            t.begin(rps, None, dynamic, faults, recorder.cloned());
-        }
-    }
-
-    /// Split the node cap across tenants: the same weighted water-fill
-    /// the governor runs across nodes, with demand = tenant load EWMA ×
-    /// QoS weight and a floor of 10% of an even share. A single tenant
-    /// always gets the full node cap, exactly as before multi-tenancy.
-    fn tenant_caps(&self) -> Vec<f64> {
-        let n = self.tenants.len();
-        if n == 1 {
-            return vec![self.power_cap_w];
-        }
-        let demands: Vec<f64> = self
-            .tenants
+        let tenants = self
+            .ctxs
             .iter()
-            .map(|t| t.control().load_estimate_rps())
-            .collect();
-        let states: Vec<NodeShare> = self
-            .tenants
-            .iter()
-            .map(|t| NodeShare::Active {
-                weight: t.context().qos_weight(),
+            .zip(first_rps)
+            .zip(caps)
+            .map(|((ctx, &rps), cap)| {
+                // Each tenant runs its node's setup as provisioned: its own
+                // backend (so a mixed fleet runs modeled and measured nodes
+                // side by side), lifecycle and dispatch layer.
+                let dynamic = ctx.setup().sim_config.dynamic;
+                Tenant::begin(
+                    ctx.clone(),
+                    Some(cap),
+                    rps,
+                    None,
+                    dynamic,
+                    faults,
+                    recorder.cloned(),
+                )
             })
             .collect();
-        let floor = 0.1 * self.power_cap_w / n as f64;
-        weighted_water_fill(self.power_cap_w, floor, &demands, &states)
+        let ctxs = std::mem::take(&mut self.ctxs);
+        *self = Self::starting(ctxs, self.recorder.take(), tenants);
     }
 
     /// Impose a new power cap from the cluster governor, re-splitting it
     /// across tenants. A materially different tenant share (> 5%
     /// relative move) schedules an unconditional re-plan at the next
     /// interval so the tenant's policy tracks its budget; jitter below
-    /// that threshold is absorbed to avoid reconfiguration churn.
+    /// that threshold is absorbed to avoid reconfiguration churn. A
+    /// multi-tenant node panics here before its first replay.
     pub fn set_power_cap(&mut self, cap_w: f64) {
         self.power_cap_w = cap_w;
-        let caps = self.tenant_caps();
+        let demands = self.tenants.iter().map(|t| t.control().load_estimate_rps());
+        let caps = tenant_caps(&self.ctxs, cap_w, demands);
         for (t, cap) in self.tenants.iter_mut().zip(caps) {
             t.control_mut().set_cap(cap);
         }
@@ -329,7 +332,7 @@ impl ClusterNode {
     fn cancel_pending(&mut self) -> usize {
         let mut total = 0;
         for (c, t) in self.tenants.iter_mut().enumerate() {
-            let cancelled = t.sim_mut().map_or(0, Simulator::cancel_pending);
+            let cancelled = t.sim_mut().cancel_pending();
             self.last_drained[c] = cancelled;
             total += cancelled;
         }
@@ -362,9 +365,11 @@ impl ClusterNode {
                 self.warming_until_ms = None;
             }
         }
-        let healthy = self.tenants[0]
-            .sim()
+        let healthy = self
+            .tenants
+            .first()
             .expect("begin_replay_multi first")
+            .sim()
             .healthy_devices();
         if !self.down && healthy == 0 {
             self.down = true;
@@ -396,10 +401,6 @@ impl ClusterNode {
     /// load estimate `est_rps`, split across tenants proportionally to
     /// their own monitors (even split before any history). Returns
     /// whether any tenant's policy changed.
-    ///
-    /// # Panics
-    /// Panics if called before
-    /// [`begin_replay_multi`](Self::begin_replay_multi).
     pub fn begin_interval(&mut self, est_rps: f64) -> bool {
         let n = self.tenants.len();
         let ests: Vec<f64> = if n == 1 {
@@ -511,10 +512,7 @@ impl ClusterNode {
     /// what one extra tenant simulator over-counts per interval.
     fn shared_idle_w(&self) -> f64 {
         let setup = self.setup();
-        let t = &self.tenants[0];
-        let pool = t
-            .sim()
-            .map_or_else(|| setup.pool.clone(), Simulator::available_pool);
+        let pool = self.tenants[0].sim().available_pool();
         pool.count(poly_device::DeviceKind::Gpu) as f64 * setup.sim_config.gpu_idle_w
             + pool.count(poly_device::DeviceKind::Fpga) as f64 * setup.sim_config.fpga_idle_w
     }
@@ -537,9 +535,7 @@ impl ClusterNode {
     pub fn retry_stats(&self) -> poly_sim::RetryStats {
         let mut out = poly_sim::RetryStats::default();
         for t in &self.tenants {
-            if let Some(sim) = t.sim() {
-                out.merge(&sim.retry_stats());
-            }
+            out.merge(&t.sim().retry_stats());
         }
         out
     }
@@ -551,10 +547,29 @@ impl ClusterNode {
     pub fn audit(&self) -> poly_sim::AuditReport {
         let mut out = poly_sim::AuditReport::default();
         for t in &self.tenants {
-            if let Some(sim) = t.sim() {
-                out.merge(&sim.audit());
-            }
+            out.merge(&t.sim().audit());
         }
         out
     }
+}
+
+/// Split a node cap of `cap_w` across the tenants of `ctxs`: the same
+/// weighted water-fill the governor runs across nodes, with demand =
+/// tenant load estimate (`demands`, RPS, one per tenant) × QoS weight and
+/// a floor of 10% of an even share. A single tenant always gets the full
+/// node cap, exactly as before multi-tenancy.
+fn tenant_caps(ctxs: &[AppContext], cap_w: f64, demands: impl Iterator<Item = f64>) -> Vec<f64> {
+    let n = ctxs.len();
+    if n == 1 {
+        return vec![cap_w];
+    }
+    let demands: Vec<f64> = demands.collect();
+    let states: Vec<NodeShare> = ctxs
+        .iter()
+        .map(|ctx| NodeShare::Active {
+            weight: ctx.qos_weight(),
+        })
+        .collect();
+    let floor = 0.1 * cap_w / n as f64;
+    weighted_water_fill(cap_w, floor, &demands, &states)
 }

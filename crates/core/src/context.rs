@@ -101,11 +101,6 @@ impl AppContext {
         &self.setup
     }
 
-    /// The node's provisioning, to edit before a replay begins.
-    pub(crate) fn setup_mut(&mut self) -> &mut NodeSetup {
-        &mut self.setup
-    }
-
     /// The p99 QoS bound, milliseconds.
     #[must_use]
     pub fn bound_ms(&self) -> f64 {

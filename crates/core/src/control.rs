@@ -4,14 +4,17 @@
 //!
 //! One [`ControlLoop`] holds the optimizer and monitor for one
 //! application on one node, the policy currently adopted with its
-//! prediction, and the pool the last plan was made against. At each
-//! interval boundary [`ControlLoop::replan`] re-plans from the monitor's
-//! load estimate. A degraded pool or a forced re-plan adopts the new plan
-//! unconditionally; otherwise a change-hysteresis keeps the current
-//! policy unless it is about to violate QoS (or overruns the power cap)
-//! or the candidate saves a meaningful amount of power. After the
-//! interval, [`ControlLoop::observe`] feeds the measurements back into
-//! the monitor and the model.
+//! prediction, and the pool the last plan was made against. A loop lives
+//! for one replay: [`ControlLoop::begin`] builds it with the replay's
+//! first policy adopted, so every replay starts from a fresh monitor and
+//! a fresh model. At each interval boundary [`ControlLoop::replan`]
+//! re-plans from the monitor's load estimate. A degraded pool or a
+//! forced re-plan adopts the new plan unconditionally; otherwise a
+//! change-hysteresis keeps the current policy unless it is about to
+//! violate QoS (or overruns the power cap) or the candidate saves a
+//! meaningful amount of power. After the interval,
+//! [`ControlLoop::observe`] feeds the measurements back into the monitor
+//! and the model.
 
 use crate::{
     retime_policy, AppContext, Candidates, IntervalObs, Optimizer, PolicyPrediction, SystemMonitor,
@@ -37,14 +40,14 @@ pub struct ControlLoop {
     force_replan: bool,
     /// Whether adopted policies carry dispatch-time alternates.
     alternates: bool,
-    policy: Option<Policy>,
-    predicted: Option<PolicyPrediction>,
+    policy: Policy,
+    predicted: PolicyPrediction,
     /// Pool the last plan was made against; divergence from the
     /// simulator's available pool forces a re-plan.
     avail: Pool,
     /// The optimizer's candidate policies for `avail` — the
-    /// load-independent half of a plan. Built by the first plan after
-    /// [`begin`](Self::begin) or a pool change; every other re-plan only
+    /// load-independent half of a plan. Built by the first plan of the
+    /// replay and after a pool change; every other re-plan only
     /// re-selects among them at the new load.
     candidates: Option<Candidates>,
     /// How many times the candidate set was built.
@@ -58,36 +61,62 @@ pub struct ControlLoop {
 }
 
 impl ControlLoop {
-    /// A loop for `ctx`'s application and node. With `cap_w` set, every
-    /// plan must fit that power cap and a policy overrunning it is not
-    /// held; `None` plans uncapped.
+    /// The loop of one replay of `ctx`'s application, with its initial
+    /// policy for `first_rps` on the node's full pool adopted: the
+    /// optimizer's plan, or `pinned` when given (a static baseline, which
+    /// the caller must never [`replan`](Self::replan)). With `cap_w` set,
+    /// every plan must fit that power cap and a policy overrunning it is
+    /// not held; `None` plans uncapped. Every adopted policy carries the
+    /// design spaces' top-k alternates when `alternates` is set, and is
+    /// re-timed for the node's [`NodeSetup::backend`](crate::NodeSetup)
+    /// (identity on the analytical backend); [`policy`](Self::policy)
+    /// hands the first one to the replay's simulator.
     #[must_use]
-    pub fn new(ctx: &AppContext, cap_w: Option<f64>) -> Self {
+    pub fn begin(
+        ctx: &AppContext,
+        cap_w: Option<f64>,
+        first_rps: f64,
+        pinned: Option<&Policy>,
+        alternates: bool,
+    ) -> Self {
+        let optimizer = Optimizer::new();
+        let avail = ctx.setup().pool.clone();
+        let (candidates, (policy, predicted), reason) = match pinned {
+            Some(p) => {
+                let pred = optimizer.model().predict(ctx.graph(), p, &avail, first_rps);
+                (None, (p.clone(), pred), "static")
+            }
+            None => {
+                let candidates = build_candidates(&optimizer, ctx, &avail);
+                let plan = select(&optimizer, &candidates, ctx, &avail, cap_w, first_rps);
+                (Some(candidates), plan, "initial")
+            }
+        };
         Self {
-            optimizer: Optimizer::new(),
+            policy: adopt(ctx, alternates, policy),
+            predicted,
+            candidate_builds: u64::from(candidates.is_some()),
+            candidates,
+            optimizer,
             monitor: SystemMonitor::new(8),
             cap_w,
             force_replan: false,
-            alternates: false,
-            policy: None,
-            predicted: None,
-            avail: ctx.setup().pool.clone(),
-            candidates: None,
-            candidate_builds: 0,
+            alternates,
+            avail,
             changed: false,
-            reason: "initial",
-            est_rps: 0.0,
+            reason,
+            est_rps: first_rps,
         }
     }
 
-    /// The optimizer (e.g. to inspect the model's correction factor).
+    /// The adopted policy.
     #[must_use]
-    pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// How many times the loop built the optimizer's candidate set: once
-    /// per [`begin`](Self::begin) that plans and once per pool change.
+    /// when [`begin`](Self::begin) plans and once per pool change.
     #[must_use]
     pub fn candidate_builds(&self) -> u64 {
         self.candidate_builds
@@ -99,18 +128,16 @@ impl ControlLoop {
         self.monitor.load_estimate_rps()
     }
 
-    /// The prediction for the adopted policy (`None` before the first
-    /// [`begin`](Self::begin)).
+    /// The prediction for the adopted policy.
     #[must_use]
-    pub fn predicted(&self) -> Option<&PolicyPrediction> {
-        self.predicted.as_ref()
+    pub fn predicted(&self) -> &PolicyPrediction {
+        &self.predicted
     }
 
-    /// The predicted p99 of the adopted policy, in ms (∞ before the
-    /// first [`begin`](Self::begin)).
+    /// The predicted p99 of the adopted policy, in ms.
     #[must_use]
     pub fn predicted_p99_ms(&self) -> f64 {
-        self.predicted.as_ref().map_or(f64::INFINITY, |p| p.p99_ms)
+        self.predicted.p99_ms
     }
 
     /// Whether the last boundary adopted a different policy.
@@ -152,88 +179,22 @@ impl ControlLoop {
         self.force_replan = true;
     }
 
-    /// Start a fresh replay: reset the monitor so its load estimate
-    /// re-seeds from this replay, and adopt an initial policy for
-    /// `first_rps` on the node's full pool — the optimizer's plan, or
-    /// `pinned` when given (a static baseline, which the caller must
-    /// never [`replan`](Self::replan)). Every adopted policy carries the
-    /// design spaces' top-k alternates when `alternates` is set, and is
-    /// re-timed for the node's [`NodeSetup::backend`](crate::NodeSetup)
-    /// (identity on the analytical backend). Returns the adopted policy,
-    /// for the caller's simulator.
-    pub fn begin(
-        &mut self,
-        ctx: &AppContext,
-        first_rps: f64,
-        pinned: Option<&Policy>,
-        alternates: bool,
-    ) -> Policy {
-        self.monitor.reset();
-        self.force_replan = false;
-        self.alternates = alternates;
-        self.avail = ctx.setup().pool.clone();
-        self.candidates = None;
-        self.changed = false;
-        self.est_rps = first_rps;
-        let (policy, predicted) = match pinned {
-            Some(p) => {
-                self.reason = "static";
-                let pred =
-                    self.optimizer
-                        .model()
-                        .predict(ctx.graph(), p, &ctx.setup().pool, first_rps);
-                (p.clone(), pred)
-            }
-            None => {
-                self.reason = "initial";
-                self.plan(ctx, first_rps)
-            }
-        };
-        let policy = self.adopt(ctx, policy);
-        self.policy = Some(policy.clone());
-        self.predicted = Some(predicted);
-        policy
-    }
-
     /// Plan on the current pool for `est_rps`, under the cap if any:
     /// exactly [`Optimizer::plan_for_load_capped`], with the candidate set
     /// built only when the pool has changed since it was last built.
     fn plan(&mut self, ctx: &AppContext, est_rps: f64) -> (Policy, PolicyPrediction) {
         let candidates = self.candidates.get_or_insert_with(|| {
             self.candidate_builds += 1;
-            self.optimizer.candidates(
-                ctx.graph(),
-                ctx.spaces(),
-                &self.avail,
-                &ctx.setup().gpu,
-                ctx.bound_ms(),
-            )
+            build_candidates(&self.optimizer, ctx, &self.avail)
         });
-        let (chosen, prediction) = self.optimizer.select(
+        select(
+            &self.optimizer,
             candidates,
-            ctx.graph(),
+            ctx,
             &self.avail,
-            ctx.bound_ms(),
+            self.cap_w,
             est_rps,
-            self.cap_w.unwrap_or(f64::INFINITY),
-        );
-        (candidates.policies()[chosen].clone(), prediction)
-    }
-
-    /// Make a planned policy adoptable: attach alternates when enabled,
-    /// then re-time for the node's backend.
-    fn adopt(&self, ctx: &AppContext, policy: Policy) -> Policy {
-        let policy = if self.alternates {
-            policy.with_alternates(
-                ctx.spaces(),
-                &ctx.setup().gpu,
-                ctx.bound_ms(),
-                DYNAMIC_TOP_K,
-            )
-        } else {
-            policy
-        };
-        retime_policy(&policy, &ctx.setup().backend, ctx.graph())
+        )
     }
 
     /// Re-plan for the coming interval from the load estimate `est_rps`,
@@ -244,9 +205,6 @@ impl ControlLoop {
     /// diverged) or a forced re-plan adopts the new plan unconditionally
     /// — a failure is never "not worthwhile". With nothing left to plan
     /// on, the current (inert) policy rides out the outage.
-    ///
-    /// # Panics
-    /// Panics if called before [`begin`](Self::begin).
     pub fn replan(&mut self, ctx: &AppContext, sim: &mut Simulator, est_rps: f64) -> bool {
         self.changed = false;
         self.est_rps = est_rps;
@@ -262,8 +220,8 @@ impl ControlLoop {
             return false;
         }
         let (next, pred) = self.plan(ctx, est_rps);
-        let next = self.adopt(ctx, next);
-        let policy = self.policy.as_ref().expect("begin first");
+        let next = adopt(ctx, self.alternates, next);
+        let policy = &self.policy;
         let adopt = if degraded || force {
             self.reason = if degraded { "degraded" } else { "forced" };
             true
@@ -288,7 +246,7 @@ impl ControlLoop {
                 true
             } else {
                 self.reason = "hold";
-                self.predicted = Some(cur_pred);
+                self.predicted = cur_pred;
                 false
             }
         };
@@ -296,9 +254,9 @@ impl ControlLoop {
             if next != *policy {
                 self.changed = true;
                 sim.set_policy(next.clone());
-                self.policy = Some(next);
+                self.policy = next;
             }
-            self.predicted = Some(pred);
+            self.predicted = pred;
         }
         self.changed
     }
@@ -331,6 +289,54 @@ impl ControlLoop {
     }
 }
 
+/// The optimizer's candidate policies for `ctx` on `avail`.
+fn build_candidates(optimizer: &Optimizer, ctx: &AppContext, avail: &Pool) -> Candidates {
+    optimizer.candidates(
+        ctx.graph(),
+        ctx.spaces(),
+        avail,
+        &ctx.setup().gpu,
+        ctx.bound_ms(),
+    )
+}
+
+/// The policy `optimizer` selects among `candidates` on `avail` for
+/// `est_rps` under `cap_w` (uncapped when `None`), with its prediction.
+fn select(
+    optimizer: &Optimizer,
+    candidates: &Candidates,
+    ctx: &AppContext,
+    avail: &Pool,
+    cap_w: Option<f64>,
+    est_rps: f64,
+) -> (Policy, PolicyPrediction) {
+    let (chosen, prediction) = optimizer.select(
+        candidates,
+        ctx.graph(),
+        avail,
+        ctx.bound_ms(),
+        est_rps,
+        cap_w.unwrap_or(f64::INFINITY),
+    );
+    (candidates.policies()[chosen].clone(), prediction)
+}
+
+/// Make a planned policy adoptable: attach alternates when `alternates`
+/// is set, then re-time for the node's backend.
+fn adopt(ctx: &AppContext, alternates: bool, policy: Policy) -> Policy {
+    let policy = if alternates {
+        policy.with_alternates(
+            ctx.spaces(),
+            &ctx.setup().gpu,
+            ctx.bound_ms(),
+            DYNAMIC_TOP_K,
+        )
+    } else {
+        policy
+    };
+    retime_policy(&policy, &ctx.setup().backend, ctx.graph())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,12 +353,11 @@ mod tests {
     }
 
     fn started(ctx: &AppContext, cap_w: Option<f64>) -> (ControlLoop, Simulator) {
-        let mut control = ControlLoop::new(ctx, cap_w);
-        let policy = control.begin(ctx, 10.0, None, false);
+        let control = ControlLoop::begin(ctx, cap_w, 10.0, None, false);
         let sim = Simulator::new(
             ctx.graph_owned(),
             &ctx.setup().pool,
-            policy,
+            control.policy().clone(),
             ctx.setup().sim_config.clone(),
         );
         (control, sim)
@@ -385,7 +390,7 @@ mod tests {
         sim: &mut Simulator,
         rps: f64,
     ) {
-        let mut fresh = control.optimizer().clone();
+        let mut fresh = control.optimizer.clone();
         let (want, want_pred) = fresh.plan_for_load_capped(
             ctx.graph(),
             ctx.spaces(),
@@ -398,11 +403,11 @@ mod tests {
         control.force_replan();
         control.replan(ctx, sim, rps);
         assert_eq!(
-            control.policy.as_ref(),
-            Some(&control.adopt(ctx, want)),
+            control.policy(),
+            &adopt(ctx, control.alternates, want),
             "at {rps} RPS"
         );
-        assert_eq!(control.predicted(), Some(&want_pred), "at {rps} RPS");
+        assert_eq!(control.predicted(), &want_pred, "at {rps} RPS");
     }
 
     #[test]
@@ -463,23 +468,19 @@ mod tests {
             3,
             "the recovery builds once more"
         );
-
-        // A fresh replay rebuilds at `begin`.
-        control.begin(&ctx, 10.0, None, false);
-        assert_eq!(control.candidate_builds(), 4);
     }
 
     #[test]
     fn hold_keeps_the_policy_and_records_why() {
         let ctx = ctx();
         let (mut control, _) = started(&ctx, None);
-        let before = control.predicted().cloned();
+        let before = control.predicted().clone();
         control.hold(42.0, "down-hold");
         assert_eq!(
             (control.reason(), control.est_rps(), control.changed()),
             ("down-hold", 42.0, false)
         );
-        assert_eq!(control.predicted().cloned(), before);
+        assert_eq!(control.predicted(), &before);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   loop (re-plan, hysteresis, model feedback); a [`Tenant`] owns one
 //!   with its application and simulator and steps them through one
 //!   interval body, which the runtime and every cluster node drive.
+//!   Both live for one trace replay and are built by it, so each replay
+//!   starts from a fresh monitor, model and simulator.
 //! - [`PolyRuntime`] drives the discrete-event simulator interval by
 //!   interval over a utilization trace, re-planning from monitor feedback —
 //!   the engine behind the 24-hour trace evaluation (Figs. 11–12).

@@ -73,14 +73,6 @@ impl SystemMonitor {
         self.window.push_back(obs);
     }
 
-    /// Forget all observations and the smoothed estimate — called when the
-    /// workload context changes (a new trace replay), so the next
-    /// observation re-seeds the EWMA instead of blending with stale state.
-    pub fn reset(&mut self) {
-        self.window.clear();
-        self.smoothed_rps = None;
-    }
-
     /// Smoothed load estimate in RPS, inflated by the backlog: queued work
     /// is load that must be served *now*.
     #[must_use]
@@ -165,44 +157,6 @@ mod tests {
         let mut m = SystemMonitor::new(8);
         m.observe(obs(100, 0));
         assert!((m.load_estimate_rps() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_reseeds_from_next_observation() {
-        let mut m = SystemMonitor::new(8);
-        m.observe(obs(100, 0));
-        m.observe(obs(100, 0));
-        m.reset();
-        assert!(m.window().is_empty());
-        assert_eq!(m.load_estimate_rps(), 0.0);
-        // Post-reset, the next observation seeds afresh: no blend with the
-        // pre-reset 100 RPS history.
-        m.observe(obs(10, 0));
-        assert!((m.load_estimate_rps() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears_every_derived_signal() {
-        // Regression guard for the Option-based EWMA cold-start fix: after
-        // reset() the monitor must behave exactly like a freshly
-        // constructed one — no stale backlog boost, p99, or power blending
-        // into the next replay's signals.
-        let mut m = SystemMonitor::new(4);
-        m.observe(obs(50, 40)); // backlog-inflated interval
-        assert!(m.load_estimate_rps() > 50.0);
-        assert_eq!(m.last_p99_ms(), Some(100.0));
-        assert!(m.mean_power_w() > 0.0);
-        m.reset();
-        assert_eq!(m.load_estimate_rps(), 0.0, "no backlog boost survives");
-        assert_eq!(m.last_p99_ms(), None);
-        assert_eq!(m.mean_power_w(), 0.0);
-        // The re-seed is Option-driven, not a zero prior: a fresh monitor
-        // and a reset one produce identical estimates for the same input.
-        let mut fresh = SystemMonitor::new(4);
-        fresh.observe(obs(7, 0));
-        m.observe(obs(7, 0));
-        assert_eq!(m.load_estimate_rps(), fresh.load_estimate_rps());
-        assert!((m.load_estimate_rps() - 7.0).abs() < 1e-9);
     }
 
     #[test]

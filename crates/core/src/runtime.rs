@@ -7,7 +7,7 @@
 //! telemetry recorder) and executed by [`PolyRuntime::run`]; the node's
 //! backend and lifecycle come from its [`NodeSetup`](crate::NodeSetup).
 
-use crate::{AppContext, Optimizer, Tenant};
+use crate::{AppContext, Tenant};
 use poly_backend::ExecBackend;
 use poly_ir::{KernelGraph, KernelId};
 use poly_obs::Recorder;
@@ -291,31 +291,19 @@ pub fn retime_policy(policy: &Policy, backend: &ExecBackend, graph: &KernelGraph
     }
 }
 
-/// The Poly runtime for one application on one provisioned node.
+/// The Poly runtime for one application on one provisioned node. Each
+/// run builds its own [`Tenant`], so running a spec twice reports the
+/// same thing twice.
 #[derive(Debug)]
 pub struct PolyRuntime {
-    tenant: Tenant,
+    ctx: AppContext,
 }
 
 impl PolyRuntime {
     /// Runtime for the application/node bundle `ctx`.
     #[must_use]
     pub fn new(ctx: AppContext) -> Self {
-        Self {
-            tenant: Tenant::new(ctx, None),
-        }
-    }
-
-    /// The optimizer (e.g. to inspect the model's correction factor).
-    #[must_use]
-    pub fn optimizer(&self) -> &Optimizer {
-        self.tenant.control().optimizer()
-    }
-
-    /// The application/node bundle this runtime drives.
-    #[must_use]
-    pub fn context(&self) -> &AppContext {
-        self.tenant.context()
+        Self { ctx }
     }
 
     /// Replay `spec`: re-plan every interval from monitor feedback (Poly
@@ -349,11 +337,10 @@ impl PolyRuntime {
     }
 
     /// The replay of [`run`](Self::run), on a validated spec.
-    fn replay(&mut self, spec: &RunSpec) -> TraceReport {
+    fn replay(&self, spec: &RunSpec) -> TraceReport {
         let trace = &spec.trace;
         let interval_ms = spec.interval_ms;
-        let tenant = &mut self.tenant;
-        let bound_ms = tenant.context().bound_ms();
+        let bound_ms = self.ctx.bound_ms();
         let pinned = match &spec.mode {
             RuntimeMode::Poly => None,
             RuntimeMode::Static(p) => Some(p),
@@ -365,7 +352,9 @@ impl PolyRuntime {
         // chooser; a measured backend then re-times the whole policy.
         let first_rps = trace.first().map_or(0.0, |p| p.utilization * spec.max_rps);
         let mut recorder = spec.recorder.clone().filter(|r| r.enabled());
-        tenant.begin(
+        let mut tenant = Tenant::begin(
+            self.ctx.clone(),
+            None,
             first_rps,
             pinned,
             spec.dynamic,
@@ -457,7 +446,7 @@ impl PolyRuntime {
             }
         }
 
-        let sim = tenant.sim().expect("begun above");
+        let sim = tenant.sim();
         let total_ms = trace.len() as f64 * interval_ms;
         TraceReport {
             intervals,

@@ -1,12 +1,14 @@
 //! One application on one node — its [`AppContext`], [`ControlLoop`]
 //! and [`Simulator`] — stepped interval by interval: the one interval
 //! body [`PolyRuntime`](crate::PolyRuntime) and every cluster node
-//! tenant share. Callers generate the arrivals and re-plan;
+//! tenant share. A tenant lives for one replay: [`Tenant::begin`] builds
+//! it from a clone of the context, so no state carries from one replay
+//! to the next. Callers generate the arrivals and re-plan;
 //! [`Tenant::step`] runs the interval and feeds the control loop.
 
 use crate::{AppContext, ControlLoop, IntervalObs};
 use poly_obs::{Event as ObsEvent, Recorder};
-use poly_sim::{DynamicDispatch, FaultPlan, LifecycleConfig, Policy, SimConfig, Simulator};
+use poly_sim::{DynamicDispatch, FaultPlan, Policy, SimConfig, Simulator};
 
 /// One interval's measurements, as one tenant saw them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,36 +39,58 @@ pub struct IntervalOutcome {
     pub model_error: Option<f64>,
 }
 
-/// One application on one node: its context, its control loop and its
-/// simulator.
+/// One application on one node for one replay: its context, its
+/// control loop and its simulator, all built by [`Tenant::begin`].
 #[derive(Debug)]
 pub struct Tenant {
     ctx: AppContext,
     control: ControlLoop,
-    sim: Option<Simulator>,
+    sim: Simulator,
     /// Whether the adopted policy is a pinned static baseline, whose
     /// measurements never feed the control loop.
     pinned: bool,
 }
 
 impl Tenant {
-    /// A tenant for `ctx`; with `cap_w` set, every plan must fit that
-    /// power cap (see [`ControlLoop::new`]).
+    /// One replay of `ctx`'s application: a fresh control loop with its
+    /// initial policy for `first_rps` adopted (or `pinned`, a static
+    /// baseline the caller must never re-plan), capped at `cap_w` when
+    /// set (see [`ControlLoop::begin`]), and a simulator built from the
+    /// node's [`NodeSetup`](crate::NodeSetup) with `dynamic` dispatch,
+    /// `faults` scripted in and `recorder` attached. The setup is the one
+    /// source of the node's backend and lifecycle. Adopted policies carry
+    /// dispatch-time alternates exactly when `dynamic` is set.
     #[must_use]
-    pub fn new(ctx: AppContext, cap_w: Option<f64>) -> Self {
-        let control = ControlLoop::new(&ctx, cap_w);
+    pub fn begin(
+        ctx: AppContext,
+        cap_w: Option<f64>,
+        first_rps: f64,
+        pinned: Option<&Policy>,
+        dynamic: Option<DynamicDispatch>,
+        faults: &FaultPlan,
+        recorder: Option<Box<dyn Recorder>>,
+    ) -> Self {
+        let control = ControlLoop::begin(&ctx, cap_w, first_rps, pinned, dynamic.is_some());
+        let setup = ctx.setup();
+        let sim_config = SimConfig {
+            backend_label: setup.backend.label(),
+            dynamic,
+            ..setup.sim_config.clone()
+        };
+        let mut sim = Simulator::new(
+            ctx.graph_owned(),
+            &setup.pool,
+            control.policy().clone(),
+            sim_config,
+        );
+        sim.inject_faults(faults);
+        sim.set_recorder(recorder);
         Self {
             ctx,
             control,
-            sim: None,
-            pinned: false,
+            sim,
+            pinned: pinned.is_some(),
         }
-    }
-
-    /// The application/node bundle.
-    #[must_use]
-    pub fn context(&self) -> &AppContext {
-        &self.ctx
     }
 
     /// The control loop.
@@ -80,63 +104,21 @@ impl Tenant {
         &mut self.control
     }
 
-    /// The simulator of the current replay (`None` before
-    /// [`begin`](Self::begin)).
+    /// The simulator of this replay.
     #[must_use]
-    pub fn sim(&self) -> Option<&Simulator> {
-        self.sim.as_ref()
+    pub fn sim(&self) -> &Simulator {
+        &self.sim
     }
 
-    /// The simulator of the current replay, mutably.
-    pub fn sim_mut(&mut self) -> Option<&mut Simulator> {
-        self.sim.as_mut()
-    }
-
-    /// Start a fresh replay: adopt an initial policy for `first_rps` (or
-    /// `pinned`, a static baseline the caller must never re-plan)
-    /// re-timed for the node's backend, and build a simulator from the
-    /// node's [`NodeSetup`](crate::NodeSetup) with `dynamic` dispatch,
-    /// `faults` scripted in and `recorder` attached. The setup is the one
-    /// source of the node's backend and lifecycle. Adopted policies carry
-    /// dispatch-time alternates exactly when `dynamic` is set.
-    pub fn begin(
-        &mut self,
-        first_rps: f64,
-        pinned: Option<&Policy>,
-        dynamic: Option<DynamicDispatch>,
-        faults: &FaultPlan,
-        recorder: Option<Box<dyn Recorder>>,
-    ) {
-        self.pinned = pinned.is_some();
-        let setup = self.ctx.setup();
-        let sim_config = SimConfig {
-            backend_label: setup.backend.label(),
-            dynamic,
-            ..setup.sim_config.clone()
-        };
-        let policy = self
-            .control
-            .begin(&self.ctx, first_rps, pinned, dynamic.is_some());
-        let mut sim = Simulator::new(self.ctx.graph_owned(), &setup.pool, policy, sim_config);
-        sim.inject_faults(faults);
-        sim.set_recorder(recorder);
-        self.sim = Some(sim);
-    }
-
-    /// Run every later replay under `lifecycle`, written into the node's
-    /// setup (the cluster applies its fleet-wide lifecycle this way).
-    pub fn set_lifecycle(&mut self, lifecycle: LifecycleConfig) {
-        self.ctx.setup_mut().sim_config.lifecycle = lifecycle;
+    /// The simulator of this replay, mutably.
+    pub fn sim_mut(&mut self) -> &mut Simulator {
+        &mut self.sim
     }
 
     /// Re-plan for the coming interval from the load estimate `est_rps`
     /// (see [`ControlLoop::replan`]). Returns whether the policy changed.
-    ///
-    /// # Panics
-    /// Panics if called before [`begin`](Self::begin).
     pub fn replan(&mut self, est_rps: f64) -> bool {
-        let sim = self.sim.as_mut().expect("begin first");
-        self.control.replan(&self.ctx, sim, est_rps)
+        self.control.replan(&self.ctx, &mut self.sim, est_rps)
     }
 
     /// Run one interval: offer `arrivals` (absolute times, with optional
@@ -149,8 +131,7 @@ impl Tenant {
     /// (`end_ms` minus the previous interval's end) when `None`.
     ///
     /// # Panics
-    /// Panics if called before [`begin`](Self::begin), or if `sizes`
-    /// does not pair one size with each arrival.
+    /// Panics if `sizes` does not pair one size with each arrival.
     pub fn step(
         &mut self,
         arrivals: &[f64],
@@ -158,7 +139,7 @@ impl Tenant {
         end_ms: f64,
         duration_ms: Option<f64>,
     ) -> IntervalOutcome {
-        let sim = self.sim.as_mut().expect("begin first");
+        let sim = &mut self.sim;
         match sizes {
             Some(sizes) => sim.enqueue_arrivals_sized(arrivals, sizes),
             None => sim.enqueue_arrivals(arrivals),
@@ -198,7 +179,7 @@ impl Tenant {
     /// before the first).
     #[must_use]
     pub fn window_latencies(&self) -> &[f64] {
-        self.sim.as_ref().map_or(&[], Simulator::window_latencies)
+        self.sim.window_latencies()
     }
 
     /// The `Interval` telemetry event for `out`, the interval number

@@ -512,7 +512,7 @@ impl Simulator {
     /// while the next one is due by `until`.
     fn run_until(&mut self, until: f64) {
         while let Some((et, _, kind)) = self.events.pop_due(until) {
-            if et < self.now - 1e-9 {
+            if et < self.now {
                 self.counters.clock_regressions += 1;
             }
             self.now = self.now.max(et);

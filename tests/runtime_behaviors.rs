@@ -126,6 +126,37 @@ fn static_and_poly_modes_agree_on_offered_load() {
     assert!((a - b).abs() / a.max(1.0) < 0.1, "{a} vs {b}");
 }
 
+/// A run builds its own control loop and simulator: a runtime that has
+/// already run reports what a fresh one does, so nothing its earlier
+/// runs measured (load estimates, the model's learned correction) leaks
+/// into the next. The static baseline's predicted p99 comes from the
+/// same model, so it is checked after a Poly run too.
+#[test]
+fn a_second_run_repeats_a_fresh_run() {
+    let (app, spaces, setup) = heter();
+    let trace: Vec<TracePoint> = (0..8)
+        .map(|i| TracePoint {
+            start_ms: f64::from(i) * 10_000.0,
+            utilization: if i < 4 { 0.3 } else { 0.8 },
+        })
+        .collect();
+    let fixed =
+        Optimizer::new().max_capacity_policy(&app, &spaces, &setup.pool, &setup.gpu, QOS_BOUND_MS);
+    let ctx = AppContext::new(app, spaces, setup, QOS_BOUND_MS);
+    let poly = RunSpec::new(&trace, 10_000.0, 40.0).seed(13);
+    let pinned = poly.clone().mode(RuntimeMode::Static(fixed));
+    let fresh = |spec: &RunSpec| PolyRuntime::new(ctx.clone()).run(spec);
+
+    let mut rt = PolyRuntime::new(ctx.clone());
+    let first = rt.run(&poly);
+    assert!(
+        first.prediction_error > 0.0,
+        "the first run fed the model back"
+    );
+    assert_eq!(rt.run(&poly), first, "Poly mode, run again");
+    assert_eq!(rt.run(&pinned), fresh(&pinned), "static mode, after Poly");
+}
+
 #[test]
 fn capacity_policy_uses_both_platforms_on_heter() {
     let (app, spaces, setup) = heter();
