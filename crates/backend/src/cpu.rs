@@ -10,12 +10,7 @@
 //! reports the same latency — simulations driven by a shared client are
 //! reproducible run to run.
 
-use crate::kernels::{MicroKernel, MicroRun};
-use crate::{
-    BackendError, Capabilities, Client, DeviceDescription, ExecReport, Executable, KernelWorkload,
-    MemoryDescription, PlatformKind,
-};
-use poly_device::Estimate;
+use crate::kernels::MicroKernel;
 use poly_ir::KernelProfile;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -26,16 +21,30 @@ pub const CPU_PEAK_POWER_W: f64 = 95.0;
 /// Assumed package idle power, in watts.
 pub const CPU_IDLE_POWER_W: f64 = 25.0;
 
-/// Sustained throughput the *a-priori* host roofline assumes, in
-/// Gflop/s. Deliberately crude — the calibration harness measures how
-/// far real execution lands from it (and from the per-class measured
-/// reference).
-const ASSUMED_SUSTAINED_GFLOPS: f64 = 8.0;
+/// What one measured execution produced: timing, power/energy, and the
+/// numeric checksum of the computed result — the thread-count-independent
+/// witness that real work happened. A node re-timed from it serves one
+/// request per launch, occupied for the whole measured latency.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecReport {
+    /// Measured wall-clock latency of the kernel, in milliseconds
+    /// (scaled up when the micro-kernel ran a capped share of the full
+    /// op count).
+    pub latency_ms: f64,
+    /// Package power while executing, in watts.
+    pub active_power_w: f64,
+    /// Package power while idle, in watts.
+    pub idle_power_w: f64,
+    /// Energy of the execution, in millijoules (`active × latency`).
+    pub energy_mj: f64,
+    /// Checksum of the computed result, deterministic for any thread
+    /// count.
+    pub checksum: f64,
+    /// Achieved arithmetic throughput in Gflop/s.
+    pub gflops: f64,
+}
 
-/// Assumed host memory bandwidth in GB/s.
-const ASSUMED_MEM_BANDWIDTH_GBS: f64 = 25.6;
-
-/// Client that really executes kernel workloads on the host CPU.
+/// Client that really executes kernels on the host CPU.
 #[derive(Debug)]
 pub struct CpuClient {
     threads: usize,
@@ -61,19 +70,27 @@ impl CpuClient {
     }
 
     /// Execute (or replay from the in-process cache) the micro-kernel
-    /// for `name`/`profile` and return its report. This is the hot entry
-    /// the runtime's policy re-timing uses.
+    /// sized for `name`/`profile` and return its report. This is the hot
+    /// entry the runtime's policy re-timing uses.
     #[must_use]
     pub fn measure(&self, name: &str, profile: &KernelProfile) -> ExecReport {
-        if let Some(hit) = self.cache.lock().expect("cpu cache").get(name) {
+        // Held across the run, so concurrent callers of one kernel all
+        // get its first measurement and measurements never overlap.
+        let mut cache = self.cache.lock().expect("cpu cache");
+        if let Some(hit) = cache.get(name) {
             return hit.clone();
         }
-        let exe = CpuExecutable::new(name.to_string(), profile, self.threads);
-        let report = exe.execute().expect("cpu execution is infallible");
-        self.cache
-            .lock()
-            .expect("cpu cache")
-            .insert(name.to_string(), report.clone());
+        let run = MicroKernel::for_profile(profile).run(self.threads);
+        let active_power_w = self.active_power_w();
+        let report = ExecReport {
+            latency_ms: run.latency_ms,
+            active_power_w,
+            idle_power_w: CPU_IDLE_POWER_W,
+            energy_mj: active_power_w * run.latency_ms,
+            checksum: run.checksum,
+            gflops: run.gflops,
+        };
+        cache.insert(name.to_string(), report.clone());
         report
     }
 
@@ -82,125 +99,12 @@ impl CpuClient {
         self.cache.lock().expect("cpu cache").clear();
     }
 
-    fn description() -> DeviceDescription {
-        DeviceDescription {
-            ordinal: 0,
-            platform: PlatformKind::Cpu,
-            name: "host-cpu".to_string(),
-            memory: MemoryDescription {
-                bytes: 8 << 30,
-                bandwidth_gbs: ASSUMED_MEM_BANDWIDTH_GBS,
-            },
-            peak_power_w: CPU_PEAK_POWER_W,
-            idle_power_w: CPU_IDLE_POWER_W,
-            bitstream_slots: 0,
-        }
-    }
-}
-
-impl Client for CpuClient {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            backend: "cpu",
-            measured: true,
-            devices: vec![Self::description()],
-        }
-    }
-
-    fn compile(&self, workload: &KernelWorkload) -> Result<Box<dyn Executable>, BackendError> {
-        Ok(Box::new(CpuExecutable::new(
-            workload.name.clone(),
-            &workload.profile,
-            self.threads,
-        )))
-    }
-}
-
-/// One kernel bound to the host CPU as a sized micro-kernel.
-#[derive(Debug, Clone)]
-pub struct CpuExecutable {
-    kernel: String,
-    device: DeviceDescription,
-    micro: MicroKernel,
-    threads: usize,
-}
-
-impl CpuExecutable {
-    fn new(kernel: String, profile: &KernelProfile, threads: usize) -> Self {
-        Self {
-            kernel,
-            device: CpuClient::description(),
-            micro: MicroKernel::for_profile(profile),
-            threads,
-        }
-    }
-
-    /// The sized micro-kernel this executable runs.
-    #[must_use]
-    pub fn micro(&self) -> &MicroKernel {
-        &self.micro
-    }
-
-    /// Package power while `threads` workers execute: idle plus a
+    /// Package power while the client's workers execute: idle plus a
     /// utilization-proportional dynamic share.
     fn active_power_w(&self) -> f64 {
         let cores = std::thread::available_parallelism().map_or(8.0, |n| n.get() as f64);
         let util = (self.threads as f64 / cores).min(1.0);
         CPU_IDLE_POWER_W + (CPU_PEAK_POWER_W - CPU_IDLE_POWER_W) * util
-    }
-
-    /// The run's measured numbers folded into a report, with latency
-    /// scaled up when the micro-kernel ran a capped share of the ops.
-    fn report(&self, run: &MicroRun) -> ExecReport {
-        let active_power_w = self.active_power_w();
-        ExecReport {
-            latency_ms: run.latency_ms,
-            service_ms: run.latency_ms,
-            batch: 1,
-            active_power_w,
-            idle_power_w: CPU_IDLE_POWER_W,
-            energy_mj: active_power_w * run.latency_ms,
-            measured: true,
-            checksum: run.checksum,
-            gflops: run.gflops,
-        }
-    }
-}
-
-impl Executable for CpuExecutable {
-    fn kernel(&self) -> &str {
-        &self.kernel
-    }
-
-    fn device(&self) -> &DeviceDescription {
-        &self.device
-    }
-
-    fn estimate(&self) -> Estimate {
-        // A-priori host roofline: compute at the assumed sustained rate
-        // vs. streaming the working set once, whichever dominates.
-        let t_compute = self.micro.total_ops / (ASSUMED_SUSTAINED_GFLOPS * 1e6);
-        let bytes = self.micro.dim as f64 * 4.0 * 3.0;
-        let t_mem = bytes * (self.micro.total_ops / self.micro.ops_per_run)
-            / (ASSUMED_MEM_BANDWIDTH_GBS * 1e6);
-        let latency_ms = t_compute.max(t_mem);
-        Estimate {
-            latency_ms,
-            service_ms: latency_ms,
-            batch: 1,
-            active_power_w: self.active_power_w(),
-            idle_power_w: CPU_IDLE_POWER_W,
-            resources: None,
-        }
-    }
-
-    fn execute(&self) -> Result<ExecReport, BackendError> {
-        let run = self.micro.run(self.threads);
-        Ok(self.report(&run))
     }
 }
 
@@ -223,7 +127,6 @@ mod tests {
         let client = CpuClient::new(2);
         let p = profile();
         let first = client.measure("k", &p);
-        assert!(first.measured);
         assert!(first.latency_ms > 0.0);
         assert!(first.gflops > 0.0);
         assert!(first.checksum.abs() > 0.0);
@@ -245,31 +148,5 @@ mod tests {
         let r1 = CpuClient::new(1).measure("k", &p);
         let r4 = CpuClient::new(4).measure("k", &p);
         assert_eq!(r1.checksum.to_bits(), r4.checksum.to_bits());
-    }
-
-    #[test]
-    fn compile_then_execute_matches_the_trait_path() {
-        let client = CpuClient::new(2);
-        let workload = KernelWorkload {
-            name: "k".into(),
-            profile: profile(),
-            tuning: None,
-        };
-        let exe = client.compile(&workload).unwrap();
-        assert_eq!(exe.kernel(), "k");
-        assert_eq!(exe.device().platform, PlatformKind::Cpu);
-        let est = exe.estimate();
-        assert!(est.latency_ms > 0.0);
-        let report = exe.execute().unwrap();
-        assert!(report.measured);
-    }
-
-    #[test]
-    fn capabilities_expose_a_cpu_only_fleet() {
-        let caps = CpuClient::new(2).capabilities();
-        assert!(caps.measured);
-        assert_eq!(caps.backend, "cpu");
-        assert!(caps.supports(PlatformKind::Cpu));
-        assert!(caps.accel_kinds().is_empty());
     }
 }

@@ -1,372 +1,35 @@
-//! # poly-backend — pluggable execution backends behind a PJRT-style API
+//! # poly-backend — measured CPU execution of a node's kernels
 //!
-//! The analytical GPU/FPGA models used to be welded directly into
-//! `crates/device` and the DES engine; there was no seam where a
-//! different executor could plug in. This crate provides that seam as a
-//! layered [`Client`] / [`DeviceDescription`] / [`Executable`] trait API
-//! (in the shape of PJRT's client/device/loaded-executable layering):
+//! A node runs its kernels on one of two backends, which its
+//! `poly_core::NodeSetup` names with an [`ExecBackend`]:
 //!
-//! - a **client** advertises its capabilities — which devices it carries,
-//!   their platform kinds, memory, power envelope, and bitstream
-//!   residency slots — and compiles kernel workloads into executables;
-//! - an **executable** is one kernel bound to one device: it can be
-//!   *estimated* (model prediction) and *executed* (which on a measured
-//!   backend really runs the workload);
-//! - [`accel_pool`] derives the scheduler's [`Pool`] from whatever
-//!   accelerator devices a client advertises, replacing hand-built
-//!   `Pool::heterogeneous` special-casing with capability-driven
-//!   construction.
-//!
-//! Two backends ship here:
-//!
-//! - [`AnalyticalClient`] wraps the existing [`poly_device`] GPU/FPGA
-//!   models. Its estimates are produced by the *same* model calls the
-//!   design-space explorer makes, so it is bit-identical to the legacy
-//!   path by construction.
-//! - [`CpuClient`] really executes representative micro-kernels
-//!   (GEMM / stencil / streaming reduce, sized from the IR's op counts)
-//!   on a [`poly_par`] thread pool and reports measured wall-clock
-//!   latency and derived energy. Numeric results (checksums) are
-//!   deterministic for any thread count; latency samples are measured,
-//!   and a per-client cache makes repeated runs of the same kernel
-//!   return identical reports within one process.
+//! - **analytical** (the default): the GPU/FPGA models of
+//!   `poly_device`, the same ones the design-space explorer evaluates,
+//!   time every implementation, and nothing in this crate runs;
+//! - **CPU**: [`CpuClient::measure`] really executes a representative
+//!   micro-kernel (GEMM / stencil / streaming reduce, sized from the IR's
+//!   op counts) on a [`poly_par`] thread pool and reports measured
+//!   wall-clock latency and derived energy. Numeric results (checksums)
+//!   are deterministic for any thread count; latency samples are
+//!   measured, and a per-client cache makes repeated runs of the same
+//!   kernel return identical reports within one process.
 //!
 //! The [`calibrate`](crate::calibrate::calibrate) harness compares a
-//! simple CPU roofline prediction against measured execution per kernel
-//! — the model-error distribution reported by the `experiments backend`
-//! figure.
+//! per-class reference-rate prediction against measured execution per
+//! kernel — the model-error distribution reported by the `experiments
+//! backend` figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analytical;
 pub mod calibrate;
 mod cpu;
 mod kernels;
 
-pub use analytical::{AnalyticalClient, AnalyticalExecutable};
-pub use cpu::{CpuClient, CpuExecutable, CPU_IDLE_POWER_W, CPU_PEAK_POWER_W};
+pub use cpu::{CpuClient, ExecReport, CPU_IDLE_POWER_W, CPU_PEAK_POWER_W};
 pub use kernels::{MicroKernel, MicroKernelClass, MicroRun, MICRO_CHUNKS, MICRO_OPS_CAP};
 
-use poly_device::{DeviceKind, Estimate};
-use poly_ir::{Kernel, KernelProfile};
-use poly_sched::Pool;
-use std::fmt;
 use std::sync::Arc;
-
-/// The platform a backend device belongs to. The accelerator kinds the
-/// scheduler plans over stay [`DeviceKind`]; host execution (the CPU
-/// backend) is a separate platform that never enters a [`Pool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlatformKind {
-    /// A schedulable accelerator (GPU or FPGA).
-    Accel(DeviceKind),
-    /// The host CPU (measured execution; not pool-schedulable).
-    Cpu,
-}
-
-impl PlatformKind {
-    /// Stable short label (`"gpu"`, `"fpga"`, `"cpu"`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            PlatformKind::Accel(k) => k.name(),
-            PlatformKind::Cpu => "cpu",
-        }
-    }
-
-    /// Parse a label produced by [`label`](Self::label).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "gpu" => Some(PlatformKind::Accel(DeviceKind::Gpu)),
-            "fpga" => Some(PlatformKind::Accel(DeviceKind::Fpga)),
-            "cpu" => Some(PlatformKind::Cpu),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for PlatformKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Memory attached to one backend device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryDescription {
-    /// Capacity in bytes.
-    pub bytes: u64,
-    /// Sustained bandwidth in GB/s.
-    pub bandwidth_gbs: f64,
-}
-
-/// Everything the management layer needs to know about one device a
-/// client carries — the capability record behind capability-driven pool
-/// construction and mixed-fleet provisioning.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceDescription {
-    /// Position within the client's device list (pool id order for
-    /// accelerators).
-    pub ordinal: usize,
-    /// Platform the device belongs to.
-    pub platform: PlatformKind,
-    /// Human-readable device name.
-    pub name: String,
-    /// Attached memory.
-    pub memory: MemoryDescription,
-    /// Board power at full load, in watts.
-    pub peak_power_w: f64,
-    /// Board power when idle/configured, in watts.
-    pub idle_power_w: f64,
-    /// Bitstream residency slots: how many kernel configurations the
-    /// device holds at once (0 = not reconfigurable, i.e. GPUs and CPUs;
-    /// 1 = single-bitstream FPGA).
-    pub bitstream_slots: u32,
-}
-
-impl DeviceDescription {
-    /// One-line machine-readable summary. Round-trips through
-    /// [`parse_summary`](Self::parse_summary): every field is emitted
-    /// with Rust's shortest-round-trip float formatting and the
-    /// free-form name comes last.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "{} ordinal={} mem_bytes={} bw_gbs={} peak_w={} idle_w={} slots={} name={}",
-            self.platform,
-            self.ordinal,
-            self.memory.bytes,
-            self.memory.bandwidth_gbs,
-            self.peak_power_w,
-            self.idle_power_w,
-            self.bitstream_slots,
-            self.name,
-        )
-    }
-
-    /// Parse a line produced by [`summary`](Self::summary).
-    #[must_use]
-    pub fn parse_summary(s: &str) -> Option<Self> {
-        let mut parts = s.splitn(8, ' ');
-        let platform = PlatformKind::parse(parts.next()?)?;
-        fn field<'a>(part: Option<&'a str>, key: &str) -> Option<&'a str> {
-            part?.strip_prefix(key)?.strip_prefix('=')
-        }
-        let ordinal = field(parts.next(), "ordinal")?.parse().ok()?;
-        let bytes = field(parts.next(), "mem_bytes")?.parse().ok()?;
-        let bandwidth_gbs = field(parts.next(), "bw_gbs")?.parse().ok()?;
-        let peak_power_w = field(parts.next(), "peak_w")?.parse().ok()?;
-        let idle_power_w = field(parts.next(), "idle_w")?.parse().ok()?;
-        let bitstream_slots = field(parts.next(), "slots")?.parse().ok()?;
-        let name = field(parts.next(), "name")?.to_string();
-        Some(Self {
-            ordinal,
-            platform,
-            name,
-            memory: MemoryDescription {
-                bytes,
-                bandwidth_gbs,
-            },
-            peak_power_w,
-            idle_power_w,
-            bitstream_slots,
-        })
-    }
-}
-
-/// The capability set one client advertises: its backend label, whether
-/// its reports are *measured* (real execution) or *modeled* (analytical
-/// prediction), and the devices it carries in ordinal order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Capabilities {
-    /// Stable backend label (`"analytical"`, `"cpu"`).
-    pub backend: &'static str,
-    /// Whether [`Executable::execute`] reports measured wall-clock time.
-    pub measured: bool,
-    /// Devices in ordinal order.
-    pub devices: Vec<DeviceDescription>,
-}
-
-impl Capabilities {
-    /// Accelerator kinds in ordinal order — the capability-driven input
-    /// to [`Pool`] construction. CPU devices are not schedulable and do
-    /// not appear.
-    #[must_use]
-    pub fn accel_kinds(&self) -> Vec<DeviceKind> {
-        self.devices
-            .iter()
-            .filter_map(|d| match d.platform {
-                PlatformKind::Accel(k) => Some(k),
-                PlatformKind::Cpu => None,
-            })
-            .collect()
-    }
-
-    /// Whether any device of `platform` is present.
-    #[must_use]
-    pub fn supports(&self, platform: PlatformKind) -> bool {
-        self.devices.iter().any(|d| d.platform == platform)
-    }
-
-    /// Worst-case power of the advertised devices, in watts.
-    #[must_use]
-    pub fn peak_power_w(&self) -> f64 {
-        self.devices.iter().map(|d| d.peak_power_w).sum()
-    }
-}
-
-/// The scheduler pool a client's advertised accelerators form, in
-/// ordinal order. This is the capability-driven replacement for
-/// hand-building `Pool::heterogeneous(gpus, fpgas)` at provisioning
-/// sites: the pool is derived *from* what the backend says it has.
-#[must_use]
-pub fn accel_pool(client: &dyn Client) -> Pool {
-    Pool::from_kinds(client.capabilities().accel_kinds())
-}
-
-/// One kernel workload handed to a backend for compilation: the kernel's
-/// analyzed profile plus (for model-backed clients) the implementation
-/// tuning to evaluate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelWorkload {
-    /// Kernel name.
-    pub name: String,
-    /// Analyzed kernel profile (op counts, traffic, parallelism).
-    pub profile: KernelProfile,
-    /// Implementation parameters for model-backed clients (`None` lets
-    /// the client pick; required by [`AnalyticalClient`], ignored by
-    /// [`CpuClient`]).
-    pub tuning: Option<poly_dse::Tuning>,
-}
-
-impl KernelWorkload {
-    /// Workload for `kernel` with no tuning attached.
-    #[must_use]
-    pub fn from_kernel(kernel: &Kernel) -> Self {
-        Self {
-            name: kernel.name().to_string(),
-            profile: kernel.profile(),
-            tuning: None,
-        }
-    }
-
-    /// Attach implementation tuning.
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: poly_dse::Tuning) -> Self {
-        self.tuning = Some(tuning);
-        self
-    }
-}
-
-/// What one execution produced: timing, power/energy, and (for measured
-/// backends) the numeric checksum of the computed result — the
-/// thread-count-independent witness that real work happened.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecReport {
-    /// End-to-end latency of the execution, in milliseconds. Measured
-    /// wall clock on measured backends (scaled up when the micro-kernel
-    /// ran a capped share of the full op count), model prediction
-    /// otherwise.
-    pub latency_ms: f64,
-    /// Per-request device occupancy, in milliseconds.
-    pub service_ms: f64,
-    /// Requests served per execution.
-    pub batch: u32,
-    /// Board power while executing, in watts.
-    pub active_power_w: f64,
-    /// Board power while idle, in watts.
-    pub idle_power_w: f64,
-    /// Energy of the execution, in millijoules (`active × latency`).
-    pub energy_mj: f64,
-    /// Whether `latency_ms` is measured wall clock (vs. modeled).
-    pub measured: bool,
-    /// Checksum of the computed result (0.0 on modeled backends).
-    /// Deterministic for any thread count on the CPU backend.
-    pub checksum: f64,
-    /// Achieved arithmetic throughput in Gflop/s (0.0 on modeled
-    /// backends).
-    pub gflops: f64,
-}
-
-impl ExecReport {
-    /// Report equivalent to an analytical [`Estimate`] (modeled, no
-    /// checksum).
-    #[must_use]
-    pub fn from_estimate(est: &Estimate) -> Self {
-        Self {
-            latency_ms: est.latency_ms,
-            service_ms: est.service_ms,
-            batch: est.batch,
-            active_power_w: est.active_power_w,
-            idle_power_w: est.idle_power_w,
-            energy_mj: est.active_power_w * est.latency_ms,
-            measured: false,
-            checksum: 0.0,
-            gflops: 0.0,
-        }
-    }
-}
-
-/// Errors a backend can raise.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendError {
-    /// The workload lacked the tuning this client requires.
-    MissingTuning,
-    /// The tuning targets a platform this client has no device for.
-    UnsupportedPlatform(PlatformKind),
-    /// The implementation does not fit the device (FPGA overflow).
-    DoesNotFit(String),
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::MissingTuning => write!(f, "workload carries no implementation tuning"),
-            BackendError::UnsupportedPlatform(p) => {
-                write!(f, "client has no {p} device")
-            }
-            BackendError::DoesNotFit(why) => write!(f, "implementation does not fit: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for BackendError {}
-
-/// One kernel compiled for one device: estimable and executable.
-pub trait Executable: Send + Sync {
-    /// Kernel name the executable implements.
-    fn kernel(&self) -> &str;
-    /// The device the executable is bound to.
-    fn device(&self) -> &DeviceDescription;
-    /// Model-predicted metrics (on measured backends, a simple host
-    /// roofline — calibration measures how far off it is).
-    fn estimate(&self) -> Estimate;
-    /// Execute the workload and report what happened. Measured backends
-    /// really run it; analytical backends return the estimate.
-    ///
-    /// # Errors
-    /// Backend-specific failures (none today — reserved for real device
-    /// backends that can fail at run time).
-    fn execute(&self) -> Result<ExecReport, BackendError>;
-}
-
-/// A backend client: advertises capabilities and compiles workloads.
-pub trait Client: Send + Sync + fmt::Debug {
-    /// Stable backend label (`"analytical"`, `"cpu"`).
-    fn name(&self) -> &'static str;
-    /// The capability set (devices, platforms, memory, power).
-    fn capabilities(&self) -> Capabilities;
-    /// Compile `workload` into an executable bound to the best-matching
-    /// device.
-    ///
-    /// # Errors
-    /// [`BackendError::MissingTuning`] /
-    /// [`BackendError::UnsupportedPlatform`] /
-    /// [`BackendError::DoesNotFit`] when the workload cannot be placed.
-    fn compile(&self, workload: &KernelWorkload) -> Result<Box<dyn Executable>, BackendError>;
-}
 
 /// Which execution backend a node runs its kernels on. Stored in the
 /// node provisioning ([`Default`] = analytical, the bit-identical legacy
@@ -414,62 +77,6 @@ impl ExecBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn desc(platform: PlatformKind) -> DeviceDescription {
-        DeviceDescription {
-            ordinal: 3,
-            platform,
-            name: "AMD FirePro W9100".to_string(),
-            memory: MemoryDescription {
-                bytes: 16 << 30,
-                bandwidth_gbs: 320.0,
-            },
-            peak_power_w: 270.0,
-            idle_power_w: 42.5,
-            bitstream_slots: 0,
-        }
-    }
-
-    #[test]
-    fn summary_round_trips_every_platform() {
-        for p in [
-            PlatformKind::Accel(DeviceKind::Gpu),
-            PlatformKind::Accel(DeviceKind::Fpga),
-            PlatformKind::Cpu,
-        ] {
-            let d = desc(p);
-            let parsed = DeviceDescription::parse_summary(&d.summary()).unwrap();
-            assert_eq!(parsed, d, "platform {p}");
-        }
-    }
-
-    #[test]
-    fn summary_round_trips_awkward_floats() {
-        let mut d = desc(PlatformKind::Cpu);
-        d.memory.bandwidth_gbs = 25.599_999_999_999_994;
-        d.peak_power_w = 1.0 / 3.0;
-        let parsed = DeviceDescription::parse_summary(&d.summary()).unwrap();
-        assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(DeviceDescription::parse_summary("").is_none());
-        assert!(DeviceDescription::parse_summary("tpu ordinal=0").is_none());
-        assert!(DeviceDescription::parse_summary("gpu ordinal=x mem_bytes=1").is_none());
-    }
-
-    #[test]
-    fn platform_labels_round_trip() {
-        for p in [
-            PlatformKind::Accel(DeviceKind::Gpu),
-            PlatformKind::Accel(DeviceKind::Fpga),
-            PlatformKind::Cpu,
-        ] {
-            assert_eq!(PlatformKind::parse(p.label()), Some(p));
-        }
-        assert_eq!(PlatformKind::parse("tpu"), None);
-    }
 
     #[test]
     fn backend_default_is_analytical() {

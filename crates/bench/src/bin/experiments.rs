@@ -34,10 +34,7 @@
 //! times.
 
 use poly_apps::{asr, image_recognition, matrix_factorization, suite, QOS_BOUND_MS};
-use poly_backend::{
-    accel_pool, calibrate::calibrate, AnalyticalClient, Client as BackendClient, CpuClient,
-    KernelWorkload,
-};
+use poly_backend::{calibrate::calibrate, CpuClient};
 use poly_bench::csvout::{f2, Csv};
 use poly_bench::harness::{Check, Fig, Figure, Knob};
 use poly_bench::System;
@@ -1981,16 +1978,9 @@ fn ablations(fig: &mut Fig) {
     fig.save("ablations.csv", &csv);
 }
 
-/// Backend calibration (DESIGN.md §16) — validates the pluggable
-/// execution-backend seam end to end:
-///
-/// 1. capability-driven pool construction reproduces every Table III
-///    node layout byte for byte;
-/// 2. the analytical backend is bit-identical to the explorer on every
-///    design point of the whole benchmark suite;
-/// 3. the CPU backend really executes each kernel's sized micro-kernel
-///    and the calibration harness reports the analytical-vs-measured
-///    latency error distribution.
+/// Backend calibration (DESIGN.md §16): the CPU backend really executes
+/// each suite kernel's sized micro-kernel, and the calibration harness
+/// reports the reference-rate-vs-measured latency error distribution.
 ///
 /// Two CSVs: `backend_model.csv` is committed and fully deterministic
 /// (micro-kernel sizing, result checksums, analytical latencies —
@@ -1999,79 +1989,10 @@ fn ablations(fig: &mut Fig) {
 /// figures and is gitignored (they vary run to run by design). `POLY_BACKEND_TOL` bounds the accepted max relative
 /// error (generous default: the point is the report, not a hard gate).
 fn backend(fig: &mut Fig) {
-    outln!(
-        fig,
-        "== Backend: capability pools, analytical bit-equivalence, CPU calibration =="
-    );
+    outln!(fig, "== Backend: CPU calibration ==");
 
-    // 1. Capability-driven pools must reproduce the provisioned layouts.
-    let mut layouts = 0usize;
-    for setting in Setting::ALL {
-        for arch in ARCHS {
-            let n = table_iii(setting, arch);
-            let client = AnalyticalClient::new(n.gpu.clone(), n.fpga.clone(), n.gpus(), n.fpgas());
-            assert_eq!(
-                accel_pool(&client),
-                n.pool,
-                "{} {}: capability pool diverged",
-                setting.name(),
-                arch.name()
-            );
-            layouts += 1;
-        }
-    }
-    outln!(
-        fig,
-        "capability pools: {layouts}/9 Table III layouts reproduced from device advertisements"
-    );
-
-    // 2. Analytical backend: every design point of every suite kernel,
-    //    compiled through the backend seam, estimates to exactly the
-    //    explorer's figures.
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-    let client = AnalyticalClient::new(
-        setup.gpu.clone(),
-        setup.fpga.clone(),
-        setup.gpus(),
-        setup.fpgas(),
-    );
-    let mut points_checked = 0usize;
-    for app in suite() {
-        for kernel in app.kernels() {
-            let space = cache().explore(&explorer, kernel);
-            for kind in [DeviceKind::Gpu, DeviceKind::Fpga] {
-                for point in space.points(kind) {
-                    let exe = client
-                        .compile(
-                            &KernelWorkload::from_kernel(kernel).with_tuning(point.tuning.clone()),
-                        )
-                        .expect("explorer points compile");
-                    let est = exe.estimate();
-                    let same = est.latency_ms.to_bits() == point.estimate.latency_ms.to_bits()
-                        && est.service_ms.to_bits() == point.estimate.service_ms.to_bits()
-                        && est.active_power_w.to_bits() == point.estimate.active_power_w.to_bits()
-                        && est.idle_power_w.to_bits() == point.estimate.idle_power_w.to_bits()
-                        && est.batch == point.estimate.batch;
-                    assert!(
-                        same,
-                        "{} {} r{}: backend estimate diverged from explorer",
-                        kernel.name(),
-                        kind.name(),
-                        point.index
-                    );
-                    points_checked += 1;
-                }
-            }
-        }
-    }
-    outln!(
-        fig,
-        "analytical backend: {points_checked} design points bit-identical to the explorer"
-    );
-
-    // 3. CPU calibration sweep over the whole suite (names are
-    //    app-qualified: the client caches measurements by name).
+    // CPU calibration sweep over the whole suite (names are
+    // app-qualified: the client caches measurements by name).
     let cpu = CpuClient::new(fig.jobs().clamp(1, 4));
     let kernels: Vec<(String, poly_ir::KernelProfile)> = suite()
         .iter()
@@ -2118,6 +2039,8 @@ fn backend(fig: &mut Fig) {
 
     // Committed, deterministic: micro-kernel sizing, result checksums
     // (thread-count independent), and the analytical primary latencies.
+    let setup = table_iii(Setting::I, Architecture::HeterPoly);
+    let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
     let mut model = Csv::new("kernel,class,total_flops,elements,iterations,micro_dim,micro_repeats,checksum,gpu_min_latency_ms,fpga_min_latency_ms");
     for app in suite() {
         for kernel in app.kernels() {

@@ -98,7 +98,7 @@ impl ControlLoop {
             candidate_builds: u64::from(candidates.is_some()),
             candidates,
             optimizer,
-            monitor: SystemMonitor::new(8),
+            monitor: SystemMonitor::new(),
             cap_w,
             force_replan: false,
             alternates,
@@ -427,7 +427,6 @@ mod tests {
                 arrived: 100,
                 completed: 100,
                 p99_ms: 40.0 + 30.0 * i as f64,
-                avg_power_w: 100.0,
                 queued: 0,
             });
         }
@@ -492,7 +491,6 @@ mod tests {
             arrived: completed,
             completed,
             p99_ms: 150.0,
-            avg_power_w: 100.0,
             queued: 0,
         };
         assert_eq!(control.observe(obs(29)), None, "too few completions");

@@ -12,8 +12,8 @@
 //! - [`Optimizer`] generates candidate policies — the two-step scheduler
 //!   plan plus capacity-balanced platform assignments — and picks the most
 //!   efficient one predicted to meet QoS at the monitored load.
-//! - [`SystemMonitor`] tracks arrivals, tail latency, and power per
-//!   re-planning interval.
+//! - [`SystemMonitor`] smooths the arrival rate over re-planning
+//!   intervals and adds the last interval's backlog.
 //! - [`ControlLoop`] is the per-interval monitor → model → optimizer
 //!   loop (re-plan, hysteresis, model feedback); a [`Tenant`] owns one
 //!   with its application and simulator and steps them through one

@@ -1,8 +1,6 @@
 //! The system monitor (the "Monitor" box of Fig. 2): per-interval
-//! observations of load, latency, and power, with a smoothed load
+//! observations of load, latency, and backlog, with a smoothed load
 //! estimate for the optimizer.
-
-use std::collections::VecDeque;
 
 /// One re-planning interval's observations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,8 +13,6 @@ pub struct IntervalObs {
     pub completed: usize,
     /// Measured p99 latency (0 when nothing completed).
     pub p99_ms: f64,
-    /// Mean node power over the interval, in watts.
-    pub avg_power_w: f64,
     /// Work items queued at interval end (burst signal).
     pub queued: usize,
 }
@@ -33,32 +29,30 @@ impl IntervalObs {
     }
 }
 
-/// Sliding-window monitor with exponentially weighted load smoothing.
+/// Load monitor with exponentially weighted smoothing and a backlog
+/// signal from the last interval.
 ///
 /// The queue-length signal makes the estimate react to bursts
 /// *immediately* rather than one interval late: "a sudden change in load
 /// makes Heter-Poly immediately shift to higher performance mode"
 /// (Section VI-C).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemMonitor {
-    window: VecDeque<IntervalObs>,
-    capacity: usize,
     /// EWMA of the offered load; `None` until the first observation, so
     /// the estimate is *seeded* from what is actually measured instead of
     /// cold-starting biased toward zero (which would make the first
     /// re-plan under-provision).
     smoothed_rps: Option<f64>,
+    /// The last interval's end-of-interval queue as a rate: work that
+    /// must be served *now* (0 before the first observation).
+    backlog_rps: f64,
 }
 
 impl SystemMonitor {
-    /// Monitor keeping the last `window` intervals.
+    /// Monitor that has observed nothing yet.
     #[must_use]
-    pub fn new(window: usize) -> Self {
-        Self {
-            window: VecDeque::with_capacity(window.max(1)),
-            capacity: window.max(1),
-            smoothed_rps: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Record one interval.
@@ -67,53 +61,14 @@ impl SystemMonitor {
             None => obs.arrival_rps(),
             Some(prev) => 0.5 * prev + 0.5 * obs.arrival_rps(),
         });
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
-        }
-        self.window.push_back(obs);
+        self.backlog_rps = obs.queued as f64 * 1000.0 / obs.duration_ms.max(1.0);
     }
 
     /// Smoothed load estimate in RPS, inflated by the backlog: queued work
     /// is load that must be served *now*.
     #[must_use]
     pub fn load_estimate_rps(&self) -> f64 {
-        let backlog_boost = self
-            .window
-            .back()
-            .map_or(0.0, |o| o.queued as f64 * 1000.0 / o.duration_ms.max(1.0));
-        self.smoothed_rps.unwrap_or(0.0) + backlog_boost
-    }
-
-    /// Most recent measured p99, if any interval completed work.
-    #[must_use]
-    pub fn last_p99_ms(&self) -> Option<f64> {
-        self.window
-            .iter()
-            .rev()
-            .find(|o| o.completed > 0)
-            .map(|o| o.p99_ms)
-    }
-
-    /// Mean power over the window, in watts.
-    #[must_use]
-    pub fn mean_power_w(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        let (e, t) = self.window.iter().fold((0.0, 0.0), |(e, t), o| {
-            (e + o.avg_power_w * o.duration_ms, t + o.duration_ms)
-        });
-        if t > 0.0 {
-            e / t
-        } else {
-            0.0
-        }
-    }
-
-    /// Observations currently in the window, oldest first.
-    #[must_use]
-    pub fn window(&self) -> &VecDeque<IntervalObs> {
-        &self.window
+        self.smoothed_rps.unwrap_or(0.0) + self.backlog_rps
     }
 }
 
@@ -127,14 +82,13 @@ mod tests {
             arrived,
             completed: arrived,
             p99_ms: 100.0,
-            avg_power_w: 50.0,
             queued,
         }
     }
 
     #[test]
     fn smoothing_tracks_load_changes() {
-        let mut m = SystemMonitor::new(8);
+        let mut m = SystemMonitor::new();
         m.observe(obs(10, 0));
         assert!((m.load_estimate_rps() - 10.0).abs() < 1e-9);
         m.observe(obs(30, 0));
@@ -144,7 +98,7 @@ mod tests {
 
     #[test]
     fn backlog_boosts_estimate_immediately() {
-        let mut m = SystemMonitor::new(8);
+        let mut m = SystemMonitor::new();
         m.observe(obs(10, 0));
         let calm = m.load_estimate_rps();
         m.observe(obs(10, 25));
@@ -154,45 +108,8 @@ mod tests {
     #[test]
     fn first_observation_seeds_estimate() {
         // The very first interval must not be averaged with a zero prior.
-        let mut m = SystemMonitor::new(8);
+        let mut m = SystemMonitor::new();
         m.observe(obs(100, 0));
         assert!((m.load_estimate_rps() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_is_bounded() {
-        let mut m = SystemMonitor::new(3);
-        for i in 0..10 {
-            m.observe(obs(i, 0));
-        }
-        assert_eq!(m.window().len(), 3);
-    }
-
-    #[test]
-    fn last_p99_skips_empty_intervals() {
-        let mut m = SystemMonitor::new(4);
-        m.observe(obs(5, 0));
-        m.observe(IntervalObs {
-            completed: 0,
-            p99_ms: 0.0,
-            ..obs(0, 0)
-        });
-        assert_eq!(m.last_p99_ms(), Some(100.0));
-    }
-
-    #[test]
-    fn mean_power_weighted_by_duration() {
-        let mut m = SystemMonitor::new(4);
-        m.observe(IntervalObs {
-            avg_power_w: 100.0,
-            duration_ms: 1000.0,
-            ..obs(1, 0)
-        });
-        m.observe(IntervalObs {
-            avg_power_w: 200.0,
-            duration_ms: 3000.0,
-            ..obs(1, 0)
-        });
-        assert!((m.mean_power_w() - 175.0).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Leaf-node architecture assembly under a power cap (Table III).
 
-use poly_backend::{accel_pool, AnalyticalClient, ExecBackend};
+use poly_backend::ExecBackend;
 use poly_device::{catalog, FpgaModel, GpuModel, PcieLink};
 use poly_sched::Pool;
 use poly_sim::SimConfig;
@@ -135,21 +135,6 @@ fn sim_config(gpu: &GpuModel, fpga: &FpgaModel) -> SimConfig {
     }
 }
 
-/// Capability-driven pool construction: ask the analytical client what
-/// devices a node of `gpus` + `fpgas` carries and build the pool from
-/// the advertisement — byte-identical to the former hand-built
-/// `Pool::heterogeneous(gpus, fpgas)` literal, but derived from the
-/// backend's [`Capabilities`](poly_backend::Capabilities) rather than
-/// asserted.
-fn provisioned_pool(gpu: &GpuModel, fpga: &FpgaModel, gpus: usize, fpgas: usize) -> Pool {
-    accel_pool(&AnalyticalClient::new(
-        gpu.clone(),
-        fpga.clone(),
-        gpus,
-        fpgas,
-    ))
-}
-
 /// Assemble the node of Table III for `(setting, architecture)` under the
 /// paper's 500 W leaf-node cap, using the table's exact device counts.
 #[must_use]
@@ -168,7 +153,7 @@ pub fn table_iii(setting: Setting, architecture: Architecture) -> NodeSetup {
     let gpu = setting.gpu();
     let fpga = setting.fpga();
     let sim_config = sim_config(&gpu, &fpga);
-    let pool = provisioned_pool(&gpu, &fpga, gpus, fpgas);
+    let pool = Pool::heterogeneous(gpus, fpgas);
     NodeSetup {
         architecture,
         setting,
@@ -215,7 +200,7 @@ pub fn power_split(setting: Setting, power_cap_w: f64, gpu_share: f64) -> NodeSe
         Architecture::HeterPoly
     };
     let sim_config = sim_config(&gpu, &fpga);
-    let pool = provisioned_pool(&gpu, &fpga, gpus, fpgas);
+    let pool = Pool::heterogeneous(gpus, fpgas);
     NodeSetup {
         architecture,
         setting,
@@ -284,22 +269,34 @@ mod tests {
     }
 
     #[test]
-    fn capability_driven_pool_matches_the_legacy_literal() {
-        // The pool is now derived from the analytical client's device
-        // advertisement; it must stay exactly the hand-built layout.
-        for setting in Setting::ALL {
-            for arch in [
-                Architecture::HomoGpu,
-                Architecture::HomoFpga,
-                Architecture::HeterPoly,
-            ] {
-                let n = table_iii(setting, arch);
-                assert_eq!(n.pool, Pool::heterogeneous(n.gpus(), n.fpgas()));
-                assert!(n.backend.is_analytical());
-                assert_eq!(n.sim_config.backend_label, "analytical");
-            }
+    fn provisioned_pools_pin_table_iii() {
+        // Table III's device counts, GPUs first then FPGAs in pool order,
+        // for every (setting, architecture) pair.
+        let table = [
+            (Setting::I, Architecture::HomoGpu, (2, 0)),
+            (Setting::I, Architecture::HomoFpga, (0, 10)),
+            (Setting::I, Architecture::HeterPoly, (1, 5)),
+            (Setting::II, Architecture::HomoGpu, (2, 0)),
+            (Setting::II, Architecture::HomoFpga, (0, 16)),
+            (Setting::II, Architecture::HeterPoly, (1, 8)),
+            (Setting::III, Architecture::HomoGpu, (2, 0)),
+            (Setting::III, Architecture::HomoFpga, (0, 8)),
+            (Setting::III, Architecture::HeterPoly, (1, 4)),
+        ];
+        for (setting, arch, (gpus, fpgas)) in table {
+            let n = table_iii(setting, arch);
+            assert_eq!(
+                n.pool,
+                Pool::heterogeneous(gpus, fpgas),
+                "{setting:?} {arch:?}"
+            );
+            assert!(n.backend.is_analytical());
+            assert_eq!(n.sim_config.backend_label, "analytical");
         }
+        // 500 W per platform: 500 / 225 W rounds to 2 K20s, 500 / 30 W
+        // rounds to 17 ZCU102s.
         let split = power_split(Setting::II, 1000.0, 0.5);
-        assert_eq!(split.pool, Pool::heterogeneous(split.gpus(), split.fpgas()));
+        assert_eq!(split.pool, Pool::heterogeneous(2, 17));
+        assert_eq!(split.architecture, Architecture::HeterPoly);
     }
 }

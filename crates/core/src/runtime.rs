@@ -273,8 +273,8 @@ pub fn retime_policy(policy: &Policy, backend: &ExecBackend, graph: &KernelGraph
         KernelImpl {
             latency_ms: report.latency_ms,
             latency_single_ms: report.latency_ms,
-            service_ms: report.service_ms,
-            batch: report.batch,
+            service_ms: report.latency_ms,
+            batch: 1,
             active_power_w: report.active_power_w,
             idle_power_w: report.idle_power_w,
             ..*imp

@@ -166,7 +166,6 @@ impl Tenant {
             arrived: report.arrived,
             completed: out.completed,
             p99_ms: out.p99_ms,
-            avg_power_w: out.avg_power_w,
             queued: sim.queued(),
         };
         if !self.pinned {

@@ -31,9 +31,8 @@ impl Pool {
         }
     }
 
-    /// Pool from any ordered kind sequence — the capability-driven
-    /// constructor: a backend client advertises its devices and the pool
-    /// is derived from them (see `poly_backend::accel_pool`).
+    /// Pool from any ordered kind sequence, kept in that order
+    /// ([`Pool::heterogeneous`] builds on it).
     #[must_use]
     pub fn from_kinds(kinds: impl IntoIterator<Item = DeviceKind>) -> Self {
         Self {

@@ -8,10 +8,8 @@
 //! ```
 
 use poly::apps::{asr, QOS_BOUND_MS};
-use poly::core::provision::{table_iii, Architecture, Setting};
-use poly::core::Optimizer;
-use poly::dse::Explorer;
-use poly::sim::{ep_metric, max_rps_under_qos, steady_state};
+use poly::core::provision::{Architecture, Setting};
+use poly_bench::System;
 
 fn main() {
     let app = asr();
@@ -21,89 +19,32 @@ fn main() {
         QOS_BOUND_MS
     );
 
+    // Each system measures the way Figs. 1(b) and 8 do: homogeneous
+    // baselines run one fixed policy, Heter-Poly re-plans per load level
+    // with one feedback probe; the power curve samples six load levels
+    // for the EP metric (Eq. 1).
     let mut results = Vec::new();
     for arch in [
         Architecture::HomoGpu,
         Architecture::HomoFpga,
         Architecture::HeterPoly,
     ] {
-        let setup = table_iii(Setting::I, arch);
-        let explorer = Explorer::new(setup.gpu.clone(), setup.fpga.clone());
-        let spaces: Vec<_> = app.kernels().iter().map(|k| explorer.explore(k)).collect();
-        let mut opt = Optimizer::new();
-
-        // Homogeneous baselines run one fixed policy; Heter-Poly re-plans
-        // per load level (with one feedback probe, like the runtime loop).
-        let mut policy_at = |rps: f64| match arch {
-            Architecture::HeterPoly => {
-                let (p, pred) =
-                    opt.plan_for_load(&app, &spaces, &setup.pool, &setup.gpu, QOS_BOUND_MS, rps);
-                let probe = steady_state(
-                    &app,
-                    &setup.pool,
-                    &p,
-                    &setup.sim_config,
-                    rps,
-                    2_000.0,
-                    8_000.0,
-                    5,
-                );
-                if probe.completed > 0 && pred.p99_ms.is_finite() {
-                    opt.model_mut().observe(pred.p99_ms, probe.latency.p99());
-                }
-                opt.plan_for_load(&app, &spaces, &setup.pool, &setup.gpu, QOS_BOUND_MS, rps)
-                    .0
-            }
-            _ => opt.max_capacity_policy(&app, &spaces, &setup.pool, &setup.gpu, QOS_BOUND_MS),
-        };
-
-        let max = max_rps_under_qos(
-            |rps| {
-                let p = policy_at(rps);
-                steady_state(
-                    &app,
-                    &setup.pool,
-                    &p,
-                    &setup.sim_config,
-                    rps,
-                    5_000.0,
-                    25_000.0,
-                    42,
-                )
-            },
-            QOS_BOUND_MS,
-            0.5,
-            400.0,
-            0.03,
-        );
-
-        // Power curve for the EP metric (Eq. 1).
-        let mut samples = Vec::new();
-        for i in 0..=4 {
-            let load = f64::from(i) / 4.0;
-            let rps = (max * load).max(0.01);
-            let p = policy_at(rps);
-            let r = steady_state(
-                &app,
-                &setup.pool,
-                &p,
-                &setup.sim_config,
-                rps,
-                5_000.0,
-                20_000.0,
-                43,
-            );
-            samples.push((load, r.avg_power_w));
-        }
-        let ep = ep_metric(&samples);
+        let mut sys = System::new(&app, Setting::I, arch, QOS_BOUND_MS);
+        let max = sys.max_rps();
+        let curve = sys.ep_curve(max, 6);
+        let ep = curve.ep();
         println!(
-            "{:11} ({} GPU + {} FPGA): max {:5.1} RPS, EP {:.2}, power {:?} W",
+            "{:11} ({} GPU + {} FPGA): max {:5.2} RPS, EP {:.2}, power {:?} W",
             arch.name(),
-            setup.gpus(),
-            setup.fpgas(),
+            sys.setup.gpus(),
+            sys.setup.fpgas(),
             max,
             ep,
-            samples.iter().map(|s| s.1.round()).collect::<Vec<_>>()
+            curve
+                .points()
+                .iter()
+                .map(|p| p.power_w.round())
+                .collect::<Vec<_>>()
         );
         results.push((arch, max, ep));
     }

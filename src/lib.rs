@@ -8,9 +8,8 @@
 //!
 //! - [`ir`] — parallel-pattern IR (patterns, CDFG, PPG, kernel DAGs, DSL)
 //! - [`device`] — analytical GPU/FPGA models and the accelerator catalog
-//! - [`backend`] — pluggable execution backends behind a PJRT-style
-//!   client/device/executable API: the analytical backend wraps the
-//!   device models bit-identically, the CPU backend really executes
+//! - [`backend`] — the per-node execution backend: analytical device
+//!   models by default, or a CPU backend that really executes
 //!   representative micro-kernels and reports measured wall-clock
 //! - [`dse`] — offline kernel analysis and design-space exploration
 //! - [`sched`] — the two-step runtime kernel scheduler

@@ -1,10 +1,8 @@
 //! Backend-layer equivalence and determinism contracts:
 //!
-//! - the analytical backend is *bit-identical* to the legacy path — its
-//!   executables return the very estimates the design-space explorer
-//!   computed, capability-driven pools reproduce the hand-built
-//!   heterogeneous layout, and a trace replay through the backend seam
-//!   equals the default replay bit for bit;
+//! - the analytical backend is *bit-identical* to the default path: a
+//!   trace replay on a node that names it explicitly equals the default
+//!   replay bit for bit, and re-timing a policy for it is the identity;
 //! - the CPU backend really executes (measured wall clock, non-zero
 //!   checksums) and is reproducible: replays driven by one shared client
 //!   are bit-identical, and at light load completion counts do not
@@ -13,14 +11,10 @@
 use std::sync::Arc;
 
 use poly::apps::{asr, QOS_BOUND_MS};
-use poly::backend::{
-    accel_pool, AnalyticalClient, Client, CpuClient, ExecBackend, KernelWorkload, PlatformKind,
-};
+use poly::backend::{CpuClient, ExecBackend};
 use poly::core::provision::{table_iii, Architecture, Setting};
 use poly::core::{retime_policy, AppContext, PolyRuntime, RunSpec, TraceReport};
-use poly::device::DeviceKind;
 use poly::dse::Explorer;
-use poly::sched::Pool;
 use poly::sim::workload::TracePoint;
 use poly::sim::Policy;
 
@@ -45,59 +39,6 @@ fn flat_trace(n: usize, util: f64) -> Vec<TracePoint> {
             utilization: util,
         })
         .collect()
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
-}
-
-/// Every design point the explorer produced, compiled through the
-/// analytical client, estimates to exactly the point's figures: the
-/// backend seam adds no arithmetic of its own.
-#[test]
-fn analytical_estimates_are_bit_equal_to_explorer_points() {
-    let (app, spaces, setup) = heter();
-    let client = AnalyticalClient::new(setup.gpu.clone(), setup.fpga.clone(), 1, 5);
-    let mut checked = 0usize;
-    for (kernel, space) in app.kernels().iter().zip(&spaces) {
-        for kind in [DeviceKind::Gpu, DeviceKind::Fpga] {
-            for point in space.points(kind) {
-                let workload =
-                    KernelWorkload::from_kernel(kernel).with_tuning(point.tuning.clone());
-                let exe = client.compile(&workload).expect("compiles");
-                assert_eq!(exe.kernel(), kernel.name());
-                assert_eq!(exe.device().platform, PlatformKind::Accel(kind));
-                let est = exe.estimate();
-                let what = format!("{} {kind:?} r{}", kernel.name(), point.index);
-                assert_bits_eq(est.latency_ms, point.estimate.latency_ms, &what);
-                assert_bits_eq(est.service_ms, point.estimate.service_ms, &what);
-                assert_bits_eq(est.active_power_w, point.estimate.active_power_w, &what);
-                assert_bits_eq(est.idle_power_w, point.estimate.idle_power_w, &what);
-                assert_eq!(est.batch, point.estimate.batch, "{what}");
-                // Executing the analytical backend just replays the model.
-                let report = exe.execute().expect("analytical execute");
-                assert!(!report.measured);
-                assert_bits_eq(report.latency_ms, point.estimate.latency_ms, &what);
-                checked += 1;
-            }
-        }
-    }
-    assert!(checked > 0, "no design points were checked");
-}
-
-/// Capability-driven pool construction reproduces the hand-built
-/// heterogeneous layout for every Table III node shape.
-#[test]
-fn capability_pools_match_hand_built_layouts() {
-    let setup = table_iii(Setting::I, Architecture::HeterPoly);
-    for (gpus, fpgas) in [(1, 5), (2, 0), (0, 16), (0, 0), (3, 4)] {
-        let client = AnalyticalClient::new(setup.gpu.clone(), setup.fpga.clone(), gpus, fpgas);
-        assert_eq!(
-            accel_pool(&client),
-            Pool::heterogeneous(gpus, fpgas),
-            "({gpus}, {fpgas})"
-        );
-    }
 }
 
 /// Replay `trace` at `max_rps` on a Setting-I heterogeneous node whose
@@ -166,7 +107,6 @@ fn cpu_backend_retimes_policies_from_real_execution() {
         let k = &app.kernels()[after.kernel.0];
         let report = client.measure(k.name(), &k.profile());
         assert_eq!(report.latency_ms.to_bits(), after.latency_ms.to_bits());
-        assert!(report.measured);
         assert!(report.checksum.abs() > 0.0, "real work must have happened");
     }
 }
