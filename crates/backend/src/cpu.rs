@@ -1,6 +1,6 @@
 //! The real CPU backend: kernels execute as representative micro-kernels
 //! on a [`poly_par`] thread pool, with measured wall-clock latency and
-//! derived energy.
+//! modeled package power.
 //!
 //! Determinism contract: the *numeric* result (checksum) of every
 //! execution is bit-identical for any thread count (fixed chunking,
@@ -21,7 +21,7 @@ pub const CPU_PEAK_POWER_W: f64 = 95.0;
 /// Assumed package idle power, in watts.
 pub const CPU_IDLE_POWER_W: f64 = 25.0;
 
-/// What one measured execution produced: timing, power/energy, and the
+/// What one measured execution produced: timing, power, and the
 /// numeric checksum of the computed result — the thread-count-independent
 /// witness that real work happened. A node re-timed from it serves one
 /// request per launch, occupied for the whole measured latency.
@@ -35,8 +35,6 @@ pub struct ExecReport {
     pub active_power_w: f64,
     /// Package power while idle, in watts.
     pub idle_power_w: f64,
-    /// Energy of the execution, in millijoules (`active × latency`).
-    pub energy_mj: f64,
     /// Checksum of the computed result, deterministic for any thread
     /// count.
     pub checksum: f64,
@@ -81,22 +79,15 @@ impl CpuClient {
             return hit.clone();
         }
         let run = MicroKernel::for_profile(profile).run(self.threads);
-        let active_power_w = self.active_power_w();
         let report = ExecReport {
             latency_ms: run.latency_ms,
-            active_power_w,
+            active_power_w: self.active_power_w(),
             idle_power_w: CPU_IDLE_POWER_W,
-            energy_mj: active_power_w * run.latency_ms,
             checksum: run.checksum,
             gflops: run.gflops,
         };
         cache.insert(name.to_string(), report.clone());
         report
-    }
-
-    /// Drop all cached measurements (tests).
-    pub fn clear_cache(&self) {
-        self.cache.lock().expect("cpu cache").clear();
     }
 
     /// Package power while the client's workers execute: idle plus a
@@ -130,15 +121,14 @@ mod tests {
         assert!(first.latency_ms > 0.0);
         assert!(first.gflops > 0.0);
         assert!(first.checksum.abs() > 0.0);
-        assert!(first.energy_mj > 0.0);
+        assert!(first.active_power_w > first.idle_power_w);
         // Second call replays the cache: identical bits, including the
         // wall-clock sample.
         let second = client.measure("k", &p);
         assert_eq!(first, second);
-        client.clear_cache();
-        let third = client.measure("k", &p);
-        // Fresh measurement: checksum identical (deterministic math),
-        // latency a new sample.
+        let third = CpuClient::new(2).measure("k", &p);
+        // A fresh client measures afresh: checksum identical
+        // (deterministic math), latency a new sample.
         assert_eq!(first.checksum.to_bits(), third.checksum.to_bits());
     }
 

@@ -25,10 +25,10 @@ use poly_dse::KernelDesignSpace;
 use poly_ir::KernelGraph;
 use poly_obs::{Event as ObsEvent, Recorder};
 use poly_par::par_map_mut;
-use poly_sim::workload::{poisson, TracePoint};
+use poly_sim::workload::{PoissonArrivals, TracePoint};
 use poly_sim::{
-    quantile_of, AuditReport, FaultEvent, FaultKind, FaultPlan, FaultPlanError, LifecycleConfig,
-    RetryStats, SimError,
+    quantile_of, AuditReport, BoundedQuantile, FaultEvent, FaultKind, FaultPlan, FaultPlanError,
+    LifecycleConfig, RetryStats, SimError,
 };
 
 /// Typed misconfiguration errors: a cluster that cannot run fails at
@@ -612,14 +612,8 @@ impl Cluster {
         recorder: Option<Box<dyn Recorder>>,
     ) -> ClusterReport {
         let mut run = Replay::begin(self, spec, mix, recorder);
-        for (i, point) in spec.trace.iter().enumerate() {
-            let b = Boundary {
-                i,
-                start: point.start_ms,
-                end: point.start_ms + spec.interval_ms,
-                utilization: point.utilization,
-                offered_rps: point.utilization * spec.max_rps,
-            };
+        for i in 0..spec.trace.len() {
+            let b = Boundary::of(spec, i);
             run.boundary_health(&b);
             run.revocations(&b);
             // Nothing is observed before the first boundary: no load
@@ -668,19 +662,76 @@ struct Boundary {
     offered_rps: f64,
 }
 
+impl Boundary {
+    /// The boundary of `spec`'s trace interval `i`.
+    fn of(spec: &ClusterRunSpec<'_>, i: usize) -> Self {
+        let point = spec.trace[i];
+        Self {
+            i,
+            start: point.start_ms,
+            end: point.start_ms + spec.interval_ms,
+            utilization: point.utilization,
+            offered_rps: point.utilization * spec.max_rps,
+        }
+    }
+
+    /// Class `class`'s fresh Poisson arrivals over this interval, as
+    /// offsets from its start, at its `share` of the offered load. Class
+    /// 0 keeps the single-class stream seed; further classes draw
+    /// independent streams.
+    fn fresh_arrivals(
+        &self,
+        spec: &ClusterRunSpec<'_>,
+        class: usize,
+        share: f64,
+    ) -> PoissonArrivals {
+        let seed = if class == 0 {
+            spec.seed.wrapping_add(self.i as u64)
+        } else {
+            (spec.seed ^ (class as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(self.i as u64)
+        };
+        PoissonArrivals::new(self.offered_rps * share, spec.interval_ms, seed)
+    }
+}
+
+/// Fresh arrivals over the whole run, every class of every interval: a
+/// pass that draws the same streams as [`Replay::arrivals`] but stores
+/// none of them.
+fn fresh_arrival_count(spec: &ClusterRunSpec<'_>, mix: &[f64]) -> usize {
+    (0..spec.trace.len())
+        .map(|i| {
+            let b = Boundary::of(spec, i);
+            mix.iter()
+                .enumerate()
+                .map(|(c, &share)| b.fresh_arrivals(spec, c, share).count())
+                .sum::<usize>()
+        })
+        .sum()
+}
+
 /// The run-wide accumulators of one replay. Nodes fold in through
 /// [`add_node`](Self::add_node), one interval through [`add`](Self::add),
 /// and [`finish`](Self::finish) sums the interval records, in interval
 /// order, into the report: its totals cannot drift from its intervals.
-#[derive(Default)]
+///
+/// The run p99 is exact in bounded memory (DESIGN.md, "Bounded memory
+/// under overload"). Each completion is one fresh arrival's: a shed
+/// request never completes, and retries, hedges and redistribution
+/// re-issue requests that already arrived. So the run's N finite
+/// completion latencies number at most its fresh arrivals A, which a
+/// pre-pass counts, and a [`BoundedQuantile`] over A samples keeps only
+/// the ~1% of them that can still be the p99.
 struct RunTotals {
     interval_ms: f64,
     /// Static draw of one powered-on node over one interval, J.
     static_j: f64,
     intervals: Vec<ClusterIntervalRecord>,
-    /// Every completion latency of the run, for the run-wide p99, and
-    /// of the current interval, with the quantile scratch.
-    all_samples: Vec<f64>,
+    /// The run-wide p99 over every completion latency so far, bounded
+    /// by the run's fresh arrivals.
+    run_p99: BoundedQuantile,
+    /// The current interval's completion latencies, with the quantile
+    /// scratch.
     interval_samples: Vec<f64>,
     q_scratch: Vec<f64>,
     energy_j: f64,
@@ -689,6 +740,22 @@ struct RunTotals {
 }
 
 impl RunTotals {
+    /// Totals of a run of `spec` over `classes` classes and `fresh`
+    /// fresh arrivals.
+    fn new(spec: &ClusterRunSpec<'_>, classes: usize, fresh: usize) -> Self {
+        Self {
+            interval_ms: spec.interval_ms,
+            static_j: spec.node_static_w * spec.interval_ms / 1000.0,
+            intervals: Vec::with_capacity(spec.trace.len()),
+            run_p99: BoundedQuantile::new(0.99, fresh),
+            interval_samples: Vec::new(),
+            q_scratch: Vec::new(),
+            energy_j: 0.0,
+            breaker_trips: 0,
+            per_class: vec![(0, 0, 0); classes],
+        }
+    }
+
     /// Fold one node's interval: its per-class counts, its completion
     /// latencies and, while it is powered on, its energy plus its static
     /// draw.
@@ -722,17 +789,21 @@ impl RunTotals {
             total.2 += shed;
         }
         self.breaker_trips += breaker_trips;
-        self.all_samples.extend_from_slice(&self.interval_samples);
+        self.run_p99.extend(&self.interval_samples);
         self.interval_samples.clear();
         self.intervals.push(record);
     }
 
     /// The run's report. The retry ledger merges every node's retries
     /// and hedges with this run's front-end redistribution.
-    fn finish(mut self, nodes: &[ClusterNode]) -> ClusterReport {
+    ///
+    /// # Panics
+    /// Panics if the run completed more requests than arrived fresh (a
+    /// request completed twice, and the run p99 could be wrong).
+    fn finish(self, nodes: &[ClusterNode]) -> ClusterReport {
         // A run with zero fleet-wide completions reports 0.0 alongside
         // `completed == 0`, which keeps "no samples" distinguishable.
-        let p99_ms = quantile_of(&self.all_samples, 0.99, &mut self.q_scratch).unwrap_or(0.0);
+        let p99_ms = self.run_p99.finish().unwrap_or(0.0);
         let iv = &self.intervals;
         let sum = |field: fn(&ClusterIntervalRecord) -> usize| iv.iter().map(field).sum::<usize>();
         let (completed, violations) = (sum(|r| r.completed), sum(|r| r.violations));
@@ -856,13 +927,7 @@ impl<'a> Replay<'a> {
             last_power_w: vec![0.0; n],
             last_assigned_rps: vec![0.0; n],
             redistributed_class: vec![0; classes],
-            totals: RunTotals {
-                interval_ms: spec.interval_ms,
-                static_j: spec.node_static_w * spec.interval_ms / 1000.0,
-                intervals: Vec::with_capacity(spec.trace.len()),
-                per_class: vec![(0, 0, 0); classes],
-                ..RunTotals::default()
-            },
+            totals: RunTotals::new(spec, classes, fresh_arrival_count(spec, mix)),
         }
     }
 
@@ -1050,22 +1115,16 @@ impl<'a> Replay<'a> {
     }
 
     /// 6. Per-class arrivals: redistributed work (re-timed to the
-    ///    boundary) ahead of each class's own Poisson stream. Class 0
-    ///    keeps the single-class stream seed; further classes draw
-    ///    independent streams.
+    ///    boundary) ahead of each class's own Poisson stream
+    ///    ([`Boundary::fresh_arrivals`]).
     fn arrivals(&self, b: &Boundary) -> Vec<Vec<f64>> {
-        let seed = self.spec.seed;
-        (0..self.mix.len())
-            .map(|c| {
-                let class_seed = if c == 0 {
-                    seed.wrapping_add(b.i as u64)
-                } else {
-                    (seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(b.i as u64)
-                };
-                let offered = b.offered_rps * self.mix[c];
-                let fresh = poisson(offered, self.spec.interval_ms, class_seed);
+        self.mix
+            .iter()
+            .enumerate()
+            .map(|(c, &share)| {
+                let fresh = b.fresh_arrivals(self.spec, c, share);
                 let mut a: Vec<f64> = std::iter::repeat_n(b.start, self.redistributed_class[c])
-                    .chain(fresh.into_iter().map(|t| b.start + t))
+                    .chain(fresh.map(|t| b.start + t))
                     .collect();
                 a.sort_by(f64::total_cmp);
                 a
@@ -1220,7 +1279,149 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poly_sim::FaultKind;
+    use poly_sim::{FaultKind, HedgeConfig};
+
+    /// One interval's record; only its completion count is read back.
+    fn record(completed: usize) -> ClusterIntervalRecord {
+        ClusterIntervalRecord {
+            start_ms: 0.0,
+            utilization: 0.0,
+            offered_rps: 0.0,
+            p99_ms: 0.0,
+            power_w: 0.0,
+            nodes_up: 0,
+            violations: 0,
+            completed,
+            shed: 0,
+            redistributed: 0,
+            timed_out: 0,
+            util_skew: 0.0,
+            nodes_active: 0,
+        }
+    }
+
+    /// The totals of a one-class run of 1 s intervals with `fresh`
+    /// fresh arrivals.
+    fn run_totals(fresh: usize) -> RunTotals {
+        let trace = [TracePoint {
+            start_ms: 0.0,
+            utilization: 1.0,
+        }];
+        RunTotals::new(&ClusterRunSpec::new(&trace, 1_000.0, 1.0), 1, fresh)
+    }
+
+    /// The run p99 keeps at most the top ~1% of the run's fresh
+    /// arrivals, whatever the intervals bring, and still reads exactly
+    /// what selecting over every sample reads.
+    #[test]
+    fn run_totals_hold_at_most_the_tail_of_the_fresh_arrivals() {
+        let fresh = 10_000;
+        let bound = fresh - ((0.99 * fresh as f64).ceil() as usize - 1);
+        assert_eq!(bound, 101);
+        let mut totals = run_totals(fresh);
+        let mut all = Vec::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in 0..50 {
+            // Interval i completes 3i + 7 requests: 4 025 in all.
+            for _ in 0..3 * i + 7 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let latency = (x % 5_000) as f64 * 0.1;
+                totals.interval_samples.push(latency);
+                all.push(latency);
+            }
+            totals.add(record(3 * i + 7), &[(0, 0, 0)], 0);
+            assert!(totals.run_p99.held() <= bound, "interval {i}");
+        }
+        let want = quantile_of(&all, 0.99, &mut Vec::new());
+        let report = totals.finish(&[]);
+        assert_eq!(report.completed, all.len());
+        assert_eq!(Some(report.p99_ms.to_bits()), want.map(f64::to_bits));
+    }
+
+    #[test]
+    fn a_run_without_completions_reports_a_zero_p99() {
+        for fresh in [0, 40] {
+            let mut totals = run_totals(fresh);
+            totals.add(record(0), &[(0, 0, 0)], 0);
+            let report = totals.finish(&[]);
+            assert_eq!((report.completed, report.p99_ms), (0, 0.0), "{fresh} fresh");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 finite samples exceed the declared bound of 2")]
+    fn more_completions_than_fresh_arrivals_is_refused() {
+        let mut totals = run_totals(2);
+        totals.interval_samples.extend([1.0, 2.0, 3.0]);
+        totals.add(record(3), &[(0, 0, 0)], 0);
+        let _ = totals.finish(&[]);
+    }
+
+    /// Three Setting-I Heter-Poly ASR nodes at a 200 ms bound, under
+    /// `lifecycle`.
+    fn asr_fleet(lifecycle: LifecycleConfig) -> Cluster {
+        use poly_core::provision::{table_iii, Architecture, Setting};
+        let app = poly_apps::asr();
+        let setup = table_iii(Setting::I, Architecture::HeterPoly);
+        let ex = poly_dse::Explorer::new(setup.gpu.clone(), setup.fpga.clone());
+        let spaces: Vec<KernelDesignSpace> = app.kernels().iter().map(|k| ex.explore(k)).collect();
+        let config = ClusterConfig {
+            bound_ms: 200.0,
+            routing: RoutingPolicy::JoinShortestQueue,
+            power_budget_w: 780.0,
+            node_floor_w: 40.0,
+            max_backlog: 200,
+            lifecycle,
+            breaker: Some(BreakerConfig::default()),
+        };
+        Cluster::try_new(&app, &spaces, vec![setup; 3], config).expect("valid fleet")
+    }
+
+    /// Drains, redistribution, retries and hedges re-issue requests but
+    /// never add completions: on a chaos run (deadlines, backoff retries,
+    /// hedges, fail-stops) and an elastic one (autoscaling, a noticed
+    /// revocation), the completions stay within the fresh arrivals the
+    /// pre-pass counts.
+    #[test]
+    fn chaos_and_elastic_runs_complete_at_most_their_fresh_arrivals() {
+        let trace: Vec<TracePoint> = (0..12)
+            .map(|i| TracePoint {
+                start_ms: i as f64 * 10_000.0,
+                utilization: 0.5 + 0.4 * (i % 4) as f64 / 3.0,
+            })
+            .collect();
+        let chaos = LifecycleConfig {
+            deadline_factor: Some(2.0),
+            retry: poly_sim::RetryPolicy::Backoff(poly_sim::BackoffPolicy::default()),
+            hedge: Some(HedgeConfig::default()),
+        };
+        let faults = FaultPlan::new()
+            .fail_stop(25_000.0, 0)
+            .recover(65_000.0, 0)
+            .fail_stop(41_000.0, 2)
+            .recover(52_000.0, 2);
+        let spec = ClusterRunSpec::new(&trace, 10_000.0, 70.0)
+            .seed(7)
+            .faults(faults);
+        let report = asr_fleet(chaos).replay(&spec, &[1.0], None);
+        let fresh = fresh_arrival_count(&spec, &[1.0]);
+        assert!(report.retry.redistributed > 0 && report.retry.hedges_fired > 0);
+        assert!(report.completed <= fresh, "{} > {fresh}", report.completed);
+
+        let revoke = FaultPlan::new()
+            .revoke(30_000.0, 1, 30_000.0)
+            .recover(80_000.0, 1);
+        let spec = ClusterRunSpec::new(&trace, 10_000.0, 70.0)
+            .seed(8)
+            .faults(revoke)
+            .autoscale(crate::AutoscaleConfig::default());
+        let report = asr_fleet(LifecycleConfig::default()).replay(&spec, &[1.0], None);
+        let fresh = fresh_arrival_count(&spec, &[1.0]);
+        assert!(report.retry.redistributed > 0);
+        assert!(report.completed <= fresh, "{} > {fresh}", report.completed);
+    }
 
     #[test]
     fn node_fault_plan_expands_to_every_device() {

@@ -6,8 +6,8 @@
 //! never reclaimed. [`ReqArena`] holds that state in two flat ring
 //! buffers indexed by global request number:
 //!
-//! - `reqs`: one 32-byte [`Req`] record per request (arrival, deadline,
-//!   size, kernels left, outcome);
+//! - `reqs`: one 24-byte [`Req`] record per request (arrival, size,
+//!   kernels left, outcome);
 //! - `stages`: one 8-byte [`Stage`] per `(request, kernel)` (attempt,
 //!   remaining predecessors, done/hedged/streamed flags), a request's
 //!   stages contiguous at `(req - base) * k`.
@@ -29,6 +29,13 @@
 //! prefix costs what it drops: an overloaded node keeps tens of thousands
 //! of requests in flight, and shifting that live suffix down at every
 //! boundary would copy the whole window each time.
+//!
+//! A request's deadline is not stored: every request of one simulator
+//! gets the same slack (`deadline_factor × latency_bound_ms`, or none),
+//! so the arena keeps that slack once and a deadline reads
+//! `arrival_ms + slack`, the very expression admission used to store.
+//! An overloaded node holds its whole backlog here, so each byte of the
+//! record is paid once per queued request.
 //!
 //! Stream floors (pipelined streaming only) live in a third buffer that
 //! exists only when the arena is built with streaming on; without it
@@ -64,7 +71,6 @@ pub(crate) enum Outcome {
 #[derive(Debug, Clone, Copy)]
 struct Req {
     arrival_ms: f64,
-    deadline_ms: f64,
     /// Relative input size (1.0 = the nominal profile the models were
     /// evaluated against).
     size: f64,
@@ -91,7 +97,7 @@ const HEDGED: u8 = 1 << 1;
 /// under barrier semantics.
 const STREAMED: u8 = 1 << 2;
 
-const _: () = assert!(std::mem::size_of::<Req>() == 32);
+const _: () = assert!(std::mem::size_of::<Req>() == 24);
 const _: () = assert!(std::mem::size_of::<Stage>() == 8);
 
 /// Request state with global (never reused) indices: one [`Req`] per
@@ -103,6 +109,9 @@ pub(crate) struct ReqArena {
     /// Global index of the first request still held; everything below is
     /// compacted (and was settled).
     base: usize,
+    /// Deadline of every request relative to its arrival, ms
+    /// (`INFINITY`: no deadlines).
+    slack_ms: f64,
     /// Fresh stages of one request: attempt 0, no flags, and the DAG's
     /// per-kernel predecessor counts.
     stage_template: Vec<Stage>,
@@ -119,12 +128,14 @@ pub(crate) struct ReqArena {
 
 impl ReqArena {
     /// Arena for requests walking a `k`-kernel DAG whose per-kernel
-    /// predecessor counts are `pred_template`; stream floors are stored
+    /// predecessor counts are `pred_template`, each due `slack_ms` after
+    /// its arrival (`INFINITY` for no deadline); stream floors are stored
     /// only when `streaming` (pipelined streaming is enabled).
-    pub(crate) fn with_streaming(pred_template: Vec<u16>, streaming: bool) -> Self {
+    pub(crate) fn new(pred_template: Vec<u16>, slack_ms: f64, streaming: bool) -> Self {
         Self {
             k: pred_template.len(),
             base: 0,
+            slack_ms,
             stage_template: pred_template
                 .into_iter()
                 .map(|remaining_preds| Stage {
@@ -156,7 +167,7 @@ impl ReqArena {
     /// # Panics
     /// Panics if the index would pass [`MAX_REQ_INDEX`]: the one place
     /// the request-index width is enforced.
-    pub(crate) fn push_sized(&mut self, arrival_ms: f64, deadline_ms: f64, size: f64) -> usize {
+    pub(crate) fn push_sized(&mut self, arrival_ms: f64, size: f64) -> usize {
         let req = self.len();
         assert!(
             req <= MAX_REQ_INDEX,
@@ -164,7 +175,6 @@ impl ReqArena {
         );
         self.reqs.push_back(Req {
             arrival_ms,
-            deadline_ms,
             size,
             kernels_left: u32::try_from(self.k).expect("kernel count fits u32"),
             outcome: Outcome::InFlight,
@@ -228,8 +238,10 @@ impl ReqArena {
         self.req(req).arrival_ms
     }
 
+    /// Absolute deadline of a retained request (`INFINITY` without
+    /// deadlines).
     pub(crate) fn deadline_ms(&self, req: usize) -> f64 {
-        self.req(req).deadline_ms
+        self.req(req).arrival_ms + self.slack_ms
     }
 
     /// Relative input size of a retained request (1.0 = nominal).
@@ -362,18 +374,22 @@ mod tests {
 
     fn arena2() -> ReqArena {
         // Two-kernel chain: kernel 0 has no predecessors, kernel 1 has 1.
-        ReqArena::with_streaming(vec![0, 1], true)
+        ReqArena::new(vec![0, 1], f64::INFINITY, true)
     }
 
     #[test]
     fn push_initializes_from_template() {
-        let mut a = arena2();
-        let r = a.push_sized(5.0, 100.0, 1.0);
+        let mut a = ReqArena::new(vec![0, 1], 95.0, true);
+        let r = a.push_sized(5.0, 1.0);
         assert_eq!(r, 0);
         assert_eq!(a.arrival_ms(r), 5.0);
         assert_eq!(a.deadline_ms(r), 100.0);
         assert_eq!(a.size(r).to_bits(), 1.0f64.to_bits());
-        let r2 = a.push_sized(6.0, 100.0, 2.5);
+        let r2 = a.push_sized(6.0, 2.5);
+        assert_eq!(a.deadline_ms(r2), 101.0);
+        let mut open = arena2();
+        let r3 = open.push_sized(5.0, 1.0);
+        assert_eq!(open.deadline_ms(r3), f64::INFINITY, "no deadlines");
         assert_eq!(a.size(r2), 2.5);
         assert_eq!(a.req(r).kernels_left, 2);
         assert_eq!(a.req(r).outcome, Outcome::InFlight);
@@ -389,19 +405,15 @@ mod tests {
         let mut a = arena2();
         // Stand in for 2^32 - 1 compacted requests without holding them.
         a.base = MAX_REQ_INDEX;
-        assert_eq!(
-            a.push_sized(0.0, f64::INFINITY, 1.0),
-            MAX_REQ_INDEX,
-            "last index admitted"
-        );
-        a.push_sized(0.0, f64::INFINITY, 1.0);
+        assert_eq!(a.push_sized(0.0, 1.0), MAX_REQ_INDEX, "last index admitted");
+        a.push_sized(0.0, 1.0);
     }
 
     #[test]
     fn compaction_keeps_global_indices() {
         let mut a = arena2();
         for i in 0..10 {
-            let r = a.push_sized(i as f64, f64::INFINITY, 1.0);
+            let r = a.push_sized(i as f64, 1.0);
             assert_eq!(r, i);
         }
         // Settle the first seven, leave 7..10 in flight.
@@ -418,7 +430,7 @@ mod tests {
         assert!(!a.is_settled(7));
         assert_eq!(a.arrival_ms(8), 8.0, "retained state intact");
         // New admissions continue the global numbering.
-        assert_eq!(a.push_sized(99.0, f64::INFINITY, 1.0), 10);
+        assert_eq!(a.push_sized(99.0, 1.0), 10);
         // A settled-but-unsorted suffix does not compact past the first
         // in-flight request.
         a.set_outcome(9, Outcome::Cancelled);
@@ -430,7 +442,7 @@ mod tests {
     #[should_panic(expected = "compacted")]
     fn direct_access_to_compacted_request_panics() {
         let mut a = arena2();
-        a.push_sized(0.0, f64::INFINITY, 1.0);
+        a.push_sized(0.0, 1.0);
         a.set_outcome(0, Outcome::Completed);
         a.compact();
         let _ = a.arrival_ms(0);
@@ -439,8 +451,8 @@ mod tests {
     #[test]
     fn streaming_state_defaults_and_survives_compaction() {
         let mut a = arena2();
-        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
-        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
+        let r0 = a.push_sized(0.0, 1.0);
+        let r1 = a.push_sized(1.0, 1.0);
         assert!(!a.streamed(r0, 1));
         assert_eq!(a.stream_floor(r0, 1), f64::NEG_INFINITY);
         assert_eq!(a.remaining_preds(r1, 1), 1);
@@ -456,8 +468,8 @@ mod tests {
     #[test]
     fn per_kernel_state_is_independent_across_requests() {
         let mut a = arena2();
-        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
-        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
+        let r0 = a.push_sized(0.0, 1.0);
+        let r1 = a.push_sized(1.0, 1.0);
         a.set_done(r0, 1);
         a.bump_attempt(r1, 0);
         a.set_hedged(r1, 1);
@@ -472,9 +484,9 @@ mod tests {
 
     #[test]
     fn without_streaming_no_floors_are_stored_and_all_read_neg_infinity() {
-        let mut a = ReqArena::with_streaming(vec![0, 1], false);
-        let r0 = a.push_sized(0.0, f64::INFINITY, 1.0);
-        let r1 = a.push_sized(1.0, f64::INFINITY, 1.0);
+        let mut a = ReqArena::new(vec![0, 1], f64::INFINITY, false);
+        let r0 = a.push_sized(0.0, 1.0);
+        let r1 = a.push_sized(1.0, 1.0);
         assert!(
             a.stream_floor.is_none(),
             "no floor buffer without streaming"
@@ -493,9 +505,9 @@ mod tests {
     #[test]
     fn compaction_drops_whole_records_and_keeps_stages_aligned() {
         // Three-kernel fan-in: kernel 2 waits on kernels 0 and 1.
-        let mut a = ReqArena::with_streaming(vec![0, 0, 2], true);
+        let mut a = ReqArena::new(vec![0, 0, 2], 100.0, true);
         for i in 0..6 {
-            a.push_sized(i as f64, 100.0 + i as f64, 1.0 + i as f64);
+            a.push_sized(i as f64, 1.0 + i as f64);
         }
         // Give every retained stage a distinct signature: request r's
         // kernel k carries attempt r * 3 + k.
@@ -523,7 +535,7 @@ mod tests {
         assert_eq!(a.stream_floor.as_ref().map(VecDeque::len), Some(6));
         for r in 4..6 {
             assert_eq!(a.arrival_ms(r), r as f64);
-            assert_eq!(a.deadline_ms(r), 100.0 + r as f64);
+            assert_eq!(a.deadline_ms(r), r as f64 + 100.0);
             assert_eq!(a.size(r), 1.0 + r as f64);
             assert_eq!(a.req(r).kernels_left, 3);
             for k in 0..3 {
@@ -535,7 +547,7 @@ mod tests {
             assert_eq!(a.stream_floor(r, 2), 10.0 * r as f64);
         }
         // A request admitted after compaction starts from the template.
-        let r6 = a.push_sized(6.0, f64::INFINITY, 1.0);
+        let r6 = a.push_sized(6.0, 1.0);
         assert_eq!((a.attempt(r6, 0), a.remaining_preds(r6, 2)), (0, 2));
         assert!(!a.done(r6, 1) && !a.hedged(r6, 1) && !a.streamed(r6, 2));
         assert_eq!(a.stream_floor(r6, 2), f64::NEG_INFINITY);

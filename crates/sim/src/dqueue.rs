@@ -14,18 +14,25 @@
 //!   lowest lane head, its back the highest lane tail. A batch (same
 //!   kernel, same alternate, in FIFO order) is a prefix of one lane.
 //!   Pushes and pops touch only a lane's two ends, so the memory an
-//!   event touches does not grow with depth.
+//!   event touches does not grow with depth. An entry is 32 bytes and
+//!   stores only what differs within its lane (request, hedge bit, ready
+//!   time, estimate, sequence number); the lane names the kernel and
+//!   alternate, and every read rebuilds the [`WorkItem`] from both. A
+//!   deep queue holds one entry per waiting stage, so this record, with
+//!   the request's, is most of an overloaded node's memory.
 //! - **Running numbers.** Length, backlog in whole nanoseconds, and live
 //!   entries per kernel. Integer sums are exact in any order, so the
 //!   running backlog equals the in-order sum of the live entries.
 //! - **Request index.** A request's live entries on this device are
 //!   chained through their lane positions, with the chain head in a map
-//!   keyed by request. Removing an entry leaves a dead entry (a
-//!   tombstone) in its lane; a lane's ends are always live, because dead
-//!   entries are dropped as soon as they reach either end. No reader
-//!   sees one. The index is built by the first operation that needs it
-//!   (one pass over the queue) and kept up to date from then on, so a
-//!   simulator that never cancels or hedges never pays for it.
+//!   keyed by request and each entry's link in a deque beside its lane's
+//!   entries. Removing an entry leaves a dead entry (a tombstone) in its
+//!   lane; a lane's ends are always live, because dead entries are
+//!   dropped as soon as they reach either end. No reader sees one. The
+//!   index (map and links) is built by the first operation that needs
+//!   it (one pass over the queue) and kept up to date from then on, so
+//!   a simulator that never cancels or hedges never pays for it, in
+//!   time or in memory.
 //!
 //! The operations that remove entries or follow the request index count
 //! the entries they visit (tombstones dropped and the index's one-time
@@ -74,16 +81,19 @@ fn pos_of(at: u64) -> u64 {
     at & ((1 << POS_BITS) - 1)
 }
 
-/// One queued entry, 48 bytes.
+/// One queued entry: the fields of its [`WorkItem`] that its lane does
+/// not name.
 #[derive(Debug, Clone)]
 struct Entry {
-    item: WorkItem,
+    req: u32,
+    hedge: bool,
+    ready_ms: f64,
+    est_ns: u64,
     /// Sequence number, with [`DEAD`] set once the entry is removed.
     seq: u64,
-    /// Next live entry of the same request (a link), while the request
-    /// index exists.
-    next: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
 impl Entry {
     fn live(&self) -> bool {
@@ -99,6 +109,29 @@ struct Lane {
     base: u64,
     /// In sequence order; both ends live.
     entries: VecDeque<Entry>,
+    /// While the request index exists, `links[i]` is the link to the
+    /// next live entry of `entries[i]`'s request (meaningless for a dead
+    /// entry); empty until then.
+    links: VecDeque<u64>,
+}
+
+impl Lane {
+    /// The work item `e` holds, with this lane's kernel and alternate.
+    fn item(&self, e: &Entry) -> WorkItem {
+        WorkItem::new(
+            e.req as usize,
+            self.kernel,
+            e.ready_ms,
+            e.est_ns,
+            self.alt,
+            e.hedge,
+        )
+    }
+
+    /// Index into `entries` (and `links`) of the entry at link `at`.
+    fn slot(&self, at: u64) -> usize {
+        (pos_of(at) - self.base) as usize
+    }
 }
 
 /// A device's FIFO of ready work: per-`(kernel, alternate)` lanes under
@@ -157,20 +190,23 @@ impl DeviceQueue {
                     alt: item.alt,
                     base: 0,
                     entries: VecDeque::new(),
+                    links: VecDeque::new(),
                 });
                 self.lanes.len() - 1
             }
         };
         let lane = &mut self.lanes[l];
-        let at = link(l, lane.base + lane.entries.len() as u64);
-        let next = match &mut self.by_req {
-            Some(index) => index.insert(key(item.req()), at).unwrap_or(NIL),
-            None => NIL,
-        };
+        let req = key(item.req());
+        if let Some(index) = &mut self.by_req {
+            let at = link(l, lane.base + lane.entries.len() as u64);
+            lane.links.push_back(index.insert(req, at).unwrap_or(NIL));
+        }
         lane.entries.push_back(Entry {
-            item,
+            req,
+            hedge: item.hedge,
+            ready_ms: item.ready_ms,
+            est_ns: item.est_ns,
             seq: self.next_seq,
-            next,
         });
         self.next_seq += 1;
         if self.per_kernel.len() <= item.kernel().0 {
@@ -209,49 +245,41 @@ impl DeviceQueue {
 
     /// The FIFO's front entry.
     pub fn front(&self) -> Option<WorkItem> {
-        let l = self.front_lane()?;
-        Some(
-            self.lanes[l]
-                .entries
-                .front()
-                .expect("front lane non-empty")
-                .item,
-        )
+        let lane = &self.lanes[self.front_lane()?];
+        lane.entries.front().map(|e| lane.item(e))
     }
 
     /// The FIFO's back entry.
     pub fn back(&self) -> Option<WorkItem> {
-        let l = self.back_lane()?;
-        Some(
-            self.lanes[l]
-                .entries
-                .back()
-                .expect("back lane non-empty")
-                .item,
-        )
+        let lane = &self.lanes[self.back_lane()?];
+        lane.entries.back().map(|e| lane.item(e))
     }
 
     /// Remove and return the FIFO's back entry.
     pub fn pop_back(&mut self) -> Option<WorkItem> {
         let l = self.back_lane()?;
-        let lane = &mut self.lanes[l];
-        let e = lane.entries.pop_back().expect("back lane non-empty");
-        let at = link(l, lane.base + lane.entries.len() as u64);
-        self.retire(at, &e);
-        self.trim(l);
-        Some(e.item)
+        self.pop_lane_end(l, false)
     }
 
-    /// Remove and return the front entry of lane `l` (live: lane ends
-    /// always are).
-    fn pop_lane_front(&mut self, l: usize) -> Option<WorkItem> {
+    /// Remove and return the front (or back) entry of lane `l` (live:
+    /// lane ends always are).
+    fn pop_lane_end(&mut self, l: usize, front: bool) -> Option<WorkItem> {
         let lane = &mut self.lanes[l];
-        let e = lane.entries.pop_front()?;
-        let at = link(l, lane.base);
-        lane.base += 1;
-        self.retire(at, &e);
+        let (e, next, pos) = if front {
+            let e = lane.entries.pop_front()?;
+            let pos = lane.base;
+            lane.base += 1;
+            (e, lane.links.pop_front(), pos)
+        } else {
+            let e = lane.entries.pop_back()?;
+            let pos = lane.base + lane.entries.len() as u64;
+            (e, lane.links.pop_back(), pos)
+        };
+        debug_assert!(e.live(), "retiring a dead entry");
+        let item = lane.item(&e);
+        self.retire(link(l, pos), &item, next.unwrap_or(NIL));
         self.trim(l);
-        Some(e.item)
+        Some(item)
     }
 
     /// Move the front batch into `out`: the first `max` entries (FIFO
@@ -260,7 +288,7 @@ impl DeviceQueue {
     pub fn take_front_batch(&mut self, max: usize, out: &mut Vec<WorkItem>) {
         let Some(l) = self.front_lane() else { return };
         while out.len() < max {
-            let Some(item) = self.pop_lane_front(l) else {
+            let Some(item) = self.pop_lane_end(l, true) else {
                 break;
             };
             out.push(item);
@@ -272,11 +300,10 @@ impl DeviceQueue {
         let mut at = self.head(req);
         while at != NIL {
             self.touched += 1;
-            let e = self.entry(at);
-            if e.item.kernel() == kernel {
+            if self.lanes[lane_of(at)].kernel == kernel {
                 return true;
             }
-            at = e.next;
+            at = self.next_of(at);
         }
         false
     }
@@ -285,7 +312,7 @@ impl DeviceQueue {
     pub fn drain(&mut self) -> Vec<WorkItem> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(l) = self.front_lane() {
-            out.extend(self.pop_lane_front(l));
+            out.extend(self.pop_lane_end(l, true));
         }
         self.touched = 0;
         out
@@ -301,14 +328,16 @@ impl DeviceQueue {
         self.by_req = None;
     }
 
-    fn entry(&self, at: u64) -> &Entry {
+    /// The chain link after the entry at `at`.
+    fn next_of(&self, at: u64) -> u64 {
         let lane = &self.lanes[lane_of(at)];
-        &lane.entries[(pos_of(at) - lane.base) as usize]
+        lane.links[lane.slot(at)]
     }
 
-    fn entry_mut(&mut self, at: u64) -> &mut Entry {
+    fn next_mut(&mut self, at: u64) -> &mut u64 {
         let lane = &mut self.lanes[lane_of(at)];
-        &mut lane.entries[(pos_of(at) - lane.base) as usize]
+        let i = lane.slot(at);
+        &mut lane.links[i]
     }
 
     /// Head link of `req`'s chain, building the request index first if
@@ -320,12 +349,17 @@ impl DeviceQueue {
                 let mut index = HashMap::with_capacity(self.len);
                 for (l, lane) in self.lanes.iter_mut().enumerate() {
                     self.touched += lane.entries.len() as u64;
-                    for (k, e) in lane.entries.iter_mut().enumerate() {
-                        if e.live() {
-                            let at = link(l, lane.base + k as u64);
-                            e.next = index.insert(key(e.item.req()), at).unwrap_or(NIL);
-                        }
-                    }
+                    let base = lane.base;
+                    lane.links = (0u64..)
+                        .zip(&lane.entries)
+                        .map(|(k, e)| {
+                            if e.live() {
+                                index.insert(e.req, link(l, base + k)).unwrap_or(NIL)
+                            } else {
+                                NIL
+                            }
+                        })
+                        .collect();
                 }
                 self.by_req.insert(index)
             }
@@ -351,15 +385,17 @@ impl DeviceQueue {
         let mut at = self.head(req);
         while at != NIL {
             self.touched += 1;
-            let e = self.entry_mut(at);
-            let (item, next) = (e.item, e.next);
-            if kernel.is_none_or(|k| item.kernel() == k) {
-                e.seq |= DEAD;
-                self.uncount(&item);
+            let next = self.next_of(at);
+            let lane = &mut self.lanes[lane_of(at)];
+            if kernel.is_none_or(|k| lane.kernel == k) {
+                let i = lane.slot(at);
+                lane.entries[i].seq |= DEAD;
+                let (kernel, est_ns) = (lane.kernel, lane.entries[i].est_ns);
+                self.uncount(kernel, est_ns);
                 if prev == NIL {
                     self.set_head(req, next);
                 } else {
-                    self.entry_mut(prev).next = next;
+                    *self.next_mut(prev) = next;
                 }
                 self.trim(lane_of(at));
                 removed += 1;
@@ -371,37 +407,38 @@ impl DeviceQueue {
         removed
     }
 
-    /// Take `item` out of the running numbers.
-    fn uncount(&mut self, item: &WorkItem) {
-        self.per_kernel[item.kernel().0] -= 1;
+    /// Take one entry of `kernel` costing `est_ns` out of the running
+    /// numbers.
+    fn uncount(&mut self, kernel: KernelId, est_ns: u64) {
+        self.per_kernel[kernel.0] -= 1;
         self.len -= 1;
-        self.backlog_ns -= item.est_ns;
+        self.backlog_ns -= est_ns;
     }
 
-    /// Account for `e`, just popped from link `at`: take it out of the
-    /// running numbers and, if the request index exists, unlink it from
-    /// its request's chain (a short walk from the head; `at` itself is
-    /// never read, the entry having left its lane).
-    fn retire(&mut self, at: u64, e: &Entry) {
-        debug_assert!(e.live(), "retiring a dead entry");
+    /// Account for `item`, just popped from link `at` with chain link
+    /// `next`: take it out of the running numbers and, if the request
+    /// index exists, unlink it from its request's chain (a short walk
+    /// from the head; `at` itself is never read, the entry having left
+    /// its lane).
+    fn retire(&mut self, at: u64, item: &WorkItem, next: u64) {
         self.touched += 1;
-        self.uncount(&e.item);
+        self.uncount(item.kernel(), item.est_ns);
         let Some(index) = &self.by_req else { return };
-        let head = index[&key(e.item.req())];
+        let head = index[&key(item.req())];
         if head == at {
-            self.set_head(e.item.req(), e.next);
+            self.set_head(item.req(), next);
             return;
         }
         let mut prev = head;
         loop {
             self.touched += 1;
-            let after = self.entry(prev).next;
+            let after = self.next_of(prev);
             if after == at {
                 break;
             }
             prev = after;
         }
-        self.entry_mut(prev).next = e.next;
+        *self.next_mut(prev) = next;
     }
 
     /// Drop dead entries from both ends of lane `l`, so its ends are live.
@@ -409,11 +446,13 @@ impl DeviceQueue {
         let lane = &mut self.lanes[l];
         while lane.entries.front().is_some_and(|e| !e.live()) {
             lane.entries.pop_front();
+            lane.links.pop_front();
             lane.base += 1;
             self.touched += 1;
         }
         while lane.entries.back().is_some_and(|e| !e.live()) {
             lane.entries.pop_back();
+            lane.links.pop_back();
             self.touched += 1;
         }
     }
@@ -423,8 +462,18 @@ impl DeviceQueue {
 mod tests {
     use super::*;
 
+    /// An item whose ready time and hedge bit vary with its estimate, so
+    /// a read that rebuilds the wrong entry's fields shows.
     fn item(req: usize, kernel: usize, alt: u8, est_ns: u64) -> WorkItem {
-        WorkItem::new(req, KernelId(kernel), 0.0, est_ns, alt, false)
+        let ready_ms = est_ns as f64 * 0.25;
+        WorkItem::new(
+            req,
+            KernelId(kernel),
+            ready_ms,
+            est_ns,
+            alt,
+            est_ns % 2 == 1,
+        )
     }
 
     /// The reference: a plain FIFO with the operations' old definitions.
@@ -439,10 +488,22 @@ mod tests {
     }
 
     /// Every operation matches a plain FIFO, over a deterministic mix of
-    /// pushes, batch takes, back pops and removals.
+    /// pushes, batch takes, back pops and removals: once with the request
+    /// index built by the first removal, once with it built before the
+    /// first push, so every push and pop also keeps its links.
     #[test]
     fn matches_a_plain_fifo() {
+        for indexed_from_start in [false, true] {
+            fifo_script(indexed_from_start);
+        }
+    }
+
+    fn fifo_script(indexed_from_start: bool) {
         let mut q = DeviceQueue::default();
+        if indexed_from_start {
+            assert!(!q.contains_stage(0, KernelId(0)));
+            assert!(q.by_req.is_some(), "the lookup built the index");
+        }
         let mut r: VecDeque<WorkItem> = VecDeque::new();
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         for step in 0..4_000usize {
@@ -506,6 +567,14 @@ mod tests {
         assert_eq!(q.drain(), rest);
         assert!(q.is_empty());
         assert_eq!(q.backlog_ns(), 0);
+        for lane in &q.lanes {
+            let links = if q.by_req.is_some() {
+                lane.entries.len()
+            } else {
+                0
+            };
+            assert_eq!(lane.links.len(), links, "one link per entry, while indexed");
+        }
     }
 
     #[test]
@@ -515,6 +584,7 @@ mod tests {
             q.push_back(item(req, 0, 0, 10));
         }
         assert!(q.by_req.is_none(), "pushes alone build no request index");
+        assert!(q.lanes[0].links.is_empty(), "nor any link");
         // Remove the middle two: the lane keeps them as tombstones.
         assert_eq!(q.remove_where(1, None), 1);
         assert_eq!(q.take_touched(), 4 + 1, "one pass builds the index");
@@ -536,6 +606,5 @@ mod tests {
             q.contains_stage(9, KernelId(1)),
             "the index follows later pushes"
         );
-        assert_eq!(std::mem::size_of::<Entry>(), 48, "an entry stays compact");
     }
 }

@@ -602,7 +602,7 @@ mod tests {
     fn seed_two(s: &mut Simulator) {
         s.batching.last_arrival_ms = Some(s.now);
         for i in 0..2 {
-            let req = s.requests.push_sized(s.now, f64::INFINITY, 1.0);
+            let req = s.requests.push_sized(s.now, 1.0);
             assert_eq!(req, i);
             let est_ns = ms_to_ns(s.policy.of(KernelId(0)).service_ms);
             let item = WorkItem::new(req, KernelId(0), s.now, est_ns, 0, false);

@@ -344,6 +344,10 @@ impl Simulator {
             })
             .collect();
         let streaming = config.pipeline.enabled();
+        let slack_ms = config
+            .lifecycle
+            .deadline_factor
+            .map_or(f64::INFINITY, |f| f * config.latency_bound_ms);
         let margin = dispatch::Margin::new(&graph);
         let mut sim = Self {
             sources: graph.sources(),
@@ -352,7 +356,7 @@ impl Simulator {
             config,
             devices,
             events: EventQueue::new(),
-            requests: ReqArena::with_streaming(pred_template, streaming),
+            requests: ReqArena::new(pred_template, slack_ms, streaming),
             now: 0.0,
             batching: batch::Batching::default(),
             hedging: hedge::Hedging::new(n_kernels),
@@ -467,12 +471,9 @@ impl Simulator {
     }
 
     fn enqueue_one(&mut self, t: f64, size: f64) {
-        let factor = self.config.lifecycle.deadline_factor;
         let arrival_ms = t.max(self.now);
-        let deadline_ms = factor.map_or(f64::INFINITY, |f| {
-            arrival_ms + f * self.config.latency_bound_ms
-        });
-        let req = self.requests.push_sized(arrival_ms, deadline_ms, size);
+        let req = self.requests.push_sized(arrival_ms, size);
+        let deadline_ms = self.requests.deadline_ms(req);
         self.counters.admitted += 1;
         self.events
             .push(arrival_ms, EventKind::Arrival { req: ix(req) });
@@ -531,8 +532,17 @@ impl Simulator {
                 }
                 self.arrived += 1;
                 self.batching.note_arrival(self.now);
+                // With nothing else due by now, the sources' `Dispatch`
+                // events would be the next pops, in push order, and
+                // whatever a dispatch pushes would pop after them: run
+                // them in place instead, in that order.
+                let inline = self.events.peek_time().is_none_or(|t| t > self.now);
                 for i in 0..self.sources.len() {
-                    self.push_dispatch(self.now, req, self.sources[i]);
+                    if inline {
+                        self.dispatch(req, self.sources[i]);
+                    } else {
+                        self.push_dispatch(self.now, req, self.sources[i]);
+                    }
                 }
             }
             EventKind::Dispatch { req, kernel } => {

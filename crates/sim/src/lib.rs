@@ -59,6 +59,6 @@ pub use equeue::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use lifecycle::{hedge_delay_from, BackoffPolicy, HedgeConfig, LifecycleConfig, RetryPolicy};
 pub use load::{max_rps_under_qos, max_rps_under_qos_par, steady_state, LoadPoint, LoadSweep};
-pub use metrics::{quantile_of, LatencyStats, RetryStats};
+pub use metrics::{quantile_of, BoundedQuantile, LatencyStats, RetryStats};
 pub use policy::{KernelImpl, Policy};
 pub use time::TotalF64;

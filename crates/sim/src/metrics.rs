@@ -1,3 +1,6 @@
+use crate::TotalF64;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Unified re-issue accounting, shared by the node and the cluster
@@ -145,6 +148,100 @@ pub fn quantile_of(samples: &[f64], q: f64, scratch: &mut Vec<f64>) -> Option<f6
     let rank = rank0(clamp_q(q), scratch.len());
     let (_, &mut v, _) = scratch.select_nth_unstable_by(rank, |a, b| a.total_cmp(b));
     Some(v)
+}
+
+/// The nearest-rank `q`-quantile of a stream of at most `max_samples`
+/// finite values, exact, holding only the largest few.
+///
+/// Of `n` finite samples the quantile is the `tail(n)`-th largest, with
+/// `tail(n) = n − rank0(q, n)`, and `tail` never decreases as `n` grows.
+/// So with at most `max_samples` finite samples to come, a `total_cmp`
+/// min-heap of the `tail(max_samples)` largest seen so far always holds
+/// the answer: [`finish`](Self::finish) pops it down to `tail(n)` and
+/// reads its minimum, which is [`quantile_of`] of the whole stream bit
+/// for bit. At `q = 0.99` the heap is about 1% of the stream.
+#[derive(Debug, Clone)]
+pub struct BoundedQuantile {
+    q: f64,
+    max_samples: usize,
+    /// `tail(max_samples)`: the most the heap ever holds.
+    cap: usize,
+    /// Finite samples seen.
+    seen: usize,
+    heap: BinaryHeap<Reverse<TotalF64>>,
+}
+
+/// How many of `n` sorted samples lie at or above the `q`-quantile.
+fn tail(q: f64, n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        n - rank0(q, n)
+    }
+}
+
+impl BoundedQuantile {
+    /// The `q`-quantile (clamped as [`quantile_of`] clamps it) of a
+    /// stream of at most `max_samples` finite samples.
+    #[must_use]
+    pub fn new(q: f64, max_samples: usize) -> Self {
+        let q = clamp_q(q);
+        Self {
+            q,
+            max_samples,
+            cap: tail(q, max_samples),
+            seen: 0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Fold in `samples`; non-finite ones are skipped, as
+    /// [`quantile_of`] skips them.
+    pub fn extend(&mut self, samples: &[f64]) {
+        for &x in samples.iter().filter(|x| x.is_finite()) {
+            self.seen += 1;
+            if self.heap.len() < self.cap {
+                self.heap.push(Reverse(TotalF64(x)));
+            } else if let Some(mut min) = self.heap.peek_mut() {
+                if x.total_cmp(&min.0 .0).is_gt() {
+                    *min = Reverse(TotalF64(x));
+                }
+            }
+        }
+    }
+
+    /// Finite samples folded in so far.
+    #[must_use]
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Samples held: never more than `tail(max_samples)`.
+    #[must_use]
+    pub fn held(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The quantile of every finite sample folded in, `None` when there
+    /// was none.
+    ///
+    /// # Panics
+    /// Panics if more than `max_samples` finite samples were folded in:
+    /// the heap may then have dropped the answer.
+    #[must_use]
+    pub fn finish(mut self) -> Option<f64> {
+        assert!(
+            self.seen <= self.max_samples,
+            "{} finite samples exceed the declared bound of {}",
+            self.seen,
+            self.max_samples
+        );
+        let keep = tail(self.q, self.seen);
+        while self.heap.len() > keep {
+            self.heap.pop();
+        }
+        self.heap.peek().map(|min| min.0 .0)
+    }
 }
 
 /// Clamp a requested quantile into `[0, 1]`; NaN maps to 1.0 (the
@@ -530,6 +627,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A sample drawn from a few tied values, a wide range, or a
+    /// non-finite one (arms are chosen uniformly, so repeats weight them).
+    fn sample() -> impl proptest::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u8..5).prop_map(f64::from),
+            (0u8..5).prop_map(f64::from),
+            -1e3..1e6f64,
+            -1e3..1e6f64,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Interval by interval, the bounded heap reports exactly what
+        /// `quantile_of` reads from the whole run, for any bound at or
+        /// above the finite sample count, and never holds more than the
+        /// bound's tail.
+        #[test]
+        fn bounded_quantile_is_quantile_of_the_whole_stream(
+            intervals in proptest::collection::vec(
+                proptest::collection::vec(sample(), 0..40), 0..12),
+            slack in 0usize..300,
+            q in proptest::prop_oneof![proptest::Just(0.99), 0.0..1.0f64],
+        ) {
+            let all: Vec<f64> = intervals.concat();
+            let finite = all.iter().filter(|x| x.is_finite()).count();
+            let max_samples = finite + slack;
+            let mut b = BoundedQuantile::new(q, max_samples);
+            for iv in &intervals {
+                b.extend(iv);
+                proptest::prop_assert!(b.held() <= tail(q, max_samples));
+            }
+            proptest::prop_assert_eq!(b.seen(), finite);
+            let want = quantile_of(&all, q, &mut Vec::new());
+            proptest::prop_assert_eq!(b.finish().map(f64::to_bits), want.map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    fn bounded_quantile_of_no_finite_sample_is_none() {
+        // An empty run, and one whose every request was shed.
+        assert_eq!(BoundedQuantile::new(0.99, 0).finish(), None);
+        let mut shed = BoundedQuantile::new(0.99, 500);
+        shed.extend(&[f64::NAN, f64::INFINITY]);
+        assert_eq!((shed.seen(), shed.held()), (0, 0));
+        assert_eq!(shed.finish(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the declared bound")]
+    fn bounded_quantile_refuses_more_samples_than_declared() {
+        let mut b = BoundedQuantile::new(0.99, 2);
+        b.extend(&[1.0, 2.0, 3.0]);
+        let _ = b.finish();
     }
 
     #[test]

@@ -20,36 +20,71 @@ pub fn constant(rate_rps: f64, duration_ms: f64) -> Vec<f64> {
     (0..n).map(|i| i as f64 * interval).collect()
 }
 
-/// Poisson (open-loop) arrivals at `rate_rps`, seeded. A non-positive
+/// Poisson (open-loop) arrivals at `rate_rps`, seeded: the
+/// [`collect`](Iterator::collect) of [`PoissonArrivals`]. A non-positive
 /// rate yields no arrivals.
 ///
 /// # Panics
-/// Panics if `rate_rps` or `duration_ms` is not finite: the arrival
-/// clock would never pass the end of the window, and the loop would
-/// grow its output without bound. Run specs reject such rates with a
-/// typed error before they reach this point.
+/// As [`PoissonArrivals::new`], if `rate_rps` or `duration_ms` is not
+/// finite.
 #[must_use]
 pub fn poisson(rate_rps: f64, duration_ms: f64, seed: u64) -> Vec<f64> {
-    assert!(
-        rate_rps.is_finite() && duration_ms.is_finite(),
-        "poisson needs a finite rate and window, got {rate_rps} RPS over {duration_ms} ms"
-    );
-    if rate_rps <= 0.0 {
-        return Vec::new();
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mean_interval = 1000.0 / rate_rps;
-    let mut t = 0.0;
-    let mut out = Vec::new();
-    loop {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t += -mean_interval * u.ln();
-        if t >= duration_ms {
-            return out;
+    PoissonArrivals::new(rate_rps, duration_ms, seed).collect()
+}
+
+/// The arrival times of [`poisson`], one exponential gap at a time.
+/// Counting them ([`Iterator::count`]) draws the same gaps without
+/// storing a time, so a count and a [`poisson`] call with the same
+/// arguments cannot disagree.
+#[derive(Debug, Clone)]
+pub struct PoissonArrivals {
+    rng: ChaCha8Rng,
+    /// Mean gap in ms; `None` for a non-positive rate (no arrivals).
+    mean_interval: Option<f64>,
+    duration_ms: f64,
+    t: f64,
+}
+
+impl PoissonArrivals {
+    /// Arrivals at `rate_rps` over `[0, duration_ms)`, seeded.
+    ///
+    /// # Panics
+    /// Panics if `rate_rps` or `duration_ms` is not finite: the arrival
+    /// clock would never pass the end of the window, and the stream
+    /// would never end. Run specs reject such rates with a typed error
+    /// before they reach this point.
+    #[must_use]
+    pub fn new(rate_rps: f64, duration_ms: f64, seed: u64) -> Self {
+        assert!(
+            rate_rps.is_finite() && duration_ms.is_finite(),
+            "poisson needs a finite rate and window, got {rate_rps} RPS over {duration_ms} ms"
+        );
+        Self {
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            mean_interval: (rate_rps > 0.0).then(|| 1000.0 / rate_rps),
+            duration_ms,
+            t: 0.0,
         }
-        out.push(t);
     }
 }
+
+impl Iterator for PoissonArrivals {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let mean_interval = self.mean_interval?;
+        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        self.t += -mean_interval * u.ln();
+        if self.t >= self.duration_ms {
+            // Stay ended: a later call must not draw a gap past the end.
+            self.mean_interval = None;
+            return None;
+        }
+        Some(self.t)
+    }
+}
+
+impl std::iter::FusedIterator for PoissonArrivals {}
 
 /// Markov-modulated Poisson arrivals: a two-state process that switches
 /// between a `base_rps` state and a `burst_rps` state with exponentially
@@ -287,6 +322,21 @@ mod tests {
     fn poisson_is_deterministic_in_seed() {
         assert_eq!(poisson(10.0, 10_000.0, 7), poisson(10.0, 10_000.0, 7));
         assert_ne!(poisson(10.0, 10_000.0, 7), poisson(10.0, 10_000.0, 8));
+    }
+
+    #[test]
+    fn counting_arrivals_matches_the_collected_stream() {
+        for (rate, seed) in [(0.0, 1), (-3.0, 2), (0.5, 3), (37.5, 4), (400.0, 5)] {
+            let times = poisson(rate, 2_000.0, seed);
+            assert_eq!(
+                PoissonArrivals::new(rate, 2_000.0, seed).count(),
+                times.len(),
+                "{rate} RPS"
+            );
+        }
+        let mut ended = PoissonArrivals::new(5.0, 1_000.0, 9);
+        ended.by_ref().for_each(drop);
+        assert_eq!(ended.next(), None, "an ended stream stays ended");
     }
 
     #[test]
